@@ -282,7 +282,7 @@ def downsample_background(
     background term does not drown the annotated term when only a few
     percent of pairs are annotated.  Keeps at least one triplet.
     """
-    if keep_fraction >= 1.0 or not triplets:
+    if keep_fraction >= 1.0 or len(triplets) == 0:
         return list(triplets)
     k = max(1, math.ceil(keep_fraction * len(triplets)))
     idx = np.sort(rng.choice(len(triplets), size=k, replace=False))

@@ -14,13 +14,15 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import synthgen, tables, tensorio
 from .classifier import TrainConfig, load_model, pretrain, save_model
 from .edges import load_edge_learner, save_edge_learner
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import Dataset, PredicateCatalog, annotated_counts, read_scenes, write_scenes
-from .metrics import AssignmentRecord, audit_pseudo_labels, evaluate
-from .selftrain import SelfTrainConfig, load_checkpoint, run, save_checkpoint
+from .metrics import AssignmentLog, AssignmentRecord, audit_pseudo_labels, evaluate
+from .selftrain import EdgeTraceRow, SelfTrainConfig, load_checkpoint, run, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -399,17 +401,15 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     tables.write_table(os.path.join(rc.log_dir, "selftrain_epochs.csv"), header, epoch_rows, echo=echo)
     tables.write_table(
         os.path.join(rc.log_dir, "assignments.csv"),
-        ("iteration", "scene_id", "triplet_index", "assigned_class", "confidence"),
-        [(a.iteration, a.scene_id, a.triplet_index, a.assigned_class, a.confidence)
-         for a in result.assignments],
+        AssignmentRecord._fields,
+        result.assignments,
         echo=echo,
     )
     if edge_trace:
         tables.write_table(
             os.path.join(rc.log_dir, "edge_trace.csv"),
-            ("iteration", "scene_id", "triplet_index", "score", "noise", "hard"),
-            [(t.iteration, t.scene_id, t.triplet_index, t.score, t.noise, t.hard)
-             for t in result.edge_trace],
+            EdgeTraceRow._fields,
+            result.edge_trace,
             echo=echo,
         )
     print(f"self-trained {cfg.max_iterations} iterations with policy {cfg.policy}; "
@@ -470,18 +470,8 @@ def cmd_audit(rc: RunConfig, assignments_path: str | None, split: str) -> int:
     path = assignments_path or os.path.join(rc.log_dir, "assignments.csv")
     if not os.path.exists(path):
         raise ConfigError(f"missing assignment log: {path} (run `strel selftrain`)")
-    header, rows = tables.read_table(path)
-    records = [
-        AssignmentRecord(
-            iteration=int(r[0]),
-            scene_id=int(r[1]),
-            triplet_index=int(r[2]),
-            assigned_class=int(r[3]),
-            confidence=float(r[4]),
-        )
-        for r in rows
-    ]
-    audit = audit_pseudo_labels(records, dataset)
+    _, rows = tables.read_table(path)
+    audit = audit_pseudo_labels(_assignment_log(path, rows), dataset)
     os.makedirs(rc.log_dir, exist_ok=True)
     tables.write_table(
         os.path.join(rc.log_dir, "audit.csv"),
@@ -504,6 +494,19 @@ def cmd_audit(rc: RunConfig, assignments_path: str | None, split: str) -> int:
         f"bg_violations={audit.bg_violations}"
     )
     return 0
+
+
+def _assignment_log(path: str, rows: list[list[str]]) -> AssignmentLog:
+    """The columns of an assignment table; a malformed row is a ValidationError."""
+    width = len(AssignmentRecord._fields)
+    for n, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise ValidationError(f"{path}: data row {n} has {len(row)} columns, expected {width}")
+    dtypes = [np.int64] * (width - 1) + [np.float64]  # the last column is the confidence
+    try:
+        return AssignmentLog(*map(np.array, list(zip(*rows)) or [()] * width, dtypes))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: bad assignment value: {exc}") from exc
 
 
 def cmd_sweep(rc: RunConfig, grid: str) -> int:

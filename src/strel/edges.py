@@ -5,7 +5,10 @@ scalar logit whose sigmoid is the link probability of the pair.  Hard edge
 samples come from a Gumbel-perturbed relaxation: with noise e ~ Gumbel(0,1),
 relaxed = sigmoid((log s + e) / temperature) and hard = [relaxed > 0.5].
 The hard decision depends only on the sign of log s + e, so it is invariant
-to the temperature; gradients route through the relaxation (straight-through).
+to the temperature.  Self-training uses the hard samples only, to gate
+pseudo-labels and to pick the message-passing edges; no gradient flows
+through them, so the scorer learns from its focal loss alone
+(``straight_through_grad`` gives the relaxation's slope for analysis).
 
 Under this single-noise construction P(hard = 1) = 1 - exp(-s), not s.
 
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .classifier import (
     zero_grads,
 )
 from .errors import ConfigError, ValidationError
-from .labels import Scene, relation_features
 from .rngs import stream
 
 SCORE_FLOOR = 1e-12
@@ -80,23 +81,15 @@ def _pair_matrix(x_subject: np.ndarray, x_object: np.ndarray) -> np.ndarray:
     return np.concatenate([xs, xo], axis=1)
 
 
-def edge_logits(params: EdgeLearnerParams, x_subject, x_object) -> np.ndarray:
+def edge_scores(params: EdgeLearnerParams, x_subject, x_object) -> np.ndarray:
+    """Link probabilities of ordered pairs; order matters (no symmetry)."""
     X = _pair_matrix(x_subject, x_object)
     if X.shape[1] != params.net.feature_dim:
         raise ValidationError(
             f"expected concatenated dimension {params.net.feature_dim}, got {X.shape[1]}"
         )
     logits, _ = _forward_cache(params.net, X)
-    return logits[:, 0]
-
-
-def edge_score(params: EdgeLearnerParams, x_subject, x_object) -> float:
-    """Link probability of one ordered pair; order matters (no symmetry)."""
-    return float(_sigmoid(edge_logits(params, x_subject, x_object))[0])
-
-
-def edge_scores(params: EdgeLearnerParams, x_subject, x_object) -> np.ndarray:
-    return _sigmoid(edge_logits(params, x_subject, x_object))
+    return _sigmoid(logits[:, 0])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -108,19 +101,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EdgeSample:
-    """One relaxed Bernoulli draw for an edge.
+@dataclass(frozen=True, eq=False)
+class EdgeSamples:
+    """Relaxed Bernoulli draws, one entry per edge; indexing gives one
+    edge's draw.
 
     ``hard`` is 1 iff ``relaxed`` > 0.5, which holds iff log(score) + noise
     > 0 -- a condition independent of the temperature.  ``noise`` is logged
     so samples can be replayed exactly.
     """
 
-    score: float
-    relaxed: float
-    hard: int
-    noise: float
+    score: np.ndarray
+    relaxed: np.ndarray
+    hard: np.ndarray
+    noise: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.hard)
+
+    def __getitem__(self, i) -> EdgeSamples:
+        return EdgeSamples(self.score[i], self.relaxed[i], self.hard[i], self.noise[i])
 
 
 def gumbel_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -128,42 +128,25 @@ def gumbel_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     return -np.log(-np.log(np.maximum(u, SCORE_FLOOR)))
 
 
-def gumbel_sample(
-    score: float,
-    temperature: float,
-    rng: np.random.Generator | None = None,
-    noise: float | None = None,
-) -> EdgeSample:
-    """Draw (or replay, when ``noise`` is given) one edge sample."""
+def sample_edges(scores, temperature: float, noise) -> EdgeSamples:
+    """Relaxed and hard samples of every edge under the given Gumbel noise
+    (draw it with ``gumbel_noise``; logged noise replays a sample)."""
     if temperature <= 0.0:
         raise ConfigError("Gumbel temperature must be positive")
-    s = min(max(float(score), SCORE_FLOOR), 1.0 - SCORE_FLOOR)
-    if noise is None:
-        if rng is None:
-            raise ValidationError("need an rng when no replay noise is given")
-        noise = float(gumbel_noise(rng, 1)[0])
-    relaxed = float(_sigmoid(np.array([(math.log(s) + noise) / temperature]))[0])
-    return EdgeSample(score=s, relaxed=relaxed, hard=int(relaxed > 0.5), noise=float(noise))
+    s = np.clip(np.asarray(scores, dtype=np.float64), SCORE_FLOOR, 1.0 - SCORE_FLOOR)
+    e = np.asarray(noise, dtype=np.float64)
+    if s.shape != e.shape:
+        raise ValidationError("need one noise value per edge score")
+    relaxed = _sigmoid((np.log(s) + e) / temperature)
+    return EdgeSamples(score=s, relaxed=relaxed, hard=(relaxed > 0.5).astype(np.intp), noise=e)
 
 
-def sample_edges(
-    scores: np.ndarray, temperature: float, rng: np.random.Generator
-) -> list[EdgeSample]:
-    noise = gumbel_noise(rng, len(scores))
-    return [gumbel_sample(s, temperature, noise=e) for s, e in zip(scores, noise)]
-
-
-def straight_through_grad(sample: EdgeSample, temperature: float) -> float:
+def straight_through_grad(samples: EdgeSamples, temperature: float) -> np.ndarray:
     """d hard / d score under the straight-through convention.
 
     Equals d relaxed / d score = relaxed * (1 - relaxed) / (temperature * s).
     """
-    return sample.relaxed * (1.0 - sample.relaxed) / (temperature * sample.score)
-
-
-def gate(sample: EdgeSample) -> bool:
-    """Whether the pair is a pseudo-label candidate (its hard sample is on)."""
-    return sample.hard == 1
+    return samples.relaxed * (1.0 - samples.relaxed) / (temperature * samples.score)
 
 
 def focal_loss_grad(
@@ -201,34 +184,35 @@ def focal_loss_grad(
     return float(loss.sum()), _backprop(params.net, cache, dz[:, None])
 
 
-def message_pass(scene: Scene, hard_flags: Sequence[int]) -> np.ndarray:
+def message_pass(
+    entity_features: np.ndarray,
+    subject_rows: np.ndarray,
+    object_rows: np.ndarray,
+    hard: np.ndarray,
+) -> np.ndarray:
     """One neighbor-averaging round; returns the refreshed pair features.
 
-    Entities connected by an on-edge are averaged with the mean of their
-    neighbors (half self, half neighborhood); pair features are rebuilt as
-    the concatenation of the refined endpoints.  With no on-edges the pair
-    features come back unchanged.
+    Pair i links entity rows ``subject_rows[i]`` and ``object_rows[i]``.
+    Entities touched by an on-edge are averaged with the mean of their
+    neighbors (half self, half neighborhood; a neighbor counts once per
+    on-edge); pair features are rebuilt as the concatenation of the refined
+    endpoints.  With no on-edges the pair features come back unchanged.
     """
-    if len(hard_flags) != len(scene.triplets):
-        raise ValidationError("need one hard flag per pair in the scene")
-    feats = {e.id: e.features for e in scene.entities}
-    neighbors: dict[int, list[int]] = {}
-    for t, h in zip(scene.triplets, hard_flags):
-        if h:
-            neighbors.setdefault(t.subject_id, []).append(t.object_id)
-            neighbors.setdefault(t.object_id, []).append(t.subject_id)
-    refined = {}
-    for eid, x in feats.items():
-        ns = neighbors.get(eid)
-        if ns:
-            refined[eid] = 0.5 * x + 0.5 * np.mean([feats[j] for j in ns], axis=0)
-        else:
-            refined[eid] = x
-    if not scene.triplets:
-        return np.zeros((0, 0))
-    return np.stack(
-        [relation_features(refined[t.subject_id], refined[t.object_id]) for t in scene.triplets]
-    )
+    flags = np.asarray(hard)
+    if flags.shape != subject_rows.shape:
+        raise ValidationError("need one hard flag per pair")
+    on = np.flatnonzero(flags)
+    # each on-edge sends each endpoint's features to the other; interleaving
+    # keeps every entity's sum in pair order
+    ends = np.stack([subject_rows[on], object_rows[on]], axis=1).ravel()
+    others = np.stack([object_rows[on], subject_rows[on]], axis=1).ravel()
+    degree = np.bincount(ends, minlength=len(entity_features))
+    sums = np.zeros_like(entity_features)
+    np.add.at(sums, ends, entity_features[others])
+    refined = entity_features.copy()
+    linked = degree > 0
+    refined[linked] = 0.5 * entity_features[linked] + 0.5 * (sums[linked] / degree[linked, None])
+    return np.concatenate([refined[subject_rows], refined[object_rows]], axis=1)
 
 
 def save_edge_learner(path, params: EdgeLearnerParams, meta: dict | None = None) -> None:

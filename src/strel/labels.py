@@ -6,15 +6,19 @@ descending training-count order, so a foreground class's label index doubles
 as its frequency rank.
 
 All types here are immutable value records and safe to share across
-parallel readers.
+parallel readers.  ``Scene`` is the input/output format; training and
+evaluation read a split through ``Dataset.arrays``, the columnar form built
+once on first use (see ``SplitArrays``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,9 +71,6 @@ class PredicateCatalog:
         if not 1 <= class_index <= self.n_foreground:
             raise ValidationError(f"not a foreground class index: {class_index}")
         return self.counts[class_index - 1]
-
-    def name_to_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.class_names)}
 
 
 def build_catalog(label_counts: Mapping[str, int], bg_name: str = "bg") -> PredicateCatalog:
@@ -182,14 +183,6 @@ class Scene:
             if t.subject_id not in known or t.object_id not in known:
                 raise ValidationError("triplet references an entity missing from its scene")
 
-    def entity_by_id(self) -> dict[int, Entity]:
-        return {e.id: e for e in self.entities}
-
-    def feature_matrix(self) -> np.ndarray:
-        if not self.triplets:
-            return np.zeros((0, 0))
-        return np.stack([t.features for t in self.triplets])
-
 
 def make_scene(
     scene_id: int,
@@ -229,16 +222,81 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenes", tuple(self.scenes))
 
-    def iter_triplets(self) -> Iterator[TripletInstance]:
-        for scene in self.scenes:
-            yield from scene.triplets
+    @cached_property
+    def arrays(self) -> SplitArrays:
+        """The split in columnar form, compiled on first use and cached."""
+        return compile_split(self.scenes)
 
-    @property
-    def n_triplets(self) -> int:
-        return sum(len(s.triplets) for s in self.scenes)
 
-    def scene_by_id(self) -> dict[int, Scene]:
-        return {s.scene_id: s for s in self.scenes}
+@dataclass(frozen=True, eq=False)
+class SplitArrays:
+    """A split as flat arrays: one row per pair, scenes in split order and
+    pairs in scene order, so the rows of scene position ``s`` are
+    ``scene_offsets[s]:scene_offsets[s + 1]`` and a row's within-scene index
+    is ``pair_index``.  ``subject_row``/``object_row`` number the entities,
+    each scene's contiguously.  A pair's features are its endpoints'
+    features concatenated (``relation_features``), so entity features are
+    read back from the halves of the pair rows that name them.
+    """
+
+    features: np.ndarray  # (N, d) pair features
+    subject_row: np.ndarray  # (N,) entity rows
+    object_row: np.ndarray
+    scene_offsets: np.ndarray  # (S + 1,)
+    scene_ids: np.ndarray  # (S,)
+    pair_scene: np.ndarray  # (N,) scene position of each pair
+    pair_index: np.ndarray  # (N,)
+    observed: np.ndarray  # (N,) labels
+    hidden: np.ndarray
+
+    def rows_of(self, scene_positions: np.ndarray) -> np.ndarray:
+        """Pair rows of the given scene positions, scene by scene in order."""
+        starts = self.scene_offsets[scene_positions]
+        lengths = self.scene_offsets[scene_positions + 1] - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return shift + np.arange(shift.size)
+
+    def entity_table(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Features of the entities the given pairs name, one row each, and
+        every pair's subject and object row in that table."""
+        ids, local = np.unique(
+            np.concatenate([self.subject_row[rows], self.object_row[rows]]), return_inverse=True
+        )
+        subj, obj = local[: len(rows)], local[len(rows) :]
+        half = self.features.shape[1] // 2
+        table = np.empty((len(ids), half))
+        table[subj] = self.features[rows, :half]
+        table[obj] = self.features[rows, half:]
+        return table, subj, obj
+
+
+def compile_split(scenes: Sequence[Scene]) -> SplitArrays:
+    triplets = [t for scene in scenes for t in scene.triplets]
+    # four int32 columns per pair: subject row, object row, observed, hidden
+    columns = array("i")
+    base = 0
+    for scene in scenes:
+        row = {e.id: base + k for k, e in enumerate(scene.entities)}
+        for t in scene.triplets:
+            columns.extend((row[t.subject_id], row[t.object_id], t.observed_label, t.hidden_label))
+        base += len(scene.entities)
+    subj, obj, observed, hidden = np.frombuffer(columns, dtype=np.int32).reshape(-1, 4).T.copy()
+    counts = np.array([len(scene.triplets) for scene in scenes], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return SplitArrays(
+        features=(
+            np.concatenate([t.features for t in triplets]).reshape(len(triplets), -1)
+            if triplets else np.zeros((0, 0))
+        ),
+        subject_row=subj,
+        object_row=obj,
+        scene_offsets=offsets,
+        scene_ids=np.array([scene.scene_id for scene in scenes], dtype=np.intp),
+        pair_scene=np.repeat(np.arange(len(scenes), dtype=np.int32), counts),
+        pair_index=(np.arange(len(triplets)) - np.repeat(offsets[:-1], counts)).astype(np.int32),
+        observed=observed,
+        hidden=hidden,
+    )
 
 
 def annotated_counts(scenes: Iterable[Scene], n_foreground: int) -> list[int]:
@@ -251,20 +309,12 @@ def annotated_counts(scenes: Iterable[Scene], n_foreground: int) -> list[int]:
     return counts
 
 
-def relabel_triplet(t: TripletInstance, mapping: Mapping[int, int]) -> TripletInstance:
-    return replace(
-        t,
-        observed_label=mapping[t.observed_label],
-        hidden_label=mapping[t.hidden_label],
-    )
-
-
 def relabel_scene(scene: Scene, mapping: Mapping[int, int]) -> Scene:
-    return Scene(
-        scene_id=scene.scene_id,
-        entities=scene.entities,
-        triplets=tuple(relabel_triplet(t, mapping) for t in scene.triplets),
+    triplets = tuple(
+        replace(t, observed_label=mapping[t.observed_label], hidden_label=mapping[t.hidden_label])
+        for t in scene.triplets
     )
+    return Scene(scene_id=scene.scene_id, entities=scene.entities, triplets=triplets)
 
 
 # --- line-delimited serialization ------------------------------------------
@@ -292,20 +342,25 @@ def scene_to_line(scene: Scene) -> str:
 
 
 def scene_from_line(line: str) -> Scene:
-    raw = json.loads(line)
-    entities = [
-        Entity(
-            id=int(e["id"]),
-            entity_class=int(e["class"]),
-            features=np.asarray(e["features"], dtype=np.float64),
-        )
-        for e in raw["entities"]
-    ]
-    pairs = [
-        (int(t["subj"]), int(t["obj"]), int(t["observed"]), int(t["hidden"]))
-        for t in raw["triplets"]
-    ]
-    return make_scene(int(raw["scene_id"]), entities, pairs)
+    try:
+        raw = json.loads(line)
+        entities = [
+            Entity(
+                id=int(e["id"]),
+                entity_class=int(e["class"]),
+                features=np.asarray(e["features"], dtype=np.float64),
+            )
+            for e in raw["entities"]
+        ]
+        pairs = [
+            (int(t["subj"]), int(t["obj"]), int(t["observed"]), int(t["hidden"]))
+            for t in raw["triplets"]
+        ]
+        return make_scene(int(raw["scene_id"]), entities, pairs)
+    except ValidationError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"malformed scene line: {type(exc).__name__}: {exc}") from exc
 
 
 def write_scenes(path, scenes: Iterable[Scene]) -> None:

@@ -9,96 +9,81 @@ All reported values are percentages in [0, 100].
 
 from __future__ import annotations
 
-import math
+from collections import abc
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .classifier import ModelParams, predict_probs
 from .errors import ValidationError
-from .labels import BG_INDEX, Dataset, Scene
+from .labels import BG_INDEX, Dataset
 
 GROUP_NAMES = ("head", "body", "tail")
+EVAL_BLOCK_SCENES = 128
 
 
-@dataclass(frozen=True)
-class ScenePredictions:
-    """Per-pair predicted foreground class, ranking score, and hidden truth."""
+@dataclass(frozen=True, eq=False)
+class SplitPredictions:
+    """Per-pair predicted foreground class, ranking score and hidden truth
+    over a split, with each pair's scene position and its rank within the
+    scene (0 = highest score; ties keep the lower pair index)."""
 
     pred_classes: np.ndarray
     scores: np.ndarray
     hidden: np.ndarray
+    pair_scene: np.ndarray
+    rank: np.ndarray
 
 
-def scene_predictions(
-    params: ModelParams, scene: Scene, features: np.ndarray | None = None
-) -> ScenePredictions:
-    X = scene.feature_matrix() if features is None else features
-    if X.shape[0] == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return ScenePredictions(empty, np.zeros(0), empty)
-    probs = predict_probs(params, X)
-    fg = probs[:, 1:]
-    pred = 1 + np.argmax(fg, axis=1)
-    scores = fg.max(axis=1)
-    hidden = np.array([t.hidden_label for t in scene.triplets], dtype=np.intp)
-    return ScenePredictions(pred.astype(np.intp), scores, hidden)
+def split_predictions(pred_classes, scores, hidden, scene_offsets) -> SplitPredictions:
+    """Rank the pairs of every scene; scene s owns rows
+    ``scene_offsets[s]:scene_offsets[s + 1]``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    offsets = np.asarray(scene_offsets, dtype=np.intp)
+    pair_scene = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    order = np.lexsort((-scores, pair_scene))  # stable: ties keep row order
+    rank = np.empty(len(scores), dtype=np.intp)
+    rank[order] = np.arange(len(scores)) - offsets[pair_scene[order]]
+    return SplitPredictions(
+        np.asarray(pred_classes, dtype=np.intp), scores,
+        np.asarray(hidden, dtype=np.intp), pair_scene, rank,
+    )
 
 
-def rank_order(scores: np.ndarray) -> np.ndarray:
-    """Indices sorted by descending score; ties keep the lower pair index."""
-    idx = np.arange(len(scores))
-    return np.lexsort((idx, -np.asarray(scores, dtype=np.float64)))
+def _top_k_hits(preds: SplitPredictions, k: int) -> np.ndarray:
+    if k <= 0:
+        raise ValidationError("k must be positive")
+    return (preds.rank < k) & (preds.hidden != BG_INDEX) & (preds.pred_classes == preds.hidden)
 
 
-def recall_at_k(scenes: Sequence[ScenePredictions], k: int) -> float:
+def recall_at_k(preds: SplitPredictions, k: int) -> float:
     """Mean over scenes of |top-k correct| / |ground truth|, as a percentage."""
-    if k <= 0:
-        raise ValidationError("k must be positive")
-    vals = []
-    for sp in scenes:
-        gt = sp.hidden != BG_INDEX
-        n_gt = int(gt.sum())
-        if n_gt == 0:
-            continue
-        top = rank_order(sp.scores)[:k]
-        hits = sum(
-            1
-            for i in top
-            if sp.hidden[i] != BG_INDEX and sp.pred_classes[i] == sp.hidden[i]
-        )
-        vals.append(hits / n_gt)
-    if not vals:
+    hits = _top_k_hits(preds, k)
+    n_gt = np.bincount(preds.pair_scene, weights=preds.hidden != BG_INDEX)
+    n_hit = np.bincount(preds.pair_scene, weights=hits)
+    with_truth = n_gt > 0
+    if not with_truth.any():
         raise ValidationError("no ground-truth relations in any scene")
-    return 100.0 * float(np.mean(vals))
+    return 100.0 * float(np.mean(n_hit[with_truth] / n_gt[with_truth]))
 
 
-def per_class_recall_at_k(
-    scenes: Sequence[ScenePredictions], k: int, n_foreground: int
-) -> np.ndarray:
+def per_class_recall_at_k(preds: SplitPredictions, k: int, n_foreground: int) -> np.ndarray:
     """Recall per foreground class across the split; nan where no truth exists."""
-    if k <= 0:
-        raise ValidationError("k must be positive")
-    total = np.zeros(n_foreground)
-    hit = np.zeros(n_foreground)
-    for sp in scenes:
-        top = set(int(i) for i in rank_order(sp.scores)[:k])
-        for i, h in enumerate(sp.hidden):
-            if h == BG_INDEX:
-                continue
-            total[h - 1] += 1
-            if i in top and sp.pred_classes[i] == h:
-                hit[h - 1] += 1
+    hits = _top_k_hits(preds, k)
+    gt = preds.hidden != BG_INDEX
+    total = np.bincount(preds.hidden[gt] - 1, minlength=n_foreground).astype(np.float64)
+    hit = np.bincount(preds.hidden[hits] - 1, minlength=n_foreground).astype(np.float64)
     out = np.full(n_foreground, np.nan)
     mask = total > 0
     out[mask] = 100.0 * hit[mask] / total[mask]
     return out
 
 
-def mean_recall_at_k(scenes: Sequence[ScenePredictions], k: int, n_foreground: int) -> float:
+def mean_recall_at_k(preds: SplitPredictions, k: int, n_foreground: int) -> float:
     """Unweighted mean of per-class recall over classes with ground truth."""
-    per_class = per_class_recall_at_k(scenes, k, n_foreground)
+    per_class = per_class_recall_at_k(preds, k, n_foreground)
     if np.all(np.isnan(per_class)):
         raise ValidationError("mean recall is undefined without any ground truth")
     return float(np.nanmean(per_class))
@@ -153,18 +138,25 @@ def evaluate(
     message-passing round over the deterministically gated edges
     (score > 0.5); no sampling noise enters evaluation.
     """
-    preds = []
-    for scene in dataset.scenes:
-        features = None
-        if edge_learner is not None and scene.triplets:
+    arrays = dataset.arrays
+    n = len(arrays.features)
+    if n == 0:
+        raise ValidationError("no ground-truth relations in any scene")
+    pred, scores = np.empty(n, dtype=np.intp), np.empty(n)
+    offsets = arrays.scene_offsets
+    # blocks of whole scenes bound the temporaries
+    for first in range(0, len(offsets) - 1, EVAL_BLOCK_SCENES):
+        rows = np.arange(offsets[first], offsets[min(first + EVAL_BLOCK_SCENES, len(offsets) - 1)])
+        X = arrays.features[rows]
+        if edge_learner is not None:
             from .edges import edge_scores, message_pass  # cycle-free local import
 
-            ents = scene.entity_by_id()
-            xs = np.stack([ents[t.subject_id].features for t in scene.triplets])
-            xo = np.stack([ents[t.object_id].features for t in scene.triplets])
-            flags = (edge_scores(edge_learner, xs, xo) > 0.5).astype(int)
-            features = message_pass(scene, flags)
-        preds.append(scene_predictions(params, scene, features))
+            ents, subj, obj = arrays.entity_table(rows)
+            X = message_pass(ents, subj, obj, edge_scores(edge_learner, ents[subj], ents[obj]) > 0.5)
+        fg = predict_probs(params, X)[:, 1:]
+        pred[rows] = 1 + np.argmax(fg, axis=1)
+        scores[rows] = fg.max(axis=1)
+    preds = split_predictions(pred, scores, arrays.hidden, offsets)
 
     n_fg = dataset.catalog.n_foreground
     groups = tercile_groups(n_fg)
@@ -172,9 +164,7 @@ def evaluate(
     for k in ks:
         r = recall_at_k(preds, k)
         per_class = per_class_recall_at_k(preds, k, n_fg)
-        if np.all(np.isnan(per_class)):
-            raise ValidationError("mean recall is undefined without any ground truth")
-        mr = float(np.nanmean(per_class))
+        mr = mean_recall_at_k(preds, k, n_fg)
         group_recall = {}
         for name, idx in groups.items():
             vals = per_class[idx]
@@ -194,8 +184,7 @@ def evaluate(
     return EvalReport(split=dataset.split, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class AssignmentRecord:
+class AssignmentRecord(NamedTuple):
     """One accepted pseudo-label, as logged by the self-training loop."""
 
     iteration: int
@@ -203,6 +192,29 @@ class AssignmentRecord:
     triplet_index: int
     assigned_class: int
     confidence: float
+
+
+@dataclass(frozen=True, eq=False)
+class AssignmentLog(abc.Sequence):
+    """Accepted pseudo-labels as parallel columns, read as a sequence of
+    ``AssignmentRecord``s built on access."""
+
+    iteration: np.ndarray
+    scene_id: np.ndarray
+    triplet_index: np.ndarray
+    assigned_class: np.ndarray
+    confidence: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+    def __getitem__(self, i: int) -> AssignmentRecord:
+        return AssignmentRecord(*(getattr(self, f)[i].item() for f in AssignmentRecord._fields))
+
+    def __iter__(self):
+        for lo in range(0, len(self), 4096):  # bounded temporaries
+            chunk = (getattr(self, f)[lo : lo + 4096].tolist() for f in AssignmentRecord._fields)
+            yield from map(AssignmentRecord._make, zip(*chunk))
 
 
 @dataclass(frozen=True)
@@ -244,34 +256,39 @@ class PseudoLabelAudit:
 def audit_pseudo_labels(
     assignments: Iterable[AssignmentRecord], dataset: Dataset
 ) -> PseudoLabelAudit:
-    scenes = dataset.scene_by_id()
+    arrays = dataset.arrays
     n_fg = dataset.catalog.n_foreground
-    assigned = np.zeros(n_fg, dtype=np.int64)
-    correct = np.zeros(n_fg, dtype=np.int64)
-    bg_violations = 0
-    for a in assignments:
-        scene = scenes.get(a.scene_id)
-        if scene is None:
-            raise ValidationError(f"assignment references unknown scene {a.scene_id}")
-        if not 0 <= a.triplet_index < len(scene.triplets):
+    if isinstance(assignments, AssignmentLog):
+        scene_id, index, cls = assignments.scene_id, assignments.triplet_index, assignments.assigned_class
+    else:
+        scene_id, index, cls = np.fromiter(
+            chain.from_iterable((a.scene_id, a.triplet_index, a.assigned_class) for a in assignments),
+            dtype=np.int64,
+        ).reshape(-1, 3).T
+    ids = arrays.scene_ids
+    if len(scene_id) and not len(ids):
+        raise ValidationError(f"assignment references unknown scene {scene_id[0]}")
+    order = np.argsort(ids, kind="stable")
+    pos = order[np.minimum(np.searchsorted(ids, scene_id, sorter=order), max(len(ids) - 1, 0))]
+    known = ids[pos] == scene_id
+    start = arrays.scene_offsets[pos]
+    present = known & (index >= 0) & (index < arrays.scene_offsets[pos + 1] - start)
+    foreground = (cls >= 1) & (cls <= n_fg)
+    bad = np.flatnonzero(~(present & foreground))
+    if len(bad):
+        i = bad[0]
+        if not known[i]:
+            raise ValidationError(f"assignment references unknown scene {scene_id[i]}")
+        if not present[i]:
             raise ValidationError(
-                f"assignment references missing pair {a.triplet_index} in scene {a.scene_id}"
+                f"assignment references missing pair {index[i]} in scene {scene_id[i]}"
             )
-        if not 1 <= a.assigned_class <= n_fg:
-            raise ValidationError(f"not a foreground class: {a.assigned_class}")
-        t = scene.triplets[a.triplet_index]
-        assigned[a.assigned_class - 1] += 1
-        if t.hidden_label == a.assigned_class:
-            correct[a.assigned_class - 1] += 1
-        elif t.hidden_label == BG_INDEX:
-            bg_violations += 1
-    recoverable = np.zeros(n_fg, dtype=np.int64)
-    for t in dataset.iter_triplets():
-        if t.observed_label == BG_INDEX and t.hidden_label != BG_INDEX:
-            recoverable[t.hidden_label - 1] += 1
+        raise ValidationError(f"not a foreground class: {cls[i]}")
+    hidden = arrays.hidden[start + index]
+    recoverable = arrays.hidden[(arrays.observed == BG_INDEX) & (arrays.hidden != BG_INDEX)]
     return PseudoLabelAudit(
-        assigned=assigned,
-        correct=correct,
-        bg_violations=bg_violations,
-        recoverable=recoverable,
+        assigned=np.bincount(cls - 1, minlength=n_fg),
+        correct=np.bincount(cls[hidden == cls] - 1, minlength=n_fg),
+        bg_violations=int(np.sum(hidden == BG_INDEX)),
+        recoverable=np.bincount(recoverable - 1, minlength=n_fg),
     )

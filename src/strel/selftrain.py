@@ -1,7 +1,7 @@
 """Batch-level self-training with a three-term objective.
 
 Each iteration partitions a scene batch into annotated and unannotated
-triplets, pseudo-labels the unannotated ones whose confidence clears the
+pairs, pseudo-labels the unannotated ones whose confidence clears the
 per-class threshold snapshot from the previous iteration, then takes one
 SGD step on
 
@@ -13,6 +13,13 @@ depends on the other within an iteration.  Pseudo-labels are ephemeral:
 they are recomputed whenever a scene is revisited and never written back
 into the dataset.
 
+The loop reads the training split in its columnar form
+(``Dataset.arrays``): a batch is a gather of the pair rows of its scenes,
+annotated and unannotated pairs are masks over the batch's observed labels,
+pseudo-label selection is one sort of the candidates, the loss terms are
+row gathers and the cumulative counts a ``bincount``.  Accepted labels are
+logged as arrays and become ``AssignmentRecord``s once, when the run ends.
+
 With the edge learner enabled, pair features are refreshed by one
 message-passing round over the sampled edges, pseudo-label candidates are
 additionally gated by their hard edge sample, and the edge scorer trains
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,13 +50,15 @@ from .classifier import (
 from .edges import (
     EdgeLearnerParams,
     edge_scores,
+    focal_loss_grad,
+    gumbel_noise,
     init_edge_learner,
     message_pass,
     sample_edges,
 )
 from .errors import ConfigError, RuntimeAbort, ValidationError
-from .labels import BG_INDEX, Dataset, Scene, TripletInstance
-from .metrics import AssignmentRecord, evaluate
+from .labels import BG_INDEX, Dataset
+from .metrics import AssignmentLog, evaluate
 from .rngs import stream
 from .thresholds import (
     MomentumCoefficients,
@@ -126,31 +135,6 @@ class SelfTrainConfig:
 
 
 @dataclass(frozen=True)
-class TripletRef:
-    """A triplet plus its identity (scene and position) within the dataset."""
-
-    scene_id: int
-    index: int
-    triplet: TripletInstance
-
-
-@dataclass(frozen=True)
-class PseudoLabel:
-    ref: TripletRef
-    assigned_class: int
-    confidence: float
-
-
-@dataclass(frozen=True)
-class BatchPartition:
-    """Disjoint, exhaustive split of one batch's triplets."""
-
-    annotated: tuple[TripletRef, ...]
-    pseudo_labeled: tuple[PseudoLabel, ...]
-    background: tuple[TripletRef, ...]
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     annotated: float
     background: float
@@ -187,8 +171,7 @@ class TrainLog:
     epochs: tuple[EpochRecord, ...]
 
 
-@dataclass(frozen=True)
-class EdgeTraceRow:
+class EdgeTraceRow(NamedTuple):
     iteration: int
     scene_id: int
     triplet_index: int
@@ -201,108 +184,90 @@ class EdgeTraceRow:
 class SelfTrainResult:
     params: ModelParams
     log: TrainLog
-    assignments: tuple[AssignmentRecord, ...]
+    assignments: AssignmentLog
     thresholds: ThresholdState | ThresholdPolicy
     edge_learner: EdgeLearnerParams | None = None
     edge_trace: tuple[EdgeTraceRow, ...] = ()
 
 
-def partition_batch(
-    scenes: Sequence[Scene],
-) -> tuple[tuple[TripletRef, ...], tuple[TripletRef, ...]]:
-    """Split a batch's triplets into annotated and unannotated pools."""
-    annotated: list[TripletRef] = []
-    unannotated: list[TripletRef] = []
-    for scene in scenes:
-        for idx, t in enumerate(scene.triplets):
-            ref = TripletRef(scene.scene_id, idx, t)
-            if t.observed_label != BG_INDEX:
-                annotated.append(ref)
-            else:
-                unannotated.append(ref)
-    return tuple(annotated), tuple(unannotated)
+def partition_batch(observed) -> tuple[list[int], list[int]]:
+    """Split a batch into annotated and unannotated pairs.
+
+    ``observed`` holds the batch's observed labels; each side lists batch
+    positions in increasing order.
+    """
+    annotated = np.asarray(observed) != BG_INDEX
+    return np.flatnonzero(annotated).tolist(), np.flatnonzero(~annotated).tolist()
 
 
 def assign_pseudo_labels(
-    unannotated: Sequence[TripletRef],
+    candidates,
     pred_classes: np.ndarray,
     confidences: np.ndarray,
     thresholds: ThresholdState | ThresholdPolicy,
     cap: int,
-    gates: Sequence[bool] | None = None,
-) -> tuple[PseudoLabel, ...]:
-    """Select pseudo-labeled triplets for one batch.
+    gates=None,
+) -> np.ndarray:
+    """Select pseudo-labeled candidates for one batch.
 
-    A triplet qualifies when its argmax is a foreground class, its confidence
-    clears that class's threshold snapshot, and (when edge gating is active)
-    its hard edge sample is on.  Within one scene at most ``cap`` triplets
-    per class survive, keeping the highest-confidence ones; ties keep the
-    lowest triplet index.
+    ``candidates`` holds one ``(scene, pair index)`` row per unannotated
+    pair.  A candidate qualifies when its argmax is a foreground class, its
+    confidence clears that class's threshold snapshot, and (when edge gating
+    is active) its hard edge sample is on.  Within one scene at most ``cap``
+    candidates per class survive, keeping the highest-confidence ones; ties
+    keep the lowest pair index.  Returns the positions of the survivors in
+    increasing order.
     """
     if cap < 1:
         raise ConfigError("cap must be >= 1")
-    never = isinstance(thresholds, ThresholdPolicy) and thresholds.variant == "never"
-    candidates: dict[tuple[int, int], list[tuple[float, int, TripletRef]]] = {}
-    for pos, ref in enumerate(unannotated):
-        c = int(pred_classes[pos])
-        if c == BG_INDEX or never:
-            continue
-        q = float(confidences[pos])
-        if q < float(thresholds.tau[c - 1]):
-            continue
-        if gates is not None and not gates[pos]:
-            continue
-        candidates.setdefault((ref.scene_id, c), []).append((q, ref.index, ref))
-    selected: dict[tuple[int, int], int] = {}
-    for (scene_id, c), group in candidates.items():
-        group.sort(key=lambda item: (-item[0], item[1]))
-        for q, idx, ref in group[:cap]:
-            selected[(scene_id, idx)] = c
-    out = []
-    for pos, ref in enumerate(unannotated):
-        key = (ref.scene_id, ref.index)
-        if key in selected:
-            out.append(
-                PseudoLabel(
-                    ref=ref,
-                    assigned_class=selected[key],
-                    confidence=float(confidences[pos]),
-                )
-            )
-    return tuple(out)
+    if isinstance(thresholds, ThresholdPolicy) and thresholds.variant == "never":
+        return np.zeros(0, dtype=np.intp)
+    keys = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    classes = np.asarray(pred_classes, dtype=np.intp)
+    conf = np.asarray(confidences, dtype=np.float64)
+    tau = np.concatenate(([np.inf], thresholds.tau))  # background never clears
+    eligible = conf >= tau[classes]
+    if gates is not None:
+        eligible &= np.asarray(gates, dtype=bool)
+    pos = np.flatnonzero(eligible)
+    scene, cls = keys[pos, 0], classes[pos]
+    order = np.lexsort((keys[pos, 1], -conf[pos], cls, scene))
+    pos, scene, cls = pos[order], scene[order], cls[order]
+    starts = np.ones(len(pos), dtype=bool)
+    starts[1:] = (scene[1:] != scene[:-1]) | (cls[1:] != cls[:-1])
+    index = np.arange(len(pos))
+    rank = index - np.maximum.accumulate(np.where(starts, index, 0))
+    return np.sort(pos[rank < cap])
 
 
 def three_term_loss(
     params: ModelParams,
-    partition: BatchPartition,
+    features: np.ndarray,
+    annotated: tuple[np.ndarray, np.ndarray],
+    background: np.ndarray,
+    pseudo: tuple[np.ndarray, np.ndarray],
     weights: np.ndarray,
     beta: float,
-    feature_lookup=None,
 ) -> tuple[float, tuple, LossBreakdown]:
     """Annotated, background, and pseudo-label cross-entropy means.
 
-    Each term is a mean over its own subset (empty subsets contribute zero);
-    the total is exactly annotated + background + beta * pseudo, and the
-    returned gradients match it.
+    ``annotated`` and ``pseudo`` are ``(rows, classes)`` pairs and
+    ``background`` the rows that target the background class, all indexing
+    ``features``.  Each term is a mean over its own rows (empty terms
+    contribute zero); the total is exactly annotated + background + beta *
+    pseudo, and the returned gradients match it.
     """
-    feats = feature_lookup or (lambda ref: ref.triplet.features)
     w = np.asarray(weights, dtype=np.float64)
 
-    def term(refs, targets):
-        if not refs:
+    def term(rows, targets):
+        if len(rows) == 0:
             return 0.0, zero_grads(params)
-        X = np.stack([feats(r) for r in refs])
         t = np.asarray(targets, dtype=np.intp)
-        return weighted_ce_loss_grad(params, X, t, w[t] / len(refs))
+        return weighted_ce_loss_grad(params, features[rows], t, w[t] / len(rows))
 
-    loss_a, g_a = term(
-        partition.annotated, [r.triplet.observed_label for r in partition.annotated]
-    )
-    loss_b, g_b = term(partition.background, [BG_INDEX] * len(partition.background))
-    loss_p, g_p = term(
-        [p.ref for p in partition.pseudo_labeled],
-        [p.assigned_class for p in partition.pseudo_labeled],
-    )
+    loss_a, g_a = term(*annotated)
+    loss_b, g_b = term(background, np.full(len(background), BG_INDEX))
+    loss_p, g_p = term(*pseudo)
     breakdown = LossBreakdown(annotated=loss_a, background=loss_b, pseudo=loss_p, beta=beta)
     total = breakdown.total
     if not math.isfinite(total):
@@ -311,26 +276,13 @@ def three_term_loss(
     return total, grads, breakdown
 
 
-def _collect_val_confidences(
-    params: ModelParams, dataset: Dataset
-) -> tuple[np.ndarray, np.ndarray]:
-    classes: list[np.ndarray] = []
-    confs: list[np.ndarray] = []
-    for scene in dataset.scenes:
-        if not scene.triplets:
-            continue
-        probs = predict_probs(params, scene.feature_matrix())
-        classes.append(np.argmax(probs, axis=1))
-        confs.append(probs.max(axis=1))
-    if not classes:
-        raise ValidationError("validation split has no triplets")
-    return np.concatenate(classes), np.concatenate(confs)
-
-
 def _quantile_policy_from_val(
     cfg: SelfTrainConfig, params: ModelParams, val: Dataset, n_fg: int
 ) -> ThresholdPolicy:
-    classes, confs = _collect_val_confidences(params, val)
+    if len(val.arrays.features) == 0:
+        raise ValidationError("validation split has no triplets")
+    probs = predict_probs(params, val.arrays.features)
+    classes, confs = np.argmax(probs, axis=1), probs.max(axis=1)
     if cfg.policy == "constant":
         # pool foreground-argmax confidences only: the background class is
         # predicted with far higher confidence and would set an unreachable bar
@@ -390,6 +342,7 @@ def run(
     if not train.scenes:
         raise ConfigError("training split is empty")
     catalog = train.catalog
+    arrays = train.arrays
     params = pretrained
     w = class_weights(catalog, cfg.reweight)
     state = thresholds if thresholds is not None else build_thresholds(cfg, catalog, params, val)
@@ -398,9 +351,8 @@ def run(
         counts[:] = np.asarray(cumulative_counts, dtype=np.int64)
 
     if cfg.use_gsl and edge_learner is None:
-        entity_dim = train.scenes[0].entities[0].features.shape[0]
         edge_learner = init_edge_learner(
-            entity_dim,
+            arrays.features.shape[1] // 2,
             hidden_dim=cfg.gsl_hidden_dim,
             seed=cfg.seed,
             temperature=cfg.gumbel_temperature,
@@ -411,8 +363,9 @@ def run(
     batches_per_epoch = math.ceil(n_scenes / cfg.batch_size)
     iter_records: list[IterationRecord] = []
     epoch_records: list[EpochRecord] = []
-    assignments: list[AssignmentRecord] = []
-    edge_trace: list[EdgeTraceRow] = []
+    # accepted labels and edge samples, one array per iteration and column
+    accepted_log: list[tuple[np.ndarray, ...]] = []
+    edge_log: list[tuple[np.ndarray, ...]] = []
 
     it = start_iteration
     epoch = start_iteration // batches_per_epoch
@@ -422,90 +375,64 @@ def run(
         for b in range(batch_in_epoch, batches_per_epoch):
             if it >= cfg.max_iterations:
                 break
-            scenes = [
-                train.scenes[int(i)]
-                for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            ]
-            annotated, unannotated = partition_batch(scenes)
+            positions = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            rows = arrays.rows_of(positions)
+            observed = arrays.observed[rows]
+            annotated, unannotated = partition_batch(observed)
+            ann = np.asarray(annotated, dtype=np.intp)
+            un = np.asarray(unannotated, dtype=np.intp)
 
-            refined: dict[tuple[int, int], np.ndarray] = {}
-            gate_by_key: dict[tuple[int, int], bool] = {}
-            if cfg.use_gsl:
-                for scene in scenes:
-                    if not scene.triplets:
-                        continue
-                    ents = scene.entity_by_id()
-                    xs = np.stack([ents[t.subject_id].features for t in scene.triplets])
-                    xo = np.stack([ents[t.object_id].features for t in scene.triplets])
-                    scores = edge_scores(edge_learner, xs, xo)
-                    rng = stream(cfg.seed, "gumbel", it, scene.scene_id)
-                    samples = sample_edges(scores, edge_learner.temperature, rng)
-                    feats = message_pass(scene, [s.hard for s in samples])
-                    for j, (t, s) in enumerate(zip(scene.triplets, samples)):
-                        refined[(scene.scene_id, j)] = feats[j]
-                        gate_by_key[(scene.scene_id, j)] = s.hard == 1
-                        if keep_edge_trace:
-                            edge_trace.append(
-                                EdgeTraceRow(it, scene.scene_id, j, s.score, s.noise, s.hard)
-                            )
-
-            def lookup(ref: TripletRef) -> np.ndarray:
-                return refined.get((ref.scene_id, ref.index), ref.triplet.features)
-
-            if unannotated:
-                X_un = np.stack([lookup(r) for r in unannotated])
-                probs = predict_probs(params, X_un)
-                pred_classes = np.argmax(probs, axis=1)
-                confidences = probs.max(axis=1)
-            else:
-                pred_classes = np.zeros(0, dtype=np.intp)
-                confidences = np.zeros(0)
-
+            X = arrays.features[rows]
             gates = None
             if cfg.use_gsl:
-                gates = [gate_by_key.get((r.scene_id, r.index), False) for r in unannotated]
-            pseudo = assign_pseudo_labels(
-                unannotated,
+                ents, subj, obj = arrays.entity_table(rows)
+                xs, xo = ents[subj], ents[obj]
+                sizes = np.diff(arrays.scene_offsets)[positions]
+                noise = [
+                    gumbel_noise(stream(cfg.seed, "gumbel", it, int(arrays.scene_ids[p])), int(n))
+                    for p, n in zip(positions, sizes)
+                    if n
+                ]
+                samples = sample_edges(
+                    edge_scores(edge_learner, xs, xo),
+                    edge_learner.temperature,
+                    np.concatenate(noise) if noise else np.zeros(0),
+                )
+                X = message_pass(ents, subj, obj, samples.hard)
+                gates = samples.hard[un] == 1
+                if keep_edge_trace:
+                    edge_log.append((it, rows, samples.score, samples.noise, samples.hard))
+
+            probs = predict_probs(params, X[un])
+            pred_classes, confidences = np.argmax(probs, axis=1), probs.max(axis=1)
+            accepted = assign_pseudo_labels(
+                np.stack([arrays.pair_scene[rows[un]], arrays.pair_index[rows[un]]], axis=1),
                 pred_classes,
                 confidences,
                 state,
                 cfg.per_class_per_scene_cap,
                 gates,
             )
-            pseudo_keys = {(p.ref.scene_id, p.ref.index) for p in pseudo}
-            background = tuple(
-                r for r in unannotated if (r.scene_id, r.index) not in pseudo_keys
-            )
-            partition = BatchPartition(
-                annotated=annotated, pseudo_labeled=pseudo, background=background
-            )
-
-            bg_for_loss = background
+            pseudo, pseudo_classes = un[accepted], pred_classes[accepted]
+            background = np.delete(un, accepted)
             if cfg.bg_downsample < 1.0:
                 rng = stream(cfg.seed, "bg-downsample", it)
-                bg_for_loss = tuple(downsample_background(background, cfg.bg_downsample, rng))
+                background = np.asarray(
+                    downsample_background(background, cfg.bg_downsample, rng), dtype=np.intp
+                )
             total, grads, breakdown = three_term_loss(
                 params,
-                replace(partition, background=bg_for_loss),
+                X,
+                (ann, observed[ann]),
+                background,
+                (pseudo, pseudo_classes),
                 w,
                 cfg.beta,
-                feature_lookup=lookup,
             )
 
             if cfg.use_gsl:
-                from .edges import focal_loss_grad
-
-                ys, xs_all, xo_all = [], [], []
-                for scene in scenes:
-                    if not scene.triplets:
-                        continue
-                    ents = scene.entity_by_id()
-                    for t in scene.triplets:
-                        xs_all.append(ents[t.subject_id].features)
-                        xo_all.append(ents[t.object_id].features)
-                        ys.append(1.0 if t.observed_label != BG_INDEX else 0.0)
                 gsl_loss, gsl_grads = focal_loss_grad(
-                    edge_learner, np.stack(xs_all), np.stack(xo_all), np.array(ys)
+                    edge_learner, xs, xo, (observed != BG_INDEX).astype(np.float64)
                 )
                 if not math.isfinite(gsl_loss):
                     raise RuntimeAbort("non-finite edge-learner loss")
@@ -529,17 +456,9 @@ def run(
 
             params = sgd_step(params, grads, cfg.learning_rate)
 
-            for p in pseudo:
-                counts[p.assigned_class - 1] += 1
-                assignments.append(
-                    AssignmentRecord(
-                        iteration=it,
-                        scene_id=p.ref.scene_id,
-                        triplet_index=p.ref.index,
-                        assigned_class=p.assigned_class,
-                        confidence=p.confidence,
-                    )
-                )
+            if len(pseudo):
+                counts += np.bincount(pseudo_classes - 1, minlength=catalog.n_foreground)
+                accepted_log.append((it, rows[pseudo], pseudo_classes, confidences[accepted]))
             iter_records.append(
                 IterationRecord(
                     iteration=it,
@@ -547,8 +466,8 @@ def run(
                     loss_background=breakdown.background,
                     loss_pseudo=breakdown.pseudo,
                     loss_total=total,
-                    tau=tuple(float(x) for x in state.tau),
-                    cumulative_counts=tuple(int(x) for x in counts),
+                    tau=tuple(state.tau.tolist()),
+                    cumulative_counts=tuple(counts.tolist()),
                     n_pseudo=len(pseudo),
                 )
             )
@@ -567,13 +486,32 @@ def run(
             )
         epoch += 1
 
+    no_values = (np.zeros(0, dtype=np.intp), np.zeros(0))
+    edge_columns = _by_pair(arrays, edge_log, (np.zeros(0),) + no_values)
     return SelfTrainResult(
         params=params,
         log=TrainLog(iterations=tuple(iter_records), epochs=tuple(epoch_records)),
-        assignments=tuple(assignments),
+        assignments=AssignmentLog(*_by_pair(arrays, accepted_log, no_values)),
         thresholds=state,
         edge_learner=edge_learner,
-        edge_trace=tuple(edge_trace),
+        edge_trace=tuple(map(EdgeTraceRow._make, zip(*(c.tolist() for c in edge_columns)))),
+    )
+
+
+def _by_pair(arrays, log: list[tuple], empty: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Columns ``(iteration, scene_id, pair index, *values)`` of a log of
+    ``(iteration, split rows, *per-row values)`` entries; ``empty`` holds
+    the value columns of an empty log."""
+    if not log:
+        return (np.zeros(0, dtype=np.intp),) * 3 + empty
+    iterations, rows, *values = zip(*log)
+    lengths = [len(r) for r in rows]
+    rows = np.concatenate(rows)
+    return (
+        np.repeat(iterations, lengths),
+        arrays.scene_ids[arrays.pair_scene[rows]],
+        arrays.pair_index[rows],
+        *(np.concatenate(v) for v in values),
     )
 
 

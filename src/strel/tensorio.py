@@ -39,17 +39,27 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray], meta: Mapping | None =
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Inverse of :func:`save_tensors`; a damaged archive is a ValidationError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValidationError(f"not a tensor archive: {path}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        data = fh.read()
+    if data[: len(MAGIC)] != MAGIC or len(data) < len(MAGIC) + 8:
+        raise ValidationError(f"not a tensor archive: {path}")
+    start = len(MAGIC) + 8
+    (hlen,) = struct.unpack("<Q", data[len(MAGIC) : start])
+    try:
+        header = json.loads(data[start : start + hlen].decode("utf-8"))
+        offset = start + hlen
         tensors = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            tensors[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    return tensors, header["meta"]
+            dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+            size = dtype.itemsize * (int(np.prod(shape)) if shape else 1)
+            if offset + size > len(data):
+                raise ValidationError(f"truncated tensor archive: {path}")
+            count = size // dtype.itemsize
+            tensors[entry["name"]] = np.frombuffer(data, dtype, count, offset).reshape(shape).copy()
+            offset += size
+        return tensors, header["meta"]
+    except ValidationError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:  # bad header JSON or fields
+        raise ValidationError(f"corrupt tensor archive header: {path}: {exc}") from exc

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .labels import BG_INDEX, Prediction, PredicateCatalog
+from .labels import PredicateCatalog
 
 POLICY_VARIANTS = ("constant", "fixed-class", "freq-weighted", "dash-adaptive", "never")
 
@@ -117,21 +117,23 @@ def ema_update(
     conf = np.asarray(confidences, dtype=np.float64)
     if classes.shape != conf.shape or classes.ndim != 1:
         raise ValidationError("pred_classes and confidences must be parallel vectors")
-    if conf.size and (np.any(conf < 0.0) or np.any(conf > 1.0)):
+    if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
         raise ValidationError("confidences must lie in [0, 1]")
     tau = state.tau.copy()
-    for c in range(1, tau.size + 1):
-        sel = conf[classes == c]
-        if sel.size == 0:
-            continue
+    # a stable sort by class keeps each class's confidences in batch order
+    order = np.argsort(classes, kind="stable")
+    by_class = conf[order]
+    bounds = np.searchsorted(classes[order], np.arange(1, tau.size + 2))
+    for c in np.flatnonzero(np.diff(bounds)) + 1:
+        sel = by_class[bounds[c - 1] : bounds[c]]
         prev = tau[c - 1]
-        cleared = sel >= prev
-        if cleared.any():
+        if sel.max() >= prev:  # some prediction clears the previous threshold
             lam = state.coefficients.lambda_inc[c - 1]
-            mean = float(sel[cleared].mean()) if strict_eligible_mean else float(sel.mean())
+            if strict_eligible_mean:
+                sel = sel[sel >= prev]
         else:
             lam = state.coefficients.lambda_dec[c - 1]
-            mean = float(sel.mean())
+        mean = float(np.add.reduce(sel) / sel.size)  # exactly ndarray.mean
         tau[c - 1] = (1.0 - lam) * prev + lam * mean
     return ThresholdState(
         tau=_frozen(tau), coefficients=state.coefficients, iteration=state.iteration + 1
@@ -231,19 +233,3 @@ def dash_adaptive_update(policy: ThresholdPolicy, interval_index: int) -> Thresh
 def never_policy(n_foreground: int) -> ThresholdPolicy:
     """Accepts nothing; self-training degenerates to supervised training."""
     return ThresholdPolicy(variant="never", tau=_frozen(np.ones(n_foreground)))
-
-
-def decide(thresholds: ThresholdState | ThresholdPolicy, prediction: Prediction) -> int | None:
-    """Pseudo-label class for one prediction, or None to leave it background.
-
-    Accepts a foreground argmax whose confidence is >= the class threshold;
-    a background argmax is never pseudo-labeled.
-    """
-    if prediction.argmax_class == BG_INDEX:
-        return None
-    if isinstance(thresholds, ThresholdPolicy) and thresholds.variant == "never":
-        return None
-    tau = float(thresholds.tau[prediction.argmax_class - 1])
-    if prediction.confidence >= tau:
-        return prediction.argmax_class
-    return None

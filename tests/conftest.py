@@ -18,6 +18,11 @@ def tiny_catalog() -> PredicateCatalog:
     return PredicateCatalog(class_names=("bg", "a", "b", "c"), counts=(50, 40, 10))
 
 
+def iter_triplets(dataset):
+    """Every pair of a dataset, scene by scene."""
+    return (t for scene in dataset.scenes for t in scene.triplets)
+
+
 def build_scene(scene_id, labels, rng=None, dim=4, observed=None):
     """Hand-built scene: one dedicated entity pair per label."""
     rng = rng or np.random.default_rng(0)
@@ -28,6 +33,19 @@ def build_scene(scene_id, labels, rng=None, dim=4, observed=None):
         entities.append(Entity(oid, 0, rng.standard_normal(dim)))
         obs = hidden if observed is None else observed[j]
         pairs.append((sid, oid, obs, hidden))
+    return make_scene(scene_id, entities, pairs)
+
+
+def build_shared_scene(scene_id, rng, n_entities, n_pairs, n_fg=3, dim=3):
+    """Scene of random distinct ordered pairs, so pairs may share endpoints;
+    entities that no chosen pair names stay isolated."""
+    entities = [Entity(i, 0, rng.standard_normal(dim)) for i in range(n_entities)]
+    ordered = [(a, b) for a in range(n_entities) for b in range(n_entities) if a != b]
+    pairs = []
+    for c in rng.choice(len(ordered), size=min(n_pairs, len(ordered)), replace=False):
+        hidden = int(rng.integers(0, n_fg + 1))
+        observed = hidden if rng.random() < 0.3 else 0
+        pairs.append((*ordered[int(c)], observed, hidden))
     return make_scene(scene_id, entities, pairs)
 
 

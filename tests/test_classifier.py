@@ -28,7 +28,7 @@ from strel.labels import Dataset, TripletInstance, build_catalog
 from strel.rngs import stream
 
 from _oracles import gradient_relative_error
-from conftest import build_scene
+from conftest import build_scene, iter_triplets
 
 
 def linear_params(weights, bias):
@@ -213,7 +213,7 @@ class TestPretrain:
         cfg = TrainConfig(learning_rate=0.5, n_epochs=50, batch_size=10, seed=1)
         params, _ = pretrain(train, cfg)
         correct = total = 0
-        for t in train.iter_triplets():
+        for t in iter_triplets(train):
             pred = forward(params, t.features)
             correct += pred.argmax_class == t.observed_label
             total += 1

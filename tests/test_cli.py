@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 
 import pytest
 
@@ -152,6 +153,41 @@ class TestPipeline:
         args = tiny_args(pipeline_dir, **{"log-dir": str(tmp_path / "resume")})
         ckpt = os.path.join(pipeline_dir, "ckpt", "selftrain.ckpt")
         assert cli.main(["selftrain", "--resume", ckpt] + args) == 0
+
+
+class TestCorruptInputs:
+    """A damaged input file exits 1 with a one-line ``error:`` message."""
+
+    @pytest.fixture
+    def run_dir(self, pipeline_dir, tmp_path):
+        root = str(tmp_path / "run")
+        shutil.copytree(pipeline_dir, root)
+        return root
+
+    def _fails_with_one_line(self, argv, capsys):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("keep", [0.5, 0.999])  # cut in the header, cut in a tensor
+    def test_truncated_checkpoint(self, run_dir, keep, capsys):
+        path = os.path.join(run_dir, "ckpt", "selftrain.ckpt")
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[: int(keep * len(data))])
+        self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
+
+    @pytest.mark.parametrize("line", ['{"scene_id": 7, "entities": [', '{"scene_id": 7}'])
+    def test_malformed_scene_line(self, run_dir, line, capsys):
+        with open(os.path.join(run_dir, "data", "test.jsonl"), "a") as fh:
+            fh.write(line + "\n")
+        self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
+
+    def test_short_assignment_row(self, run_dir, tmp_path, capsys):
+        path = str(tmp_path / "two_columns.csv")
+        with open(path, "w") as fh:
+            fh.write("iteration,scene_id\n0,1\n")
+        self._fails_with_one_line(["audit", "--assignments", path] + tiny_args(run_dir), capsys)
 
 
 class TestSweep:

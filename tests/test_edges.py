@@ -2,26 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strel.classifier import ModelParams, sgd_step
 from strel.edges import (
     EdgeLearnerParams,
-    edge_score,
     edge_scores,
     focal_loss_grad,
-    gate,
     gumbel_noise,
-    gumbel_sample,
     init_edge_learner,
     message_pass,
     sample_edges,
     straight_through_grad,
 )
 from strel.errors import ConfigError, ValidationError
-from strel.labels import Entity, make_scene
+from strel.labels import Entity, compile_split, make_scene
 from strel.rngs import stream
 
-from _oracles import gradient_relative_error
+from _oracles import dict_message_pass, gradient_relative_error
+from conftest import build_shared_scene
+
+
+def edge_score(learner, x_subject, x_object):
+    return float(edge_scores(learner, x_subject, x_object)[0])
 
 
 def bias_only_learner(logit, temperature=0.5, gamma=2.0, entity_dim=2):
@@ -59,6 +63,11 @@ class TestEdgeScore:
             edge_score(learner, np.zeros(2), np.zeros(2))
 
 
+def gumbel_sample(score, temperature, noise):
+    """One edge sample through the array entry point."""
+    return sample_edges(np.array([score]), temperature, np.array([noise]))[0]
+
+
 class TestGumbelSample:
     def test_boundary_noise_gives_hard_zero(self):
         s = 0.3
@@ -70,11 +79,10 @@ class TestGumbelSample:
         rng = stream(3, "eps")
         noises = gumbel_noise(rng, 500)
         scores = stream(4, "s").uniform(0.05, 0.95, size=500)
-        for s, e in zip(scores, noises):
-            low = gumbel_sample(s, 0.5, noise=e)
-            high = gumbel_sample(s, 5.0, noise=e)
-            assert low.hard == high.hard
-            assert low.relaxed != high.relaxed or low.relaxed == 0.5
+        low = sample_edges(scores, 0.5, noises)
+        high = sample_edges(scores, 5.0, noises)
+        np.testing.assert_array_equal(low.hard, high.hard)
+        assert np.all((low.relaxed != high.relaxed) | (low.relaxed == 0.5))
 
     def test_empirical_on_probability(self):
         # oracle: P(hard=1) = P(eps > -log s) = 1 - exp(-s) under Gumbel(0,1)
@@ -84,12 +92,12 @@ class TestGumbelSample:
         hard = (np.log(s) + noise) > 0.0
         expected = 1.0 - math.exp(-s)
         assert abs(hard.mean() - expected) < 0.01
-        samples = sample_edges(np.full(1000, s), 0.5, stream(6, "x"))
+        samples = sample_edges(np.full(1000, s), 0.5, gumbel_noise(stream(6, "x"), 1000))
         assert 0.4 < np.mean([smp.hard for smp in samples]) < 0.7
 
     def test_replay_determinism(self):
-        rng = stream(9, "replay")
-        original = sample_edges(np.array([0.2, 0.5, 0.9]), 0.5, rng)
+        scores = np.array([0.2, 0.5, 0.9])
+        original = sample_edges(scores, 0.5, gumbel_noise(stream(9, "replay"), 3))
         replayed = [gumbel_sample(o.score, 0.5, noise=o.noise) for o in original]
         assert [o.hard for o in original] == [r.hard for r in replayed]
         assert [o.relaxed for o in original] == [r.relaxed for r in replayed]
@@ -104,26 +112,31 @@ class TestGumbelSample:
 
     def test_straight_through_matches_relaxation_slope(self):
         s, eps, temp = 0.37, 0.8, 0.5
-        sample = gumbel_sample(s, temp, noise=eps)
+        samples = sample_edges(np.array([s]), temp, np.array([eps]))
         h = 1e-7
         hi = gumbel_sample(s + h, temp, noise=eps).relaxed
         lo = gumbel_sample(s - h, temp, noise=eps).relaxed
         numeric = (hi - lo) / (2 * h)
-        assert straight_through_grad(sample, temp) == pytest.approx(numeric, rel=1e-5)
+        assert straight_through_grad(samples, temp)[0] == pytest.approx(numeric, rel=1e-5)
+
+    def test_noise_length_checked(self):
+        with pytest.raises(ValidationError):
+            sample_edges(np.array([0.5, 0.5]), 0.5, np.array([0.1]))
 
 
 class TestGate:
     def test_open_gate(self):
-        assert gate(gumbel_sample(0.9, 0.5, noise=5.0)) is True
+        assert gumbel_sample(0.9, 0.5, noise=5.0).hard == 1
 
     def test_boundary_is_closed(self):
         s = 0.4
-        assert gate(gumbel_sample(s, 0.5, noise=-math.log(s))) is False
+        assert gumbel_sample(s, 0.5, noise=-math.log(s)).hard == 0
 
     def test_gate_equals_hard_bit(self):
         rng = stream(2, "gate")
-        for smp in sample_edges(rng.uniform(0.1, 0.9, size=50), 0.5, rng):
-            assert gate(smp) == (smp.hard == 1)
+        samples = sample_edges(rng.uniform(0.1, 0.9, size=50), 0.5, gumbel_noise(rng, 50))
+        np.testing.assert_array_equal(samples.hard, samples.relaxed > 0.5)
+        assert [smp.hard for smp in samples] == samples.hard.tolist()
 
 
 class TestFocalLoss:
@@ -196,6 +209,16 @@ class TestFocalLoss:
         assert np.all(edge_scores(learner, xs, xo) > 0.9)
 
 
+def split_message_pass(scenes, flags):
+    arrays = compile_split(scenes)
+    ents, subj, obj = arrays.entity_table(np.arange(len(arrays.features)))
+    return message_pass(ents, subj, obj, np.asarray(flags))
+
+
+def scene_message_pass(scene, flags):
+    return split_message_pass([scene], flags)
+
+
 class TestMessagePass:
     def _scene(self, feats, pairs):
         ents = [Entity(i, 0, np.asarray(f, dtype=np.float64)) for i, f in enumerate(feats)]
@@ -203,12 +226,12 @@ class TestMessagePass:
 
     def test_no_edges_is_identity(self):
         scene = self._scene([[1.0, 0.0], [0.0, 1.0]], [(0, 1, 1, 1)])
-        out = message_pass(scene, [0])
-        np.testing.assert_array_equal(out, scene.feature_matrix())
+        out = scene_message_pass(scene, [0])
+        np.testing.assert_array_equal(out, compile_split([scene]).features)
 
     def test_two_entity_edge_averages(self):
         scene = self._scene([[2.0, 0.0], [0.0, 4.0]], [(0, 1, 1, 1)])
-        out = message_pass(scene, [1])
+        out = scene_message_pass(scene, [1])
         refined_subject = 0.5 * np.array([2.0, 0.0]) + 0.5 * np.array([0.0, 4.0])
         np.testing.assert_allclose(out[0][:2], refined_subject)
         np.testing.assert_allclose(out[0][2:], refined_subject)  # same average both ends
@@ -216,10 +239,28 @@ class TestMessagePass:
     def test_identical_features_are_a_fixed_point(self):
         f = [3.0, -1.0]
         scene = self._scene([f, f, f, f], [(0, 1, 1, 1), (2, 3, 2, 2), (0, 3, 0, 0)])
-        out = message_pass(scene, [1, 1, 1])
-        np.testing.assert_allclose(out, scene.feature_matrix())
+        out = scene_message_pass(scene, [1, 1, 1])
+        np.testing.assert_allclose(out, compile_split([scene]).features)
 
     def test_flag_length_checked(self):
         scene = self._scene([[1.0], [2.0]], [(0, 1, 1, 1)])
         with pytest.raises(ValidationError):
-            message_pass(scene, [1, 0])
+            scene_message_pass(scene, [1, 0])
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_dict_oracle_with_shared_and_isolated_entities(self, seed):
+        rng = np.random.default_rng(seed)
+        scenes = [
+            build_shared_scene(i, rng, int(rng.integers(2, 7)), int(rng.integers(1, 10)))
+            for i in range(3)
+        ]
+        arrays = compile_split(scenes)
+        flags = rng.integers(0, 2, size=len(arrays.features))
+        out = split_message_pass(scenes, flags)
+        expected = np.concatenate(
+            [
+                dict_message_pass(s, flags[lo:hi])
+                for s, lo, hi in zip(scenes, arrays.scene_offsets, arrays.scene_offsets[1:])
+            ]
+        )
+        np.testing.assert_array_equal(out, expected)

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from strel.errors import ConfigError, ValidationError
 from strel.labels import (
     BG_INDEX,
+    Dataset,
     Entity,
     PredicateCatalog,
     Scene,
     TripletInstance,
     argmax_confidence,
     build_catalog,
+    compile_split,
     make_scene,
     read_scenes,
     relation_features,
@@ -19,6 +21,8 @@ from strel.labels import (
     scene_to_line,
     write_scenes,
 )
+
+from conftest import build_shared_scene
 
 
 class TestBuildCatalog:
@@ -189,3 +193,49 @@ class TestSerialization:
         assert set(raw) == {"scene_id", "entities", "triplets"}
         assert set(raw["entities"][0]) == {"id", "class", "features"}
         assert set(raw["triplets"][0]) == {"subj", "obj", "observed", "hidden"}
+
+    def test_malformed_line_is_a_validation_error(self):
+        line = scene_to_line(self._sample_scenes()[0])
+        for bad in (line[:-5], '{"scene_id": 1}', '{"scene_id": 1, "entities": 3, "triplets": []}'):
+            with pytest.raises(ValidationError, match="malformed scene line"):
+                scene_from_line(bad)
+
+
+class TestSplitArrays:
+    def _scenes(self):
+        rng = np.random.default_rng(8)
+        return [
+            build_shared_scene(sid, rng, n_entities=4, n_pairs=n)
+            for sid, n in zip((5, 2, 9, 4), (3, 0, 6, 2))
+        ]
+
+    def test_rows_follow_scene_and_pair_order(self):
+        scenes = self._scenes()
+        arrays = compile_split(scenes)
+        pairs = [(s.scene_id, i, t) for s in scenes for i, t in enumerate(s.triplets)]
+        assert arrays.scene_offsets.tolist() == [0, 3, 3, 9, 11]
+        assert arrays.scene_ids[arrays.pair_scene].tolist() == [sid for sid, _, _ in pairs]
+        assert arrays.pair_index.tolist() == [i for _, i, _ in pairs]
+        assert arrays.observed.tolist() == [t.observed_label for _, _, t in pairs]
+        assert arrays.hidden.tolist() == [t.hidden_label for _, _, t in pairs]
+        np.testing.assert_array_equal(arrays.features, np.stack([t.features for _, _, t in pairs]))
+
+    def test_rows_of_gathers_scenes_in_the_given_order(self):
+        arrays = compile_split(self._scenes())
+        assert arrays.rows_of(np.array([3, 1, 0])).tolist() == [9, 10, 0, 1, 2]
+        assert arrays.rows_of(np.array([], dtype=np.intp)).tolist() == []
+
+    def test_entity_table_reads_endpoint_features(self):
+        scenes = self._scenes()
+        arrays = compile_split(scenes)
+        rows = np.array([4, 0, 5, 10])
+        table, subj, obj = arrays.entity_table(rows)
+        half = arrays.features.shape[1] // 2
+        np.testing.assert_array_equal(table[subj], arrays.features[rows, :half])
+        np.testing.assert_array_equal(table[obj], arrays.features[rows, half:])
+        # one table row per distinct entity of the split
+        assert len(table) == len(set(arrays.subject_row[rows]) | set(arrays.object_row[rows]))
+
+    def test_dataset_compiles_once(self, tiny_catalog):
+        ds = Dataset(scenes=tuple(self._scenes()), catalog=tiny_catalog)
+        assert ds.arrays is ds.arrays

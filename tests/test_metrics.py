@@ -9,29 +9,38 @@ from strel.errors import ValidationError
 from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
 from strel.metrics import (
     AssignmentRecord,
-    ScenePredictions,
     audit_pseudo_labels,
     evaluate,
     f_at_k,
     mean_recall_at_k,
     per_class_recall_at_k,
     recall_at_k,
+    split_predictions,
     tercile_groups,
 )
 
 from _oracles import (
     brute_force_per_class_recall,
     brute_force_recall_at_k,
+    dict_message_pass,
 )
-from conftest import build_scene
+from conftest import build_scene, build_shared_scene
 
 
 def sp(pred, scores, hidden):
-    return ScenePredictions(
-        pred_classes=np.asarray(pred, dtype=np.intp),
-        scores=np.asarray(scores, dtype=np.float64),
-        hidden=np.asarray(hidden, dtype=np.intp),
+    """One scene's (pred_classes, scores, hidden) arrays."""
+    return (
+        np.asarray(pred, dtype=np.intp),
+        np.asarray(scores, dtype=np.float64),
+        np.asarray(hidden, dtype=np.intp),
     )
+
+
+def split_of(scenes):
+    """The scenes' predictions laid out as one split."""
+    offsets = np.cumsum([0] + [len(s[0]) for s in scenes])
+    pred, scores, hidden = (np.concatenate(col) for col in zip(*scenes))
+    return split_predictions(pred, scores, hidden, offsets)
 
 
 def random_scene_predictions(rng, n_fg=4, max_pairs=6):
@@ -47,37 +56,90 @@ class TestRecallAtK:
     def test_half_recovered(self):
         # truth on pairs 0 and 1; top-2 hits only pair 0
         scene = sp(pred=[1, 3, 2], scores=[0.9, 0.8, 0.7], hidden=[1, 2, 0])
-        assert recall_at_k([scene], 2) == 50.0
+        assert recall_at_k(split_of([scene]), 2) == 50.0
 
     def test_superset_gives_hundred(self):
         scene = sp(pred=[1, 2], scores=[0.5, 0.4], hidden=[1, 2])
-        assert recall_at_k([scene], 5) == 100.0
+        assert recall_at_k(split_of([scene]), 5) == 100.0
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValidationError):
-            recall_at_k([sp([1], [0.5], [1])], 0)
+            recall_at_k(split_of([sp([1], [0.5], [1])]), 0)
 
     def test_scene_without_truth_is_skipped(self):
         with_truth = sp([1], [0.9], [1])
         no_truth = sp([1, 2], [0.9, 0.8], [0, 0])
-        assert recall_at_k([with_truth, no_truth], 1) == 100.0
+        assert recall_at_k(split_of([with_truth, no_truth]), 1) == 100.0
 
     def test_no_truth_anywhere_is_an_error(self):
         with pytest.raises(ValidationError):
-            recall_at_k([sp([1], [0.5], [0])], 1)
+            recall_at_k(split_of([sp([1], [0.5], [0])]), 1)
 
     def test_ties_break_by_pair_index(self):
         scene = sp(pred=[2, 1], scores=[0.5, 0.5], hidden=[0, 1])
         # top-1 must pick pair 0 (wrong), not pair 1
-        assert recall_at_k([scene], 1) == 0.0
+        assert recall_at_k(split_of([scene]), 1) == 0.0
 
     def test_matches_brute_force_on_random_scenes(self):
         rng = np.random.default_rng(404)
         scenes = [random_scene_predictions(rng) for _ in range(50)]
         for k in (1, 2, 4):
-            assert recall_at_k(scenes, k) == pytest.approx(
+            assert recall_at_k(split_of(scenes), k) == pytest.approx(
                 brute_force_recall_at_k(scenes, k), abs=1e-12
             )
+
+
+class TestArrayFormsMatchPerSceneOracles:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+    def test_recall_and_per_class_recall(self, seed, k):
+        rng = np.random.default_rng(seed)
+        scenes = []
+        for _ in range(int(rng.integers(1, 9))):
+            n = int(rng.integers(0, 7))
+            # few distinct scores, so ties inside a scene are common
+            scenes.append(sp(rng.integers(1, 5, size=n), rng.choice([0.1, 0.5, 0.9], size=n),
+                             rng.integers(0, 5, size=n)))
+        preds = split_of(scenes)
+        if not any(np.any(h != 0) for _, _, h in scenes):
+            with pytest.raises(ValidationError):
+                recall_at_k(preds, k)
+            return
+        assert recall_at_k(preds, k) == pytest.approx(brute_force_recall_at_k(scenes, k), abs=1e-9)
+        brute = brute_force_per_class_recall(scenes, k, 4)
+        ours = per_class_recall_at_k(preds, k, 4)
+        for c in range(4):
+            assert (math.isnan(ours[c]) if brute[c] is None else ours[c] == pytest.approx(brute[c]))
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_evaluate_with_shared_and_isolated_entities(self, seed, with_edges):
+        from strel.classifier import init_params, predict_probs
+        from strel.edges import edge_scores, init_edge_learner
+
+        rng = np.random.default_rng(seed)
+        scenes = tuple(
+            build_shared_scene(i, rng, int(rng.integers(2, 6)), int(rng.integers(1, 8)))
+            for i in range(int(rng.integers(1, 6)))
+        )
+        if not any(t.hidden_label for s in scenes for t in s.triplets):
+            return
+        catalog = build_catalog({"a": 3, "b": 2, "c": 1})
+        params = init_params("linear", 6, 4, seed=seed % 97)
+        edges = init_edge_learner(3, seed=seed % 89) if with_edges else None
+        report = evaluate(params, Dataset(scenes=scenes, catalog=catalog), (1, 3), edges)
+
+        per_scene = []
+        for scene in scenes:
+            X = np.stack([t.features for t in scene.triplets])
+            if edges is not None:
+                flags = edge_scores(edges, X[:, :3], X[:, 3:]) > 0.5
+                X = dict_message_pass(scene, flags)
+            fg = predict_probs(params, X)[:, 1:]
+            hidden = [t.hidden_label for t in scene.triplets]
+            per_scene.append((1 + np.argmax(fg, axis=1), fg.max(axis=1), hidden))
+        for row in report.rows:
+            assert row.recall == pytest.approx(brute_force_recall_at_k(per_scene, row.k))
+            brute = brute_force_per_class_recall(per_scene, row.k, 3)
+            assert row.mean_recall == pytest.approx(np.mean([b for b in brute if b is not None]))
 
 
 class TestMeanRecall:
@@ -86,20 +148,20 @@ class TestMeanRecall:
             sp(pred=[1], scores=[0.9], hidden=[1]),  # class 1 recovered
             sp(pred=[1], scores=[0.9], hidden=[2]),  # class 2 missed
         ]
-        assert mean_recall_at_k(scenes, 1, n_foreground=2) == 50.0
+        assert mean_recall_at_k(split_of(scenes), 1, n_foreground=2) == 50.0
 
     def test_uniform_per_class_recall_collapses(self):
         scenes = [
             sp(pred=[1, 2], scores=[0.9, 0.8], hidden=[1, 2]),
             sp(pred=[1, 2], scores=[0.9, 0.8], hidden=[1, 2]),
         ]
-        assert mean_recall_at_k(scenes, 2, 2) == 100.0
+        assert mean_recall_at_k(split_of(scenes), 2, 2) == 100.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(77)
         scenes = [random_scene_predictions(rng) for _ in range(40)]
         for k in (1, 3):
-            ours = per_class_recall_at_k(scenes, k, 4)
+            ours = per_class_recall_at_k(split_of(scenes), k, 4)
             brute = brute_force_per_class_recall(scenes, k, 4)
             for c in range(4):
                 if brute[c] is None:
@@ -107,14 +169,14 @@ class TestMeanRecall:
                 else:
                     assert ours[c] == pytest.approx(brute[c], abs=1e-12)
             expected_mean = np.mean([b for b in brute if b is not None])
-            assert mean_recall_at_k(scenes, k, 4) == pytest.approx(expected_mean, abs=1e-12)
+            assert mean_recall_at_k(split_of(scenes), k, 4) == pytest.approx(expected_mean, abs=1e-12)
 
     def test_duplicating_head_instances_leaves_mean_recall_alone(self):
         base = [
             sp(pred=[1, 2], scores=[0.9, 0.8], hidden=[1, 2]),
         ]
         duplicated = base + [sp(pred=[1], scores=[0.9], hidden=[1])] * 5
-        assert mean_recall_at_k(base, 2, 2) == mean_recall_at_k(duplicated, 2, 2)
+        assert mean_recall_at_k(split_of(base), 2, 2) == mean_recall_at_k(split_of(duplicated), 2, 2)
 
 
 class TestFAtK:
@@ -233,9 +295,37 @@ class TestAudit:
         assert audit.recoverable[0] == 5  # class 1 masked in every scene
         assert audit.recall[0] == pytest.approx(0.2)
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_with_unordered_scene_ids(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(50)[:6]
+        scenes = tuple(
+            build_scene(int(sid), [1, 2, 3, 0], rng=rng, observed=list(rng.integers(0, 2, 4) * [1, 2, 3, 0]))
+            for sid in ids
+        )
+        ds = Dataset(scenes=scenes, catalog=build_catalog({"a": 30, "b": 20, "c": 10}))
+        records = [
+            AssignmentRecord(0, int(rng.choice(ids)), int(rng.integers(4)), int(rng.integers(1, 4)), 0.5)
+            for _ in range(int(rng.integers(0, 30)))
+        ]
+        audit = audit_pseudo_labels(records, ds)
+        by_id = {s.scene_id: s for s in scenes}
+        hidden = [by_id[r.scene_id].triplets[r.triplet_index].hidden_label for r in records]
+        for c in (1, 2, 3):
+            assert audit.assigned[c - 1] == sum(r.assigned_class == c for r in records)
+            assert audit.correct[c - 1] == sum(
+                r.assigned_class == c == h for r, h in zip(records, hidden)
+            )
+            assert audit.recoverable[c - 1] == sum(
+                t.observed_label == 0 and t.hidden_label == c for s in scenes for t in s.triplets
+            )
+        assert audit.bg_violations == hidden.count(0)
+
     def test_dangling_reference_rejected(self):
         ds = self._dataset()
         with pytest.raises(ValidationError):
             audit_pseudo_labels([self._record(99, 0, 1)], ds)
         with pytest.raises(ValidationError):
             audit_pseudo_labels([self._record(0, 42, 1)], ds)
+        with pytest.raises(ValidationError, match="foreground"):
+            audit_pseudo_labels([self._record(0, 1, 0)], ds)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strel.classifier import (
     ModelParams,
@@ -13,13 +15,10 @@ from strel.classifier import (
     supervised_loss_grad,
 )
 from strel.errors import ConfigError
-from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
+from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog, compile_split
 from strel.rngs import stream
 from strel.selftrain import (
-    BatchPartition,
-    PseudoLabel,
     SelfTrainConfig,
-    TripletRef,
     assign_pseudo_labels,
     load_checkpoint,
     partition_batch,
@@ -29,7 +28,7 @@ from strel.selftrain import (
 )
 from strel.thresholds import ThresholdState, never_policy, uniform_coefficients
 
-from _oracles import gradient_relative_error
+from _oracles import brute_force_selection, gradient_relative_error
 from conftest import build_scene
 
 
@@ -44,9 +43,9 @@ def make_dataset(n_scenes=12, labels=(1, 2, 1, 0), observed=None, n_fg=2, seed=0
     return Dataset(scenes=scenes, catalog=catalog, split="train")
 
 
-def refs_for(scene, indices=None):
-    idx = range(len(scene.triplets)) if indices is None else indices
-    return [TripletRef(scene.scene_id, i, scene.triplets[i]) for i in idx]
+def keys_for(*scenes):
+    """One (scene, pair index) candidate key per pair of the given scenes."""
+    return np.array([(s.scene_id, i) for s in scenes for i in range(len(s.triplets))])
 
 
 def open_state(n_fg, tau=0.0):
@@ -60,103 +59,124 @@ def open_state(n_fg, tau=0.0):
 class TestPartitionBatch:
     def test_definitional_split(self, scene_factory):
         scene = scene_factory(0, [1, 0, 2, 0], observed=[1, 0, 2, 0])
-        annotated, unannotated = partition_batch([scene])
-        assert len(annotated) == 2 and len(unannotated) == 2
+        annotated, unannotated = partition_batch(compile_split([scene]).observed)
+        assert annotated == [0, 2] and unannotated == [1, 3]
 
     def test_fully_annotated_batch(self, scene_factory):
         scene = scene_factory(0, [1, 2])
-        annotated, unannotated = partition_batch([scene])
-        assert len(annotated) == 2 and unannotated == ()
+        annotated, unannotated = partition_batch(compile_split([scene]).observed)
+        assert len(annotated) == 2 and unannotated == []
 
     def test_exhaustive_and_disjoint(self):
         rng = np.random.default_rng(5)
         scenes = [
             build_scene(i, list(rng.integers(0, 3, size=4)), rng=rng) for i in range(8)
         ]
-        annotated, unannotated = partition_batch(scenes)
-        keys_a = {(r.scene_id, r.index) for r in annotated}
-        keys_u = {(r.scene_id, r.index) for r in unannotated}
-        assert not keys_a & keys_u
-        assert len(keys_a) + len(keys_u) == sum(len(s.triplets) for s in scenes)
-        assert all(r.triplet.observed_label != BG_INDEX for r in annotated)
-        assert all(r.triplet.observed_label == BG_INDEX for r in unannotated)
+        observed = compile_split(scenes).observed
+        annotated, unannotated = partition_batch(observed)
+        assert not set(annotated) & set(unannotated)
+        assert sorted(annotated + unannotated) == list(range(len(observed)))
+        assert np.all(observed[annotated] != BG_INDEX)
+        assert np.all(observed[unannotated] == BG_INDEX)
 
     def test_sparse_masking_ratio(self):
         ds = make_dataset(n_scenes=250, labels=[1] * 4, observed=None)
         from strel.synthgen import mask_annotations
 
         masked = mask_annotations(ds, 0.045, seed=3)
-        annotated, unannotated = partition_batch(masked.scenes)
+        annotated, unannotated = partition_batch(masked.arrays.observed)
         assert len(annotated) == 45 and len(unannotated) == 955
 
 
 class TestAssignPseudoLabels:
     def test_cap_keeps_highest_confidence(self, scene_factory):
         scene = scene_factory(0, [1] * 5, observed=[0] * 5)
-        refs = refs_for(scene)
         conf = np.array([0.9, 0.8, 0.7, 0.95, 0.65])
-        out = assign_pseudo_labels(refs, np.ones(5, dtype=int), conf, open_state(1), cap=3)
-        assert sorted(p.confidence for p in out) == [0.8, 0.9, 0.95]
+        out = assign_pseudo_labels(keys_for(scene), np.ones(5, dtype=int), conf, open_state(1), cap=3)
+        assert sorted(conf[out]) == [0.8, 0.9, 0.95]
 
     def test_cap_ties_keep_lowest_index(self, scene_factory):
         scene = scene_factory(0, [1] * 4, observed=[0] * 4)
-        refs = refs_for(scene)
         conf = np.array([0.5, 0.5, 0.5, 0.5])
-        out = assign_pseudo_labels(refs, np.ones(4, dtype=int), conf, open_state(1), cap=2)
-        assert [p.ref.index for p in out] == [0, 1]
+        keys = keys_for(scene)[::-1]  # candidate order does not decide ties
+        out = assign_pseudo_labels(keys, np.ones(4, dtype=int), conf, open_state(1), cap=2)
+        assert sorted(keys[out, 1]) == [0, 1]
 
     def test_gate_blocks_candidates(self, scene_factory):
         scene = scene_factory(0, [1, 1], observed=[0, 0])
-        refs = refs_for(scene)
         out = assign_pseudo_labels(
-            refs, np.ones(2, dtype=int), np.array([0.9, 0.9]), open_state(1),
+            keys_for(scene), np.ones(2, dtype=int), np.array([0.9, 0.9]), open_state(1),
             cap=3, gates=[False, True],
         )
-        assert [p.ref.index for p in out] == [1]
+        assert list(out) == [1]
 
     def test_threshold_blocks_candidates(self, scene_factory):
         scene = scene_factory(0, [1, 1], observed=[0, 0])
-        refs = refs_for(scene)
         out = assign_pseudo_labels(
-            refs, np.ones(2, dtype=int), np.array([0.5, 0.9]), open_state(1, tau=0.7), cap=3
+            keys_for(scene), np.ones(2, dtype=int), np.array([0.5, 0.9]), open_state(1, tau=0.7),
+            cap=3,
         )
-        assert [p.ref.index for p in out] == [1]
+        assert list(out) == [1]
+
+    def test_confidence_equal_to_tau_is_accepted(self, scene_factory):
+        scene = scene_factory(0, [1], observed=[0])
+        out = assign_pseudo_labels(
+            keys_for(scene), np.ones(1, dtype=int), np.array([0.7]), open_state(1, tau=0.7), cap=1
+        )
+        assert list(out) == [0]
 
     def test_background_argmax_skipped(self, scene_factory):
         scene = scene_factory(0, [1], observed=[0])
-        refs = refs_for(scene)
         out = assign_pseudo_labels(
-            refs, np.zeros(1, dtype=int), np.array([0.99]), open_state(1), cap=3
+            keys_for(scene), np.zeros(1, dtype=int), np.array([0.99]), open_state(1), cap=3
         )
-        assert out == ()
+        assert len(out) == 0
 
     def test_empty_input(self):
-        assert assign_pseudo_labels([], np.zeros(0), np.zeros(0), open_state(1), cap=1) == ()
+        out = assign_pseudo_labels(np.zeros((0, 2)), np.zeros(0), np.zeros(0), open_state(1), cap=1)
+        assert len(out) == 0
 
     def test_never_policy_accepts_nothing(self, scene_factory):
         scene = scene_factory(0, [1, 1], observed=[0, 0])
-        refs = refs_for(scene)
         out = assign_pseudo_labels(
-            refs, np.ones(2, dtype=int), np.array([0.9, 0.9]), never_policy(1), cap=3
+            keys_for(scene), np.ones(2, dtype=int), np.array([0.9, 0.9]), never_policy(1), cap=3
         )
-        assert out == ()
+        assert len(out) == 0
 
     def test_cap_is_per_scene_and_class(self):
         rng = np.random.default_rng(9)
         scenes = [build_scene(i, [1, 1, 2, 2, 2], rng=rng, observed=[0] * 5) for i in range(4)]
-        refs = [r for s in scenes for r in refs_for(s)]
-        pred = np.array([r.triplet.hidden_label for r in refs])
-        conf = rng.uniform(0.5, 1.0, size=len(refs))
-        out = assign_pseudo_labels(refs, pred, conf, open_state(2), cap=2)
-        per_key = {}
-        for p in out:
-            key = (p.ref.scene_id, p.assigned_class)
-            per_key[key] = per_key.get(key, 0) + 1
-        assert all(v <= 2 for v in per_key.values())
+        keys = keys_for(*scenes)
+        pred = np.array([t.hidden_label for s in scenes for t in s.triplets])
+        conf = rng.uniform(0.5, 1.0, size=len(keys))
+        out = assign_pseudo_labels(keys, pred, conf, open_state(2), cap=2)
+        _, per_key = np.unique(np.stack([keys[out, 0], pred[out]], axis=1), axis=0, return_counts=True)
+        assert per_key.max() <= 2
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from(["catm", "never"]),
+    )
+    def test_matches_per_group_oracle(self, seed, cap, gated, variant):
+        rng = np.random.default_rng(seed)
+        n, n_fg = int(rng.integers(0, 40)), 3
+        keys = np.stack([rng.integers(0, 4, size=n), rng.permutation(n)], axis=1)
+        pred = rng.integers(0, n_fg + 1, size=n)
+        conf = rng.choice([0.2, 0.5, 0.5, 0.8, 1.0], size=n)  # ties and conf == tau
+        tau = rng.choice([0.0, 0.5, 0.8], size=n_fg)
+        gates = rng.integers(0, 2, size=n).astype(bool) if gated else None
+        state = never_policy(n_fg) if variant == "never" else open_state(n_fg)
+        if variant != "never":
+            state = ThresholdState(tau=tau, coefficients=state.coefficients)
+        out = assign_pseudo_labels(keys, pred, conf, state, cap, gates)
+        expected = brute_force_selection(keys, pred, conf, tau, cap, gates, never=variant == "never")
+        assert out.tolist() == expected
 
 
 def crafted_three_instance_setup():
-    """Model and partition hitting probabilities 0.5 / 0.5 / 0.7 by design."""
+    """Model and one-hot rows hitting probabilities 0.5 / 0.5 / 0.7 by design."""
     # one-hot features select a weight row each, so rows are the wanted logits
     logits = np.array(
         [
@@ -166,27 +186,23 @@ def crafted_three_instance_setup():
         ]
     )
     params = ModelParams(arch="linear", layers=((logits.copy(), np.zeros(3)),))
-    scene = build_scene(0, [1, 0, 2], observed=[1, 0, 0], dim=2)
-    # overwrite features with one-hot selectors
-    import dataclasses
-
-    triplets = []
-    eye = np.eye(3)
-    for i, t in enumerate(scene.triplets):
-        triplets.append(dataclasses.replace(t, features=eye[i]))
-    refs = [TripletRef(0, i, t) for i, t in enumerate(triplets)]
-    partition = BatchPartition(
-        annotated=(refs[0],),
-        pseudo_labeled=(PseudoLabel(refs[2], assigned_class=2, confidence=0.7),),
-        background=(refs[1],),
+    terms = dict(
+        features=np.eye(3),
+        annotated=(np.array([0]), np.array([1])),
+        background=np.array([1]),
+        pseudo=(np.array([2]), np.array([2])),
     )
-    return params, partition
+    return params, terms
+
+
+def empty_rows():
+    return np.zeros(0, dtype=np.intp)
 
 
 class TestThreeTermLoss:
     def test_hand_computed_sum(self):
-        params, partition = crafted_three_instance_setup()
-        total, _, breakdown = three_term_loss(params, partition, np.ones(3), beta=1.0)
+        params, terms = crafted_three_instance_setup()
+        total, _, breakdown = three_term_loss(params, **terms, weights=np.ones(3), beta=1.0)
         expected = 2.0 * math.log(2.0) - math.log(0.7)  # ln2 + ln2 + (-ln 0.7)
         assert total == pytest.approx(expected, abs=1e-12)
         assert breakdown.annotated == pytest.approx(math.log(2), abs=1e-12)
@@ -194,22 +210,22 @@ class TestThreeTermLoss:
         assert breakdown.pseudo == pytest.approx(-math.log(0.7), abs=1e-12)
 
     def test_beta_zero_drops_pseudo_term(self):
-        params, partition = crafted_three_instance_setup()
-        total, _, breakdown = three_term_loss(params, partition, np.ones(3), beta=0.0)
+        params, terms = crafted_three_instance_setup()
+        total, _, breakdown = three_term_loss(params, **terms, weights=np.ones(3), beta=0.0)
         assert total == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
         assert breakdown.pseudo > 0.0  # reported, just unweighted
 
     def test_empty_pseudo_reduces_to_two_terms(self):
-        params, partition = crafted_three_instance_setup()
-        bare = BatchPartition(partition.annotated, (), partition.background)
-        total, _, breakdown = three_term_loss(params, bare, np.ones(3), beta=1.0)
+        params, terms = crafted_three_instance_setup()
+        terms["pseudo"] = (empty_rows(), empty_rows())
+        total, _, breakdown = three_term_loss(params, **terms, weights=np.ones(3), beta=1.0)
         assert breakdown.pseudo == 0.0
         assert total == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_total_is_exactly_the_weighted_sum(self):
-        params, partition = crafted_three_instance_setup()
+        params, terms = crafted_three_instance_setup()
         for beta in (0.0, 0.3, 1.0, 2.5):
-            total, _, bd = three_term_loss(params, partition, np.ones(3), beta=beta)
+            total, _, bd = three_term_loss(params, **terms, weights=np.ones(3), beta=beta)
             assert total == bd.annotated + bd.background + beta * bd.pseudo
             assert bd.annotated >= 0.0 and bd.background >= 0.0 and bd.pseudo >= 0.0
 
@@ -217,19 +233,20 @@ class TestThreeTermLoss:
         rng = stream(55, "ttl-grad")
         for trial in range(5):
             ds = make_dataset(n_scenes=2, labels=(1, 2, 1, 0), observed=(1, 0, 0, 0), seed=trial)
-            annotated, unannotated = partition_batch(ds.scenes)
-            pseudo = tuple(
-                PseudoLabel(r, assigned_class=int(rng.integers(1, 3)), confidence=0.9)
-                for r in unannotated[:2]
+            arrays = ds.arrays
+            annotated, unannotated = (np.array(p) for p in partition_batch(arrays.observed))
+            terms = dict(
+                features=arrays.features,
+                annotated=(annotated, arrays.observed[annotated]),
+                background=unannotated[2:],
+                pseudo=(unannotated[:2], rng.integers(1, 3, size=2)),
             )
-            background = unannotated[2:]
-            partition = BatchPartition(annotated, pseudo, background)
             params = init_params("mlp", 8, 3, hidden_dim=4, seed=trial)
             w = np.array([1.0, 1.3, 0.7])
             beta = 0.7
-            _, grads, _ = three_term_loss(params, partition, w, beta)
+            _, grads, _ = three_term_loss(params, **terms, weights=w, beta=beta)
             err = gradient_relative_error(
-                grads, lambda p: three_term_loss(p, partition, w, beta)[0], params
+                grads, lambda p: three_term_loss(p, **terms, weights=w, beta=beta)[0], params
             )
             assert err <= 1e-4
 

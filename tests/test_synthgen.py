@@ -7,7 +7,7 @@ from strel.errors import ConfigError
 from strel.labels import BG_INDEX, annotated_counts, scene_to_line
 from strel.synthgen import GeneratorConfig, generate, mask_annotations, split, zipf_shares
 
-from conftest import build_scene
+from conftest import build_scene, iter_triplets
 from strel.labels import Dataset, build_catalog
 
 
@@ -78,12 +78,12 @@ class TestGenerate:
 
     def test_fully_annotated_at_generation(self):
         ds = generate(small_config())
-        assert all(t.observed_label == t.hidden_label for t in ds.iter_triplets())
+        assert all(t.observed_label == t.hidden_label for t in iter_triplets(ds))
 
     def test_true_bg_pairs_exist(self):
         ds = generate(small_config(true_bg_fraction=0.3))
-        n_bg = sum(1 for t in ds.iter_triplets() if t.hidden_label == BG_INDEX)
-        assert 0 < n_bg < ds.n_triplets
+        n_bg = sum(1 for t in iter_triplets(ds) if t.hidden_label == BG_INDEX)
+        assert 0 < n_bg < sum(len(s.triplets) for s in ds.scenes)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -98,7 +98,7 @@ class TestGenerate:
         cfg = small_config(noise_sigma=0.05, sibling_groups=0, n_scenes=80)
         ds = generate(cfg)
         by_class = {}
-        for t in ds.iter_triplets():
+        for t in iter_triplets(ds):
             if t.hidden_label != BG_INDEX:  # background is deliberately diffuse
                 by_class.setdefault(t.hidden_label, []).append(t.features)
         means = {c: np.mean(v, axis=0) for c, v in by_class.items() if len(v) > 3}
@@ -114,8 +114,8 @@ class TestGenerate:
     def test_background_cloud_is_wider_than_class_clouds(self):
         cfg = small_config(noise_sigma=0.3, bg_noise_sigma=2.0, true_bg_fraction=0.4)
         ds = generate(cfg)
-        bg = np.stack([t.features for t in ds.iter_triplets() if t.hidden_label == BG_INDEX])
-        fg = np.stack([t.features for t in ds.iter_triplets() if t.hidden_label == 1])
+        bg = np.stack([t.features for t in iter_triplets(ds) if t.hidden_label == BG_INDEX])
+        fg = np.stack([t.features for t in iter_triplets(ds) if t.hidden_label == 1])
         spread = lambda x: np.mean(np.linalg.norm(x - x.mean(axis=0), axis=1))
         assert spread(bg) > 2.0 * spread(fg)
 
@@ -124,14 +124,14 @@ class TestMaskAnnotations:
     def test_identity_fraction(self):
         ds = hand_dataset()
         masked = mask_annotations(ds, 1.0, seed=0)
-        assert all(t.observed_label == t.hidden_label for t in masked.iter_triplets())
+        assert all(t.observed_label == t.hidden_label for t in iter_triplets(masked))
 
     def test_exact_counts_at_4_5_percent(self):
         # 250 scenes x 4 relation pairs = 1000 relation-bearing pairs
         ds = hand_dataset(n_scenes=250)
         masked = mask_annotations(ds, 0.045, seed=1)
-        annotated = sum(1 for t in masked.iter_triplets() if t.observed_label != BG_INDEX)
-        observed_bg = sum(1 for t in masked.iter_triplets() if t.observed_label == BG_INDEX)
+        annotated = sum(1 for t in iter_triplets(masked) if t.observed_label != BG_INDEX)
+        observed_bg = sum(1 for t in iter_triplets(masked) if t.observed_label == BG_INDEX)
         assert annotated == 45  # ceil(0.045 * 1000)
         assert observed_bg == 955
 
@@ -140,7 +140,7 @@ class TestMaskAnnotations:
         masked = mask_annotations(ds, 0.5, seed=2)
         hidden_unannotated = sum(
             1
-            for t in masked.iter_triplets()
+            for t in iter_triplets(masked)
             if t.observed_label == BG_INDEX and t.hidden_label != BG_INDEX
         )
         assert hidden_unannotated == 160 - math.ceil(0.5 * 160)
@@ -149,8 +149,8 @@ class TestMaskAnnotations:
         ds = hand_dataset(n_scenes=30)
         a = mask_annotations(ds, 0.5, seed=9)
         b = mask_annotations(ds, 0.5, seed=9)
-        obs_a = [t.observed_label for t in a.iter_triplets()]
-        obs_b = [t.observed_label for t in b.iter_triplets()]
+        obs_a = [t.observed_label for t in iter_triplets(a)]
+        obs_b = [t.observed_label for t in iter_triplets(b)]
         assert obs_a == obs_b
 
     def test_fraction_bounds(self):
@@ -201,7 +201,7 @@ class TestSplit:
         def counts_by_name(dataset):
             names = dataset.catalog.class_names
             out = {}
-            for t in dataset.iter_triplets():
+            for t in iter_triplets(dataset):
                 if t.hidden_label != BG_INDEX:
                     out[names[t.hidden_label]] = out.get(names[t.hidden_label], 0) + 1
             return out

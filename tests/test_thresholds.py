@@ -13,7 +13,6 @@ from strel.thresholds import (
     constant_threshold,
     dash_adaptive_policy,
     dash_adaptive_update,
-    decide,
     ema_update,
     fixed_class_threshold,
     freq_weighted_threshold,
@@ -23,6 +22,7 @@ from strel.thresholds import (
     top_quantile,
     uniform_coefficients,
 )
+from strel.selftrain import assign_pseudo_labels
 
 
 def coefficients(lambda_inc, lambda_dec):
@@ -40,6 +40,14 @@ def state_with(tau, lambda_inc, lambda_dec, iteration=0):
         coefficients=coefficients(lambda_inc, lambda_dec),
         iteration=iteration,
     )
+
+
+def decide(thresholds, prediction):
+    """The class ``assign_pseudo_labels`` gives one prediction, or None."""
+    accepted = assign_pseudo_labels(
+        [(0, 0)], [prediction.argmax_class], [prediction.confidence], thresholds, cap=1
+    )
+    return prediction.argmax_class if len(accepted) else None
 
 
 descending_counts = st.lists(
