@@ -309,12 +309,20 @@ def annotated_counts(scenes: Iterable[Scene], n_foreground: int) -> list[int]:
     return counts
 
 
-def relabel_scene(scene: Scene, mapping: Mapping[int, int]) -> Scene:
-    triplets = tuple(
-        replace(t, observed_label=mapping[t.observed_label], hidden_label=mapping[t.hidden_label])
-        for t in scene.triplets
+def relabel_triplet(t: TripletInstance, mapping: Mapping[int, int]) -> TripletInstance:
+    return replace(
+        t,
+        observed_label=mapping[t.observed_label],
+        hidden_label=mapping[t.hidden_label],
     )
-    return Scene(scene_id=scene.scene_id, entities=scene.entities, triplets=triplets)
+
+
+def relabel_scene(scene: Scene, mapping: Mapping[int, int]) -> Scene:
+    return Scene(
+        scene_id=scene.scene_id,
+        entities=scene.entities,
+        triplets=tuple(relabel_triplet(t, mapping) for t in scene.triplets),
+    )
 
 
 # --- line-delimited serialization ------------------------------------------

@@ -363,7 +363,7 @@ def run(
     batches_per_epoch = math.ceil(n_scenes / cfg.batch_size)
     iter_records: list[IterationRecord] = []
     epoch_records: list[EpochRecord] = []
-    # accepted labels and edge samples, one array per iteration and column
+    # (iteration, split rows, per-row values) of accepted labels and edge samples
     accepted_log: list[tuple[np.ndarray, ...]] = []
     edge_log: list[tuple[np.ndarray, ...]] = []
 
@@ -487,18 +487,18 @@ def run(
         epoch += 1
 
     no_values = (np.zeros(0, dtype=np.intp), np.zeros(0))
-    edge_columns = _by_pair(arrays, edge_log, (np.zeros(0),) + no_values)
+    edge_columns = _log_columns(arrays, edge_log, (np.zeros(0),) + no_values)
     return SelfTrainResult(
         params=params,
         log=TrainLog(iterations=tuple(iter_records), epochs=tuple(epoch_records)),
-        assignments=AssignmentLog(*_by_pair(arrays, accepted_log, no_values)),
+        assignments=AssignmentLog(*_log_columns(arrays, accepted_log, no_values)),
         thresholds=state,
         edge_learner=edge_learner,
         edge_trace=tuple(map(EdgeTraceRow._make, zip(*(c.tolist() for c in edge_columns)))),
     )
 
 
-def _by_pair(arrays, log: list[tuple], empty: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _log_columns(arrays, log: list[tuple], empty: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Columns ``(iteration, scene_id, pair index, *values)`` of a log of
     ``(iteration, split rows, *per-row values)`` entries; ``empty`` holds
     the value columns of an empty log."""

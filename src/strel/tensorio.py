@@ -52,12 +52,11 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         tensors = {}
         for entry in header["tensors"]:
             dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
-            size = dtype.itemsize * (int(np.prod(shape)) if shape else 1)
-            if offset + size > len(data):
+            count = int(np.prod(shape))
+            if offset + count * dtype.itemsize > len(data):
                 raise ValidationError(f"truncated tensor archive: {path}")
-            count = size // dtype.itemsize
             tensors[entry["name"]] = np.frombuffer(data, dtype, count, offset).reshape(shape).copy()
-            offset += size
+            offset += count * dtype.itemsize
         return tensors, header["meta"]
     except ValidationError:
         raise
