@@ -505,7 +505,7 @@ def _assignment_log(path: str, rows: list[list[str]]) -> AssignmentLog:
     dtypes = [np.int64] * (width - 1) + [np.float64]  # the last column is the confidence
     try:
         return AssignmentLog(*map(np.array, list(zip(*rows)) or [()] * width, dtypes))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: bad assignment value: {exc}") from exc
 
 

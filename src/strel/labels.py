@@ -272,6 +272,8 @@ class SplitArrays:
 
 def compile_split(scenes: Sequence[Scene]) -> SplitArrays:
     triplets = [t for scene in scenes for t in scene.triplets]
+    if len({t.features.shape for t in triplets}) > 1:
+        raise ValidationError("pair features differ in length across the split")
     # four int32 columns per pair: subject row, object row, observed, hidden
     columns = array("i")
     base = 0

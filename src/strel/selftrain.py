@@ -378,9 +378,7 @@ def run(
             positions = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             rows = arrays.rows_of(positions)
             observed = arrays.observed[rows]
-            annotated, unannotated = partition_batch(observed)
-            ann = np.asarray(annotated, dtype=np.intp)
-            un = np.asarray(unannotated, dtype=np.intp)
+            ann, un = (np.asarray(side, dtype=np.intp) for side in partition_batch(observed))
 
             X = arrays.features[rows]
             gates = None

@@ -183,10 +183,11 @@ class TestCorruptInputs:
             fh.write(line + "\n")
         self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
 
-    def test_short_assignment_row(self, run_dir, tmp_path, capsys):
-        path = str(tmp_path / "two_columns.csv")
+    @pytest.mark.parametrize("row", ["0,1", "0,1,x,1,0.5", "0,1,99999999999999999999,1,0.5"])
+    def test_bad_assignment_row(self, run_dir, tmp_path, row, capsys):
+        path = str(tmp_path / "assignments.csv")
         with open(path, "w") as fh:
-            fh.write("iteration,scene_id\n0,1\n")
+            fh.write(f"iteration,scene_id,triplet_index,assigned_class,confidence\n{row}\n")
         self._fails_with_one_line(["audit", "--assignments", path] + tiny_args(run_dir), capsys)
 
 

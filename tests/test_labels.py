@@ -236,6 +236,11 @@ class TestSplitArrays:
         # one table row per distinct entity of the split
         assert len(table) == len(set(arrays.subject_row[rows]) | set(arrays.object_row[rows]))
 
+    def test_pair_features_of_one_length(self):
+        short = make_scene(9, [Entity(0, 0, np.zeros(1)), Entity(1, 0, np.zeros(1))], [(0, 1, 0, 0)])
+        with pytest.raises(ValidationError, match="differ in length"):
+            compile_split(self._scenes() + [short])
+
     def test_dataset_compiles_once(self, tiny_catalog):
         ds = Dataset(scenes=tuple(self._scenes()), catalog=tiny_catalog)
         assert ds.arrays is ds.arrays
