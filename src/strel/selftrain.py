@@ -17,8 +17,8 @@ The loop reads the training split in its columnar form
 (``Dataset.arrays``): a batch is a gather of the pair rows of its scenes,
 annotated and unannotated pairs are masks over the batch's observed labels,
 pseudo-label selection is one sort of the candidates, the loss terms are
-row gathers and the cumulative counts a ``bincount``.  Accepted labels are
-logged as arrays and become ``AssignmentRecord``s once, when the run ends.
+row gathers and the cumulative counts a ``bincount``.  Accepted labels stay
+arrays, in an ``AssignmentLog`` that builds its records only when read.
 
 With the edge learner enabled, pair features are refreshed by one
 message-passing round over the sampled edges, pseudo-label candidates are
