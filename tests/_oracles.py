@@ -128,3 +128,118 @@ def dict_message_pass(scene, hard_flags) -> np.ndarray:
     return np.stack(
         [np.concatenate([refined[t.subject_id], refined[t.object_id]]) for t in scene.triplets]
     )
+
+
+def per_term_run(pretrained, train, val, cfg, metric_ks):
+    """Self-training with one forward and backward per loss term.
+
+    The reference loop for ``selftrain.run``: a separate inference pass over
+    the unannotated rows picks the pseudo-labels, then the annotated,
+    background and pseudo-label terms each run their own forward and
+    backward, and the gradients are summed as ``g_a + g_b + beta * g_p``.
+    Returns the final params and edge learner, the accepted labels as
+    ``(iteration, scene_id, pair index, class)`` rows plus confidences, the
+    tau trajectory and the per-epoch metric rows.
+    """
+    import math
+    from dataclasses import replace
+
+    from strel import edges, selftrain, thresholds
+    from strel.classifier import (
+        add_grads, class_weights, downsample_background, predict_probs, sgd_step,
+        weighted_ce_loss_grad, zero_grads,
+    )
+    from strel.metrics import evaluate
+    from strel.rngs import stream
+
+    arrays, catalog = train.arrays, train.catalog
+    params, w = pretrained, class_weights(catalog, cfg.reweight)
+    state = selftrain.build_thresholds(cfg, catalog, params, val)
+    edge = None
+    if cfg.use_gsl:
+        edge = edges.init_edge_learner(
+            arrays.features.shape[1] // 2, hidden_dim=cfg.gsl_hidden_dim, seed=cfg.seed,
+            temperature=cfg.gumbel_temperature, focal_gamma=cfg.focal_gamma,
+        )
+
+    def term(X, rows, targets):
+        if len(rows) == 0:
+            return 0.0, zero_grads(params)
+        t = np.asarray(targets, dtype=np.intp)
+        return weighted_ce_loss_grad(params, X[rows], t, w[t] / len(rows))
+
+    n_scenes = len(train.scenes)
+    per_epoch = math.ceil(n_scenes / cfg.batch_size)
+    keys, confs, taus, epochs = [], [], [], []
+    it, epoch = 0, 0
+    while it < cfg.max_iterations:
+        order = stream(cfg.seed, "epoch-order", epoch).permutation(n_scenes)
+        for b in range(per_epoch):
+            if it >= cfg.max_iterations:
+                break
+            positions = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            rows = arrays.rows_of(positions)
+            observed = arrays.observed[rows]
+            ann, un = np.flatnonzero(observed != 0), np.flatnonzero(observed == 0)
+            X, gates = arrays.features[rows], None
+            if cfg.use_gsl:
+                ents, subj, obj = arrays.entity_table(rows)
+                xs, xo = ents[subj], ents[obj]
+                sizes = np.diff(arrays.scene_offsets)[positions]
+                noise = [
+                    edges.gumbel_noise(stream(cfg.seed, "gumbel", it, int(arrays.scene_ids[p])), int(n))
+                    for p, n in zip(positions, sizes) if n
+                ]
+                samples = edges.sample_edges(
+                    edges.edge_scores(edge, xs, xo), edge.temperature,
+                    np.concatenate(noise) if noise else np.zeros(0),
+                )
+                X = edges.message_pass(ents, subj, obj, samples.hard)
+                gates = samples.hard[un] == 1
+            probs = predict_probs(params, X[un])
+            pred, conf = np.argmax(probs, axis=1), probs.max(axis=1)
+            accepted = selftrain.assign_pseudo_labels(
+                np.stack([arrays.pair_scene[rows[un]], arrays.pair_index[rows[un]]], axis=1),
+                pred, conf, state, cfg.per_class_per_scene_cap, gates,
+            )
+            pseudo = un[accepted]
+            background = np.delete(un, accepted)
+            if cfg.bg_downsample < 1.0:
+                rng = stream(cfg.seed, "bg-downsample", it)
+                background = np.asarray(
+                    downsample_background(background, cfg.bg_downsample, rng), dtype=np.intp
+                )
+            _, g_a = term(X, ann, observed[ann])
+            _, g_b = term(X, background, np.zeros(len(background), dtype=np.intp))
+            _, g_p = term(X, pseudo, pred[accepted])
+            if cfg.use_gsl:
+                _, g_e = edges.focal_loss_grad(edge, xs, xo, (observed != 0).astype(np.float64))
+                edge = replace(edge, net=sgd_step(edge.net, g_e, cfg.learning_rate))
+            if isinstance(state, thresholds.ThresholdState):
+                state = thresholds.ema_update(state, pred, conf, cfg.strict_eligible_mean)
+            elif cfg.policy == "dash-adaptive":
+                k = (it + 1) // cfg.dash_interval
+                if k != state.interval_index:
+                    state = thresholds.dash_adaptive_update(state, k)
+            elif cfg.policy == "valid-interval" and (it + 1) % cfg.valid_recompute_interval == 0:
+                state = selftrain._quantile_policy_from_val(cfg, params, val, catalog.n_foreground)
+            params = sgd_step(params, add_grads(add_grads(g_a, g_b), g_p, scale=cfg.beta), cfg.learning_rate)
+            keys += [
+                (it, int(arrays.scene_ids[arrays.pair_scene[r]]), int(arrays.pair_index[r]), int(c))
+                for r, c in zip(rows[pseudo], pred[accepted])
+            ]
+            confs += conf[accepted].tolist()
+            taus.append(np.array(state.tau, dtype=np.float64))
+            it += 1
+        if val is not None:
+            report = evaluate(params, val, metric_ks, edge)
+            epochs += [(epoch, it, r.k, r.recall, r.mean_recall, r.f_score) for r in report.rows]
+        epoch += 1
+    return {
+        "params": params,
+        "edge_learner": edge,
+        "keys": np.array(keys, dtype=np.int64).reshape(-1, 4),
+        "confidence": np.array(confs),
+        "tau": np.array(taus).reshape(-1, catalog.n_foreground),
+        "epochs": np.array(epochs, dtype=np.float64),
+    }

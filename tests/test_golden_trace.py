@@ -7,6 +7,11 @@ run is reduced to SHA-256 hashes of its assignments, its final parameters
 (plus the edge learner's), its tau trajectory and its per-epoch metrics, and
 the hashes must equal the ones recorded in ``GOLDEN``.
 
+A second test runs ``_oracles.per_term_run``, the loop with one forward and
+backward per loss term, beside ``run`` and bounds their difference: the same
+assignments and per-epoch metrics, and params, tau and confidences within
+``REL_TOL`` of the largest magnitude in each array.
+
 A refactor of the hot path must pass this unchanged.  Only a change that is
 meant to alter results may re-record the table, by running this file as a
 script and pasting its output:
@@ -28,6 +33,8 @@ from strel.classifier import pretrain
 from strel.cli import RunConfig, generator_config, selftrain_config, train_config
 from strel.selftrain import POLICIES, run
 
+from _oracles import per_term_run
+
 RC = RunConfig(
     n_scenes=60,
     batch_size=10,
@@ -37,6 +44,8 @@ RC = RunConfig(
     valid_recompute_interval=30,
 )
 RUNS = tuple((p, False) for p in POLICIES) + (("catm", True),)
+RUN_IDS = [p + ("+gsl" if g else "") for p, g in RUNS]
+REL_TOL = 1e-12
 
 GOLDEN = {
     ('catm', False): {
@@ -152,10 +161,43 @@ def pretrained():
     return train, val, params
 
 
-@pytest.mark.parametrize("policy, use_gsl", RUNS, ids=[p + ("+gsl" if g else "") for p, g in RUNS])
+@pytest.mark.parametrize("policy, use_gsl", RUNS, ids=RUN_IDS)
 def test_run_matches_golden_trace(pretrained, policy, use_gsl):
     train, val, params = pretrained
     assert run_trace(train, val, params, policy, use_gsl) == GOLDEN[(policy, use_gsl)]
+
+
+def _assert_close(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected), initial=0.0) <= REL_TOL * np.max(np.abs(expected), initial=0.0)
+
+
+@pytest.mark.parametrize("policy, use_gsl", RUNS, ids=RUN_IDS)
+def test_run_within_tolerance_of_per_term_reference(pretrained, policy, use_gsl):
+    train, val, params = pretrained
+    cfg = dataclasses.replace(selftrain_config(RC), policy=policy, use_gsl=use_gsl)
+    result = run(params, train, val, cfg, metric_ks=RC.metric_ks)
+    ref = per_term_run(params, train, val, cfg, RC.metric_ks)
+    log = result.assignments
+    keys = np.stack([log.iteration, log.scene_id, log.triplet_index, log.assigned_class], axis=1)
+    assert np.array_equal(keys.reshape(-1, 4), ref["keys"])
+    _assert_close(log.confidence, ref["confidence"])
+    tau = np.array([r.tau for r in result.log.iterations]).reshape(ref["tau"].shape)
+    _assert_close(tau, ref["tau"])
+    layers = [a for wb in result.params.layers for a in wb]
+    ref_layers = [a for wb in ref["params"].layers for a in wb]
+    if use_gsl:
+        layers += [a for wb in result.edge_learner.net.layers for a in wb]
+        ref_layers += [a for wb in ref["edge_learner"].net.layers for a in wb]
+    for a, b in zip(layers, ref_layers, strict=True):
+        _assert_close(a, b)
+    epochs = [
+        (e.epoch, e.iterations_done, k, *e.metrics[k])
+        for e in result.log.epochs
+        for k in sorted(e.metrics)
+    ]
+    assert np.array_equal(np.array(epochs, dtype=np.float64), ref["epochs"])
 
 
 if __name__ == "__main__":
