@@ -125,6 +125,13 @@ def _backprop(params: ModelParams, cache, dlogits: np.ndarray) -> Grads:
     return ((X.T @ dh, dh.sum(axis=0)), (dw2, db2))
 
 
+def forward_probs(params: ModelParams, X: np.ndarray):
+    """Class-probability rows of a feature matrix, plus the cache that
+    :func:`weighted_ce_grads` backpropagates through."""
+    logits, cache = _forward_cache(params, X)
+    return softmax(logits), cache
+
+
 def predict_probs(params: ModelParams, X) -> np.ndarray:
     """Class-probability rows for a feature matrix."""
     X = np.asarray(X, dtype=np.float64)
@@ -132,8 +139,7 @@ def predict_probs(params: ModelParams, X) -> np.ndarray:
         raise ValidationError(
             f"feature matrix must be (n, {params.feature_dim}), got {X.shape}"
         )
-    logits, _ = _forward_cache(params, X)
-    return softmax(logits)
+    return forward_probs(params, X)[0]
 
 
 def forward(params: ModelParams, features) -> Prediction:
@@ -170,16 +176,28 @@ def weighted_ce_loss_grad(
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         return 0.0, zero_grads(params)
-    targets = np.asarray(targets, dtype=np.intp)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    logits, cache = _forward_cache(params, X)
-    probs = softmax(logits)
+    nll, grads = weighted_ce_grads(
+        params, forward_probs(params, X), np.asarray(targets, dtype=np.intp), coeffs
+    )
+    return float(np.sum(coeffs * nll)), grads
+
+
+def weighted_ce_grads(
+    params: ModelParams, forward, targets: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, Grads]:
+    """The probs-to-gradient half of :func:`weighted_ce_loss_grad`.
+
+    From ``forward = forward_probs(params, X)``, returns each row's
+    cross-entropy ``-log(probs[i, targets[i]])`` (probability floored at
+    1e-12) and the gradient of ``sum_i coeffs[i] * cross-entropy[i]``.
+    """
+    probs, cache = forward
     rows = np.arange(len(targets))
-    picked = probs[rows, targets]
-    loss = float(np.sum(coeffs * -np.log(np.maximum(picked, PROB_FLOOR))))
+    nll = -np.log(np.maximum(probs[rows, targets], PROB_FLOOR))
     dlogits = probs * coeffs[:, None]
     dlogits[rows, targets] -= coeffs
-    return loss, _backprop(params, cache, dlogits)
+    return nll, _backprop(params, cache, dlogits)
 
 
 def supervised_loss_grad(

@@ -371,21 +371,19 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
 
     n_fg = train.catalog.n_foreground
     echo = rc.echo()
+    log = result.log.iterations
+    scalars = ("iteration", "loss_annotated", "loss_background", "loss_pseudo", "loss_total",
+               "n_pseudo")
     tables.write_table(
         os.path.join(rc.log_dir, "selftrain_iterations.csv"),
-        ("iteration", "loss_annotated", "loss_background", "loss_pseudo", "loss_total",
-         "n_pseudo") + tuple(f"count_{c}" for c in range(1, n_fg + 1)),
-        [
-            (r.iteration, r.loss_annotated, r.loss_background, r.loss_pseudo,
-             r.loss_total, r.n_pseudo) + r.cumulative_counts
-            for r in result.log.iterations
-        ],
+        scalars + tuple(f"count_{c}" for c in range(1, n_fg + 1)),
+        zip(*(getattr(log, f).tolist() for f in scalars), *log.cumulative_counts.T.tolist()),
         echo=echo,
     )
     tables.write_table(
         os.path.join(rc.log_dir, "thresholds.csv"),
         ("iteration",) + tuple(f"tau_{c}" for c in range(1, n_fg + 1)),
-        [(r.iteration,) + r.tau for r in result.log.iterations],
+        zip(log.iteration.tolist(), *log.tau.T.tolist()),
         echo=echo,
     )
     epoch_rows = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import abc
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,27 +194,51 @@ class AssignmentRecord(NamedTuple):
     confidence: float
 
 
-@dataclass(frozen=True, eq=False)
-class AssignmentLog(abc.Sequence):
-    """Accepted pseudo-labels as parallel columns, read as a sequence of
-    ``AssignmentRecord``s built on access."""
+def _python_values(column: np.ndarray):
+    values = column.tolist()
+    return map(tuple, values) if column.ndim > 1 else values
 
+
+class ColumnLog(abc.Sequence):
+    """Records as parallel array columns, one per field of ``record``, read
+    as a sequence of records built on access; a 2-D column gives each record
+    a tuple.  A slice is a log of the same type, and a log equals any
+    sequence of equal records."""
+
+    record: ClassVar[type]
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.record._fields[0]))
+
+    def __getitem__(self, i):
+        columns = [getattr(self, f)[i] for f in self.record._fields]
+        if isinstance(i, slice):
+            return type(self)(*columns)
+        return self.record._make(next(zip(*(_python_values(c[None]) for c in columns))))
+
+    def __iter__(self):
+        for lo in range(0, len(self), 4096):  # bounded temporaries
+            chunk = (_python_values(getattr(self, f)[lo : lo + 4096]) for f in self.record._fields)
+            yield from map(self.record._make, zip(*chunk))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class AssignmentLog(ColumnLog):
+    """Accepted pseudo-labels as ``AssignmentRecord`` columns."""
+
+    record = AssignmentRecord
     iteration: np.ndarray
     scene_id: np.ndarray
     triplet_index: np.ndarray
     assigned_class: np.ndarray
     confidence: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.iteration)
-
-    def __getitem__(self, i: int) -> AssignmentRecord:
-        return AssignmentRecord(*(getattr(self, f)[i].item() for f in AssignmentRecord._fields))
-
-    def __iter__(self):
-        for lo in range(0, len(self), 4096):  # bounded temporaries
-            chunk = (getattr(self, f)[lo : lo + 4096].tolist() for f in AssignmentRecord._fields)
-            yield from map(AssignmentRecord._make, zip(*chunk))
 
 
 @dataclass(frozen=True)

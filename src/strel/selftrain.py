@@ -7,9 +7,11 @@ SGD step on
 
     mean annotated CE + mean background CE + beta * mean pseudo-label CE.
 
-Thresholds update once per iteration from the same forward pass used for
-the loss (no second inference pass), before the parameter step; neither
-depends on the other within an iteration.  Pseudo-labels are ephemeral:
+Each iteration runs one forward pass over the batch and one backward pass:
+pseudo-label selection and the threshold update read the same probabilities
+the loss trains on, and the three terms enter one gradient through per-row
+coefficients.  Thresholds update before the parameter step; neither depends
+on the other within an iteration.  Pseudo-labels are ephemeral:
 they are recomputed whenever a scene is revisited and never written back
 into the dataset.
 
@@ -17,8 +19,9 @@ The loop reads the training split in its columnar form
 (``Dataset.arrays``): a batch is a gather of the pair rows of its scenes,
 annotated and unannotated pairs are masks over the batch's observed labels,
 pseudo-label selection is one sort of the candidates, the loss terms are
-row gathers and the cumulative counts a ``bincount``.  Accepted labels stay
-arrays, in an ``AssignmentLog`` that builds its records only when read.
+per-row coefficients and the cumulative counts a ``bincount``.  Accepted
+labels and the per-iteration record stay arrays, in an ``AssignmentLog`` and
+an ``IterationLog`` that build their records only when read.
 
 With the edge learner enabled, pair features are refreshed by one
 message-passing round over the sampled edges, pseudo-label candidates are
@@ -37,15 +40,14 @@ import numpy as np
 from . import tensorio
 from .classifier import (
     ModelParams,
-    add_grads,
     class_weights,
     downsample_background,
+    forward_probs,
     params_from_tensors,
     params_to_tensors,
     predict_probs,
     sgd_step,
-    weighted_ce_loss_grad,
-    zero_grads,
+    weighted_ce_grads,
 )
 from .edges import (
     EdgeLearnerParams,
@@ -58,7 +60,7 @@ from .edges import (
 )
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import BG_INDEX, Dataset
-from .metrics import AssignmentLog, evaluate
+from .metrics import AssignmentLog, ColumnLog, evaluate
 from .rngs import stream
 from .thresholds import (
     MomentumCoefficients,
@@ -146,8 +148,7 @@ class LossBreakdown:
         return self.annotated + self.background + self.beta * self.pseudo
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     iteration: int
     loss_annotated: float
     loss_background: float
@@ -156,6 +157,22 @@ class IterationRecord:
     tau: tuple[float, ...]
     cumulative_counts: tuple[int, ...]
     n_pseudo: int
+
+
+@dataclass(frozen=True, eq=False)
+class IterationLog(ColumnLog):
+    """Per-iteration ``IterationRecord`` columns; ``tau`` and
+    ``cumulative_counts`` hold one row per iteration."""
+
+    record = IterationRecord
+    iteration: np.ndarray
+    loss_annotated: np.ndarray
+    loss_background: np.ndarray
+    loss_pseudo: np.ndarray
+    loss_total: np.ndarray
+    tau: np.ndarray
+    cumulative_counts: np.ndarray
+    n_pseudo: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -167,7 +184,7 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class TrainLog:
-    iterations: tuple[IterationRecord, ...]
+    iterations: IterationLog
     epochs: tuple[EpochRecord, ...]
 
 
@@ -242,7 +259,7 @@ def assign_pseudo_labels(
 
 def three_term_loss(
     params: ModelParams,
-    features: np.ndarray,
+    forward,
     annotated: tuple[np.ndarray, np.ndarray],
     background: np.ndarray,
     pseudo: tuple[np.ndarray, np.ndarray],
@@ -251,28 +268,31 @@ def three_term_loss(
 ) -> tuple[float, tuple, LossBreakdown]:
     """Annotated, background, and pseudo-label cross-entropy means.
 
-    ``annotated`` and ``pseudo`` are ``(rows, classes)`` pairs and
-    ``background`` the rows that target the background class, all indexing
-    ``features``.  Each term is a mean over its own rows (empty terms
-    contribute zero); the total is exactly annotated + background + beta *
-    pseudo, and the returned gradients match it.
+    ``forward`` is ``forward_probs`` over a batch.  ``annotated`` and
+    ``pseudo`` are ``(rows, classes)`` pairs and ``background`` the rows
+    that target the background class: disjoint sets of batch rows, and rows
+    in none of them carry no loss.  Each term is a mean over its own rows
+    (empty terms contribute zero); the total is exactly annotated +
+    background + beta * pseudo, and one backward pass with per-row
+    coefficients ``w[target] / n_term`` (times beta on pseudo rows) returns
+    its gradient.
     """
     w = np.asarray(weights, dtype=np.float64)
-
-    def term(rows, targets):
-        if len(rows) == 0:
-            return 0.0, zero_grads(params)
-        t = np.asarray(targets, dtype=np.intp)
-        return weighted_ce_loss_grad(params, features[rows], t, w[t] / len(rows))
-
-    loss_a, g_a = term(*annotated)
-    loss_b, g_b = term(background, np.full(len(background), BG_INDEX))
-    loss_p, g_p = term(*pseudo)
+    n = len(forward[0])
+    targets, coeffs = np.full(n, BG_INDEX, dtype=np.intp), np.zeros(n)
+    terms = (annotated, (background, np.full(len(background), BG_INDEX)), pseudo)
+    for rows, classes in terms:
+        if len(rows):
+            targets[rows] = classes
+            coeffs[rows] = w[targets[rows]] / len(rows)
+    grad_coeffs = coeffs.copy()
+    grad_coeffs[pseudo[0]] *= beta
+    nll, grads = weighted_ce_grads(params, forward, targets, grad_coeffs)
+    loss_a, loss_b, loss_p = (float(np.sum(coeffs[rows] * nll[rows])) for rows, _ in terms)
     breakdown = LossBreakdown(annotated=loss_a, background=loss_b, pseudo=loss_p, beta=beta)
     total = breakdown.total
     if not math.isfinite(total):
         raise RuntimeAbort("non-finite self-training loss")
-    grads = add_grads(add_grads(g_a, g_b), g_p, scale=beta)
     return total, grads, breakdown
 
 
@@ -361,7 +381,11 @@ def run(
 
     n_scenes = len(train.scenes)
     batches_per_epoch = math.ceil(n_scenes / cfg.batch_size)
-    iter_records: list[IterationRecord] = []
+    n_iter, n_fg = max(cfg.max_iterations - start_iteration, 0), catalog.n_foreground
+    losses = np.zeros((n_iter, 4))  # annotated, background, pseudo, total
+    tau_log = np.zeros((n_iter, n_fg))
+    count_log = np.zeros((n_iter, n_fg), dtype=np.int64)
+    n_pseudo = np.zeros(n_iter, dtype=np.int64)
     epoch_records: list[EpochRecord] = []
     # (iteration, split rows, per-row values) of accepted labels and edge samples
     accepted_log: list[tuple[np.ndarray, ...]] = []
@@ -401,7 +425,8 @@ def run(
                 if keep_edge_trace:
                     edge_log.append((it, rows, samples.score, samples.noise, samples.hard))
 
-            probs = predict_probs(params, X[un])
+            forward = forward_probs(params, X)
+            probs = forward[0][un]
             pred_classes, confidences = np.argmax(probs, axis=1), probs.max(axis=1)
             accepted = assign_pseudo_labels(
                 np.stack([arrays.pair_scene[rows[un]], arrays.pair_index[rows[un]]], axis=1),
@@ -420,7 +445,7 @@ def run(
                 )
             total, grads, breakdown = three_term_loss(
                 params,
-                X,
+                forward,
                 (ann, observed[ann]),
                 background,
                 (pseudo, pseudo_classes),
@@ -455,20 +480,11 @@ def run(
             params = sgd_step(params, grads, cfg.learning_rate)
 
             if len(pseudo):
-                counts += np.bincount(pseudo_classes - 1, minlength=catalog.n_foreground)
+                counts += np.bincount(pseudo_classes - 1, minlength=n_fg)
                 accepted_log.append((it, rows[pseudo], pseudo_classes, confidences[accepted]))
-            iter_records.append(
-                IterationRecord(
-                    iteration=it,
-                    loss_annotated=breakdown.annotated,
-                    loss_background=breakdown.background,
-                    loss_pseudo=breakdown.pseudo,
-                    loss_total=total,
-                    tau=tuple(state.tau.tolist()),
-                    cumulative_counts=tuple(counts.tolist()),
-                    n_pseudo=len(pseudo),
-                )
-            )
+            i = it - start_iteration
+            losses[i] = breakdown.annotated, breakdown.background, breakdown.pseudo, total
+            tau_log[i], count_log[i], n_pseudo[i] = state.tau, counts, len(pseudo)
             it += 1
         if val is not None:
             report = evaluate(params, val, metric_ks, edge_learner if cfg.use_gsl else None)
@@ -488,7 +504,13 @@ def run(
     edge_columns = _log_columns(arrays, edge_log, (np.zeros(0),) + no_values)
     return SelfTrainResult(
         params=params,
-        log=TrainLog(iterations=tuple(iter_records), epochs=tuple(epoch_records)),
+        log=TrainLog(
+            iterations=IterationLog(
+                np.arange(start_iteration, start_iteration + n_iter), *losses.T,
+                tau_log, count_log, n_pseudo,
+            ),
+            epochs=tuple(epoch_records),
+        ),
         assignments=AssignmentLog(*_log_columns(arrays, accepted_log, no_values)),
         thresholds=state,
         edge_learner=edge_learner,

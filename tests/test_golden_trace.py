@@ -50,58 +50,58 @@ REL_TOL = 1e-12
 GOLDEN = {
     ('catm', False): {
         'n_assignments': 1730,
-        'assignments': '08281a88f246d453e981004154e0cf2cd3a1de2fb5e7aea02947470ee861ccc5',
-        'params': 'bf6d8500d94e88aa3e93f08a561e6fb2ddfd665a7721546cfefdf3bae9983b5a',
-        'tau': 'b15c10aa37ee79ca55f54260fb16341c98bd9775e311137487ad3b726c8794d4',
+        'assignments': '16215dc011b715453618f25635ead9ca74d605e5c1f79f3c123f20532fc7f07d',
+        'params': '72adacfc8050686045d46775960dce40b568eedcc0a50d88f00ec762139aefa1',
+        'tau': 'ac61673a63e63dcd6ccdc8447ca8ccc5fc00f88ec0884805ee7ee2968fa7cb6a',
         'epochs': 'ac3ec7dc0e79ea9998d03c8c1a4d7902722bb0bb4318f97f11fb96bfea3ac7dd',
     },
     ('constant', False): {
         'n_assignments': 781,
-        'assignments': '26976d1c1550c0a42b97320a2d2bab294419a7921ba600107628d01b7c6bc5e9',
-        'params': '54c18f3bfad1d015f0469633248dd9c4bd6b089647bd6f08d48545066145732c',
+        'assignments': '2870fc43ea630b097108f01a420c4e6e460596d2dd4144c207a87c30d108f873',
+        'params': '5cec121f8ab750dfaccff35f5cf1f968afa736a7c5cc8b594e84a5e32243ae78',
         'tau': 'a02c78485cc2e15b3f30c9f556fb654880e3714e5377a53908c779f042d4c0be',
         'epochs': '5ca2d5d537bde119082c60c73152389e363657e159083561c142c3116c6da52d',
     },
     ('fixed-class', False): {
         'n_assignments': 1778,
-        'assignments': '53f785126877cf4264b135161105a8cbc5be9548b08fcac18d8f9c2989fedc63',
-        'params': 'f1a0649b023ce981a48e5064ab25d3321925c5e1f42142f924695d9980767a7e',
+        'assignments': '5115fcabe1bb98918da3cf4b8c222204c05a62344c2aecfb93ec053c999e3858',
+        'params': '835dcabcc886084cadd84f683e8e11af5586eb46a115f19aede5856b73063b99',
         'tau': '9a358c0651d4c797f2d41cd4600ed82281ad0276012e94a766a080209cd9bdee',
         'epochs': 'd12262a7d1b7a2265e6de534ce0409cc9636264fbc84627814178b6dfd1a047c',
     },
     ('freq-weighted', False): {
         'n_assignments': 1865,
-        'assignments': '6e09d8912e23cdca1489ad3d278ff1a6795a0f513be02a4457f7399431535ce4',
-        'params': '52f94c06e876dab530453c63153b2928c67dfbe70bde0d9f5846ec2b5b98b6ed',
+        'assignments': 'b61eb0c09d83b5511561bd49b11ec08ce1f329db34d0caadd0f0bcd5554419c1',
+        'params': '4a30e389b515c8f4590cddff92516d7d44c46905fcc108f5dc7b6ef6489edb5e',
         'tau': '37e327ab90127c7d43ba023e516e1db49feb29e75a3c133c76c7ebe4ee2cc671',
         'epochs': '9423de177f85c24dccb89f0e9ac6cf10f165c18fc3a512493226a1403a06d7cc',
     },
     ('dash-adaptive', False): {
         'n_assignments': 1476,
-        'assignments': '8ab473983a5f7a1fd60f6bf01306943efddfbf04f7fa269aaf0918a9de185539',
-        'params': 'd0b3d09160e64b09672e020f2573d4b53805de96e6ea0d2d89cde56afac9aea5',
+        'assignments': '70fc7e66d50e9605f555b454081270ddbe1b9076757d4d3ae1f496f6fed094d6',
+        'params': '8cd37bdacb59b57dbe4768a7ed57eb33a891490362c96bc6a99570f8585867c5',
         'tau': 'c5767acb6170f6c1ef60211e5d6843dc408bf9345395d8ec964e7e2859bbb99f',
         'epochs': 'f3f7b03d6cb9475121d5139ccfc5e6e8b3300e92dbdf2b789b5be2e443e2371d',
     },
     ('valid-interval', False): {
         'n_assignments': 939,
-        'assignments': '03cd0da08d4ea3d44051cf1a4aa334cc1cda1ec84bcc5ff16adf42e837efd884',
-        'params': '6e6d1766d3300bae63b91c8cc51ee65374883e990ccc8c2ff90999053fe7cb8c',
-        'tau': 'f1bebb7f3cb4169884bbcc4c7890e247c2411c741e0f3dca064d2c3dff22da26',
+        'assignments': '2126f77b294f410173644900978b11d10f876932f0ab997e8a0fe74d7fc76e81',
+        'params': 'daa8d574964217ce3386d86e503dd13d206270f4dad439193742b48cce5c671a',
+        'tau': '66a94f4fe45cfb83d84d11ee93e3ff414d593fda29e4b4eb6f3764b3e1f1dd92',
         'epochs': '3e93155068a40c09a1bd567030512f1f573b2c01602870afe6ea4eccc82d542e',
     },
     ('never', False): {
         'n_assignments': 0,
         'assignments': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'params': 'c61877b929d6c900892b657cc601631be9405db18784ba01d224a94a3d40145f',
+        'params': 'f9dfcfc95ec0c7bacdea1c8e27afde722620e3abffda6157d60c75743bb546d3',
         'tau': 'e4190bf93e24bcf8e8861a8901d31a4f22c435c951faa399ade31357df139aec',
         'epochs': 'ca10fc75dc174a1c137dc9967e75b1dd9dfef836275cc4710c003dd1bcc6230c',
     },
     ('catm', True): {
         'n_assignments': 41,
-        'assignments': '604a260e971bd7b4f117f7b28d6b91f1770a5f0ae461335ad1a6746161424f4a',
-        'params': 'f3e0bb397ca21e23b92f917a856dafedaa20d013064f734286fc46ccfcb166c4',
-        'tau': 'aed2b81872be9d3b6ed73dc53dca95f6e7b5fabef97420a82aebc447c25c00b3',
+        'assignments': '7737e37f82c10e66f3fca5bd24b46f5e124e29a2509278ae0e2fb4f34d690e2b',
+        'params': 'fd8fa92db893e1f2754717ecd9d7e6e7ffda1177758910496d0fc085f41e3b41',
+        'tau': '009452b894b8368fb533a1e571a6668ade71b3c826865ee0530dbb28807bd23e',
         'epochs': '0f54bc7a010e9ee619c92b86e55a9d9e057e871b1ec014aeb7802c416842d36a',
     },
 }

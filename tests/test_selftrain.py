@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from strel.classifier import (
     ModelParams,
-    background_loss_grad,
-    add_grads,
     class_weights,
+    forward_probs,
     init_params,
     sgd_step,
-    supervised_loss_grad,
+    weighted_ce_loss_grad,
 )
 from strel.errors import ConfigError
 from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog, compile_split
@@ -187,7 +186,7 @@ def crafted_three_instance_setup():
     )
     params = ModelParams(arch="linear", layers=((logits.copy(), np.zeros(3)),))
     terms = dict(
-        features=np.eye(3),
+        forward=forward_probs(params, np.eye(3)),
         annotated=(np.array([0]), np.array([1])),
         background=np.array([1]),
         pseudo=(np.array([2]), np.array([2])),
@@ -236,7 +235,6 @@ class TestThreeTermLoss:
             arrays = ds.arrays
             annotated, unannotated = (np.array(p) for p in partition_batch(arrays.observed))
             terms = dict(
-                features=arrays.features,
                 annotated=(annotated, arrays.observed[annotated]),
                 background=unannotated[2:],
                 pseudo=(unannotated[:2], rng.integers(1, 3, size=2)),
@@ -244,10 +242,11 @@ class TestThreeTermLoss:
             params = init_params("mlp", 8, 3, hidden_dim=4, seed=trial)
             w = np.array([1.0, 1.3, 0.7])
             beta = 0.7
-            _, grads, _ = three_term_loss(params, **terms, weights=w, beta=beta)
-            err = gradient_relative_error(
-                grads, lambda p: three_term_loss(p, **terms, weights=w, beta=beta)[0], params
-            )
+
+            def loss(p):
+                return three_term_loss(p, forward_probs(p, arrays.features), **terms, weights=w, beta=beta)
+
+            err = gradient_relative_error(loss(params)[1], lambda p: loss(p)[0], params)
             assert err <= 1e-4
 
 
@@ -325,8 +324,9 @@ class TestRun:
         )
         result = run(start, train, val, cfg)
 
-        # independent reference: conventional two-term supervised loop over
-        # the same deterministic batch stream
+        # independent reference: one weighted cross-entropy step per batch
+        # over the same deterministic batch stream, in batch row order, with
+        # the annotated and background means as per-row coefficients
         w = class_weights(train.catalog, "none")
         params = start
         n = len(train.scenes)
@@ -339,11 +339,15 @@ class TestRun:
                 if it >= cfg.max_iterations:
                     break
                 scenes = [train.scenes[int(i)] for i in order[b * 5 : (b + 1) * 5]]
-                ann = [t for s in scenes for t in s.triplets if t.observed_label != BG_INDEX]
-                bg = [t for s in scenes for t in s.triplets if t.observed_label == BG_INDEX]
-                la, ga = supervised_loss_grad(params, ann, w)
-                lb, gb = background_loss_grad(params, bg, w)
-                params = sgd_step(params, add_grads(ga, gb), cfg.learning_rate)
+                batch = [t for s in scenes for t in s.triplets]
+                y = np.array([t.observed_label for t in batch])
+                ann = y != BG_INDEX
+                coeffs = np.where(
+                    ann, w[y] / max(ann.sum(), 1), w[BG_INDEX] / max((~ann).sum(), 1)
+                )
+                X = np.stack([t.features for t in batch])
+                _, grads = weighted_ce_loss_grad(params, X, y, coeffs)
+                params = sgd_step(params, grads, cfg.learning_rate)
                 it += 1
             epoch += 1
 
