@@ -264,7 +264,13 @@ def load_split(rc: RunConfig, split: str) -> Dataset:
     if not os.path.exists(manifest):
         raise ConfigError(f"missing manifest: {manifest}")
     with open(manifest, "r", encoding="utf-8") as fh:
-        info = json.load(fh)
+        try:
+            info = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{manifest}: not valid JSON ({exc})") from exc
+    missing = [k for k in ("class_names", "train_counts") if not isinstance(info, dict) or k not in info]
+    if missing:
+        raise ValidationError(f"{manifest}: missing {' and '.join(missing)}")
     catalog = PredicateCatalog(
         class_names=tuple(info["class_names"]), counts=tuple(info["train_counts"])
     )

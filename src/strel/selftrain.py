@@ -577,6 +577,8 @@ def load_checkpoint(path):
     Returns (params, thresholds, iteration, cumulative_counts, meta).
     """
     tensors, meta = tensorio.load_tensors(path)
+    if "threshold_kind" not in meta or "thresholds.tau" not in tensors:
+        raise ValidationError(f"{path} is not a self-train checkpoint")
     params = params_from_tensors(tensors, meta["arch"])
     tau = tensors["thresholds.tau"]
     if meta["threshold_kind"] == "state":

@@ -177,6 +177,26 @@ class TestCorruptInputs:
         open(path, "wb").write(data[: int(keep * len(data))])
         self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
 
+    def test_resume_from_pretrain_checkpoint(self, run_dir, capsys):
+        ckpt = os.path.join(run_dir, "ckpt", "pretrain.ckpt")
+        self._fails_with_one_line(["selftrain", "--resume", ckpt] + tiny_args(run_dir), capsys)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[: len(text) // 2],  # truncated
+            lambda text: text.replace('"class_names"', '"names"'),
+            lambda text: text.replace('"train_counts"', '"counts"'),
+            lambda text: "[]",
+        ],
+        ids=["truncated", "no-class-names", "no-train-counts", "not-an-object"],
+    )
+    def test_bad_manifest(self, run_dir, edit, capsys):
+        path = os.path.join(run_dir, "data", "manifest.json")
+        text = open(path).read()
+        open(path, "w").write(edit(text))
+        self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
+
     @pytest.mark.parametrize("line", ['{"scene_id": 7, "entities": [', '{"scene_id": 7}'])
     def test_malformed_scene_line(self, run_dir, line, capsys):
         with open(os.path.join(run_dir, "data", "test.jsonl"), "a") as fh:
