@@ -1,7 +1,9 @@
 """Microbenchmarks of the self-training hot path at benchmark size.
 
 One batch of the default benchmark is 20 scenes of about 8 pairs each; the
-test split is 400 such scenes.  Each benchmark runs a fixed number of
+test split is 400 such scenes.  ``test_selftrain_step`` times one whole
+self-training iteration: batch gather, forward, selection, loss, backward,
+threshold update and parameter step.  Each benchmark runs a fixed number of
 rounds (``benchmark.pedantic``) so the suite stays fast; compare the
 timings across changes with ``pytest tests/test_microbench.py
 --benchmark-only``.
@@ -13,21 +15,23 @@ import numpy as np
 import pytest
 
 from strel import synthgen
-from strel.classifier import init_params, predict_probs
+from strel.classifier import class_weights, forward_probs, init_params, predict_probs, sgd_step
 from strel.cli import RunConfig, generator_config
 from strel.edges import gumbel_noise, message_pass, sample_edges
 from strel.metrics import evaluate
 from strel.rngs import stream
-from strel.selftrain import assign_pseudo_labels
+from strel.selftrain import assign_pseudo_labels, partition_batch, three_term_loss
 from strel.thresholds import ema_update, initial_state, momentum_coefficients
 
 ROUNDS = 30
 
 
+RC = RunConfig(n_scenes=400)
+
+
 @pytest.fixture(scope="module")
 def split():
-    rc = RunConfig(n_scenes=400)
-    return synthgen.generate(generator_config(rc))
+    return synthgen.generate(generator_config(RC))
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +79,29 @@ def test_message_pass(benchmark, split, batch):
     hard = stream(0, "hard").integers(0, 2, size=len(rows))
     out = _run(benchmark, message_pass, ents, subj, obj, hard)
     assert out.shape == (len(rows), 2 * ents.shape[1])
+
+
+def test_selftrain_step(benchmark, split):
+    train = synthgen.mask_annotations(split, RC.annotated_fraction, RC.mask_seed)
+    arrays, n_fg = train.arrays, train.catalog.n_foreground
+    params = init_params("linear", arrays.features.shape[1], train.catalog.n_classes, seed=1)
+    state = initial_state(momentum_coefficients(train.catalog), n_fg)
+    w = class_weights(train.catalog, "none")
+
+    def step():  # the body of one ``selftrain.run`` iteration without the edge learner
+        rows = arrays.rows_of(np.arange(20))
+        observed = arrays.observed[rows]
+        ann, un = (np.asarray(side, dtype=np.intp) for side in partition_batch(observed))
+        forward = forward_probs(params, arrays.features[rows])
+        probs = forward[0][un]
+        pred, conf = np.argmax(probs, axis=1), probs.max(axis=1)
+        keys = np.stack([arrays.pair_scene[rows[un]], arrays.pair_index[rows[un]]], axis=1)
+        accepted = assign_pseudo_labels(keys, pred, conf, state, 3)
+        _, grads, _ = three_term_loss(
+            params, forward, (ann, observed[ann]), np.delete(un, accepted),
+            (un[accepted], pred[accepted]), w, 1.0,
+        )
+        return accepted, ema_update(state, pred, conf), sgd_step(params, grads, 0.5)
+
+    accepted, _, _ = _run(benchmark, step)
+    assert len(accepted) > 0
