@@ -279,16 +279,17 @@ def three_term_loss(
     """
     w = np.asarray(weights, dtype=np.float64)
     n = len(forward[0])
+    term_rows = (annotated[0], background, pseudo[0])
     targets, coeffs = np.full(n, BG_INDEX, dtype=np.intp), np.zeros(n)
-    terms = (annotated, (background, np.full(len(background), BG_INDEX)), pseudo)
-    for rows, classes in terms:
+    targets[annotated[0]], targets[pseudo[0]] = annotated[1], pseudo[1]
+    for rows in term_rows:
         if len(rows):
-            targets[rows] = classes
             coeffs[rows] = w[targets[rows]] / len(rows)
     grad_coeffs = coeffs.copy()
     grad_coeffs[pseudo[0]] *= beta
     nll, grads = weighted_ce_grads(params, forward, targets, grad_coeffs)
-    loss_a, loss_b, loss_p = (float(np.sum(coeffs[rows] * nll[rows])) for rows, _ in terms)
+    row_loss = coeffs * nll
+    loss_a, loss_b, loss_p = (float(row_loss[rows].sum()) for rows in term_rows)
     breakdown = LossBreakdown(annotated=loss_a, background=loss_b, pseudo=loss_p, beta=beta)
     total = breakdown.total
     if not math.isfinite(total):
@@ -379,6 +380,7 @@ def run(
             focal_gamma=cfg.focal_gamma,
         )
 
+    keys = np.stack([arrays.pair_scene, arrays.pair_index], axis=1).astype(np.int64)
     n_scenes = len(train.scenes)
     batches_per_epoch = math.ceil(n_scenes / cfg.batch_size)
     n_iter, n_fg = max(cfg.max_iterations - start_iteration, 0), catalog.n_foreground
@@ -429,7 +431,7 @@ def run(
             probs = forward[0][un]
             pred_classes, confidences = np.argmax(probs, axis=1), probs.max(axis=1)
             accepted = assign_pseudo_labels(
-                np.stack([arrays.pair_scene[rows[un]], arrays.pair_index[rows[un]]], axis=1),
+                keys[rows[un]],
                 pred_classes,
                 confidences,
                 state,
@@ -437,7 +439,9 @@ def run(
                 gates,
             )
             pseudo, pseudo_classes = un[accepted], pred_classes[accepted]
-            background = np.delete(un, accepted)
+            unaccepted = np.ones(len(un), dtype=bool)
+            unaccepted[accepted] = False
+            background = un[unaccepted]
             if cfg.bg_downsample < 1.0:
                 rng = stream(cfg.seed, "bg-downsample", it)
                 background = np.asarray(
