@@ -211,10 +211,10 @@ class ColumnLog(abc.Sequence):
         return len(getattr(self, self.record._fields[0]))
 
     def __getitem__(self, i):
-        columns = [getattr(self, f)[i] for f in self.record._fields]
         if isinstance(i, slice):
-            return type(self)(*columns)
-        return self.record._make(next(zip(*(_python_values(c[None]) for c in columns))))
+            return type(self)(*(getattr(self, f)[i] for f in self.record._fields))
+        j = range(len(self))[i]  # negative i counts from the end; IndexError when out of range
+        return next(iter(self[j : j + 1]))
 
     def __iter__(self):
         for lo in range(0, len(self), 4096):  # bounded temporaries
@@ -225,8 +225,6 @@ class ColumnLog(abc.Sequence):
         if not isinstance(other, abc.Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)

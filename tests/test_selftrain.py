@@ -316,6 +316,19 @@ class TestRun:
             last = current
         assert last.sum() == len(result.assignments)
 
+    def test_iteration_log_reads_as_records(self):
+        train, val, _ = masked_dataset(n_scenes=20)
+        params = init_params("linear", 8, 3, seed=9)
+        log = run(params, train, val, small_selftrain_config(max_iterations=7)).log.iterations
+        records = tuple(log)
+        assert len(log) == len(records) == 7 and log == records and records == log
+        assert log[-1] == records[-1] and log[2:5] == records[2:5] and log[::-2] == records[::-2]
+        assert type(records[0].tau) is tuple and type(records[0].cumulative_counts) is tuple
+        assert np.array_equal(log.tau, [r.tau for r in records])
+        assert log != records[:-1]
+        with pytest.raises(IndexError):
+            log[7]
+
     def test_never_policy_equals_supervised_continuation(self):
         train, val, _ = masked_dataset(n_scenes=15)
         start = init_params("linear", 8, 3, seed=4)
