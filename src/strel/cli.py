@@ -358,6 +358,11 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     result = run(params, train, val, cfg, metric_ks=rc.metric_ks,
                  keep_edge_trace=edge_trace, **kwargs)
 
+    log = result.log.iterations
+    if len(log):
+        counts = log.cumulative_counts[-1]
+    else:  # nothing left to run: the resumed counts stand
+        counts = kwargs.get("cumulative_counts", np.zeros(train.catalog.n_foreground, np.int64))
     os.makedirs(rc.checkpoint_dir, exist_ok=True)
     os.makedirs(rc.log_dir, exist_ok=True)
     save_checkpoint(
@@ -365,8 +370,7 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
         result.params,
         result.thresholds,
         cfg.max_iterations,
-        result.log.iterations[-1].cumulative_counts if result.log.iterations else
-        [0] * train.catalog.n_foreground,
+        counts,
         cfg.seed,
         {"config": rc.echo()},
     )
@@ -377,19 +381,18 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
 
     n_fg = train.catalog.n_foreground
     echo = rc.echo()
-    log = result.log.iterations
     scalars = ("iteration", "loss_annotated", "loss_background", "loss_pseudo", "loss_total",
                "n_pseudo")
-    tables.write_table(
+    tables.write_columns(
         os.path.join(rc.log_dir, "selftrain_iterations.csv"),
         scalars + tuple(f"count_{c}" for c in range(1, n_fg + 1)),
-        zip(*(getattr(log, f).tolist() for f in scalars), *log.cumulative_counts.T.tolist()),
+        [getattr(log, f) for f in scalars] + list(log.cumulative_counts.T),
         echo=echo,
     )
-    tables.write_table(
+    tables.write_columns(
         os.path.join(rc.log_dir, "thresholds.csv"),
         ("iteration",) + tuple(f"tau_{c}" for c in range(1, n_fg + 1)),
-        zip(log.iteration.tolist(), *log.tau.T.tolist()),
+        [log.iteration, *log.tau.T],
         echo=echo,
     )
     epoch_rows = []
@@ -403,10 +406,10 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     for k in rc.metric_ks:
         header.extend([f"recall_at_{k}", f"mean_recall_at_{k}", f"f_at_{k}"])
     tables.write_table(os.path.join(rc.log_dir, "selftrain_epochs.csv"), header, epoch_rows, echo=echo)
-    tables.write_table(
+    tables.write_columns(
         os.path.join(rc.log_dir, "assignments.csv"),
         AssignmentRecord._fields,
-        result.assignments,
+        [getattr(result.assignments, f) for f in AssignmentRecord._fields],
         echo=echo,
     )
     if edge_trace:
@@ -416,7 +419,7 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
             result.edge_trace,
             echo=echo,
         )
-    print(f"self-trained {cfg.max_iterations} iterations with policy {cfg.policy}; "
+    print(f"self-trained {len(log)} iterations with policy {cfg.policy}; "
           f"{len(result.assignments)} pseudo-labels assigned")
     return 0
 
@@ -474,8 +477,10 @@ def cmd_audit(rc: RunConfig, assignments_path: str | None, split: str) -> int:
     path = assignments_path or os.path.join(rc.log_dir, "assignments.csv")
     if not os.path.exists(path):
         raise ConfigError(f"missing assignment log: {path} (run `strel selftrain`)")
-    _, rows = tables.read_table(path)
-    audit = audit_pseudo_labels(_assignment_log(path, rows), dataset)
+    columns = tables.read_columns(
+        path, AssignmentRecord._fields, [np.int64] * 4 + [np.float64]  # confidence is last
+    )
+    audit = audit_pseudo_labels(AssignmentLog(*columns), dataset)
     os.makedirs(rc.log_dir, exist_ok=True)
     tables.write_table(
         os.path.join(rc.log_dir, "audit.csv"),
@@ -498,19 +503,6 @@ def cmd_audit(rc: RunConfig, assignments_path: str | None, split: str) -> int:
         f"bg_violations={audit.bg_violations}"
     )
     return 0
-
-
-def _assignment_log(path: str, rows: list[list[str]]) -> AssignmentLog:
-    """The columns of an assignment table; a malformed row is a ValidationError."""
-    width = len(AssignmentRecord._fields)
-    for n, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise ValidationError(f"{path}: data row {n} has {len(row)} columns, expected {width}")
-    dtypes = [np.int64] * (width - 1) + [np.float64]  # the last column is the confidence
-    try:
-        return AssignmentLog(*map(np.array, list(zip(*rows)) or [()] * width, dtypes))
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: bad assignment value: {exc}") from exc
 
 
 def cmd_sweep(rc: RunConfig, grid: str) -> int:

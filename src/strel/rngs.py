@@ -23,6 +23,14 @@ def _tag_int(tag) -> int:
 
 
 def stream(seed: int, *tags) -> np.random.Generator:
-    """Generator for the stream keyed by ``(seed, *tags)``."""
-    entropy = [int(seed) & _MASK64] + [_tag_int(t) for t in tags]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    """Generator for the stream keyed by ``(seed, *tags)``.
+
+    The entropy is the ``uint32`` array that ``SeedSequence`` derives from
+    the list ``[seed, *tags]``: each value's 32-bit words, least significant
+    first, with a zero as one word.  Passing the array skips numpy's coercion
+    of the list element by element and seeds the same stream.
+    """
+    words = []
+    for value in (int(seed) & _MASK64, *map(_tag_int, tags)):
+        words += (value & _MASK32, value >> 32) if value >> 32 else (value,)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))

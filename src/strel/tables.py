@@ -1,19 +1,58 @@
 """Comma-separated tables with a self-describing config echo.
 
 Every artifact starts with ``# key=value`` comment lines echoing the run
-configuration, then a header row, then data rows.  Floats are written with
-shortest round-trip precision.
+configuration, sorted by key, then a header row, then data rows.
+
+Tables are written column by column (:func:`write_columns`).  Each column is
+formatted once, as a whole: a float column (a floating-point array, or
+Python floats) cell by cell with ``repr``, which is the shortest text that
+parses back to the same float, and every other cell with ``str``.  A NumPy
+column goes through ``tolist`` first, so its cells are Python ints and
+floats.  Rows are formatted and written ``CHUNK_ROWS`` at a time, so the
+text held in memory does not grow with the table.  :func:`write_table`
+takes rows and writes them through the same formatter.
+
+:func:`read_columns` parses a table body with one ``np.loadtxt`` call into
+typed columns; :func:`read_table` returns the cells as strings.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 
-def format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+from .errors import ValidationError
+
+CHUNK_ROWS = 4096
+
+
+def _cells(column) -> list[str]:
+    """The text of each cell of one column."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return [repr(v) if isinstance(v, float) else str(v) for v in column]
+
+
+def write_columns(
+    path,
+    header: Sequence[str],
+    columns: Sequence[Sequence],
+    echo: Mapping[str, object] | None = None,
+) -> None:
+    """Write ``columns`` (arrays or sequences of equal length, one per header
+    name) under the config echo and the header."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    n_rows = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(echo or {}):
+            fh.write(f"# {key}={echo[key]}\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, CHUNK_ROWS):
+            cells = [_cells(c[lo : lo + CHUNK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
 def write_table(
@@ -22,25 +61,44 @@ def write_table(
     rows: Iterable[Sequence],
     echo: Mapping[str, object] | None = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(echo or {}):
-            fh.write(f"# {key}={echo[key]}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(v) for v in row) + "\n")
+    """Write ``rows``, each a sequence of one cell per header name."""
+    columns = list(zip(*rows, strict=True)) or [()] * len(header)
+    write_columns(path, header, columns, echo)
+
+
+def _skip_to_body(fh) -> list[str]:
+    """Advance ``fh`` past the config echo and the header; return the header."""
+    for line in fh:
+        line = line.rstrip("\n")
+        if line and not line.startswith("#"):
+            return line.split(",")
+    return []
+
+
+def read_columns(path, names: Sequence[str], dtypes: Sequence) -> tuple[np.ndarray, ...]:
+    """The columns of a table whose header is ``names``, parsed as ``dtypes``.
+
+    A header-only table gives empty columns.  A missing or extra cell, or a
+    cell that does not parse as its column's dtype, is a ``ValidationError``.
+    """
+    dtype = np.dtype(list(zip(names, dtypes)))
+    with open(path, "r", encoding="utf-8") as fh:
+        header = _skip_to_body(fh)
+        if header != list(names):
+            raise ValidationError(f"{path}: header {','.join(header)!r} is not {','.join(names)!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                body = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=1)
+        except (ValueError, OverflowError) as exc:
+            # numpy's message ends with advice on its own arguments after a ';'
+            raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from exc
+    return tuple(body[name] for name in names)
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a table back, skipping the config echo."""
-    header: list[str] = []
-    rows: list[list[str]] = []
+    """Read a table back as its header and rows of cell strings."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if not header:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
-    return header, rows
+        header = _skip_to_body(fh)
+        lines = (line.rstrip("\n") for line in fh)
+        return header, [line.split(",") for line in lines if line and not line.startswith("#")]

@@ -6,6 +6,7 @@ import pytest
 
 from strel import cli
 from strel.errors import RuntimeAbort
+from strel.selftrain import load_checkpoint
 from strel.tables import read_table
 
 
@@ -149,10 +150,20 @@ class TestPipeline:
         assert code == 1
         assert "pretrain.ckpt" in capsys.readouterr().err
 
-    def test_resume_flag(self, pipeline_dir, tmp_path):
-        args = tiny_args(pipeline_dir, **{"log-dir": str(tmp_path / "resume")})
-        ckpt = os.path.join(pipeline_dir, "ckpt", "selftrain.ckpt")
-        assert cli.main(["selftrain", "--resume", ckpt] + args) == 0
+    def test_resume_flag(self, pipeline_dir, tmp_path, capsys):
+        """Resuming a run that is already at max_iterations keeps its counts."""
+        root = str(tmp_path / "run")
+        shutil.copytree(pipeline_dir, root)
+        assert cli.main(["selftrain"] + tiny_args(root)) == 0  # other tests rewrite the checkpoint
+        finished = str(tmp_path / "finished.ckpt")
+        shutil.copy(os.path.join(root, "ckpt", "selftrain.ckpt"), finished)
+        capsys.readouterr()
+        assert cli.main(["selftrain", "--resume", finished] + tiny_args(root)) == 0
+        assert capsys.readouterr().out.startswith("self-trained 0 iterations")
+        counts = load_checkpoint(finished)[3]
+        assert counts.sum() > 0
+        resumed = load_checkpoint(os.path.join(root, "ckpt", "selftrain.ckpt"))[3]
+        assert resumed.tolist() == counts.tolist()
 
 
 class TestCorruptInputs:
@@ -203,7 +214,10 @@ class TestCorruptInputs:
             fh.write(line + "\n")
         self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
 
-    @pytest.mark.parametrize("row", ["0,1", "0,1,x,1,0.5", "0,1,99999999999999999999,1,0.5"])
+    @pytest.mark.parametrize("row", [
+        "0,1", "0,1,x,1,0.5", "0,1,99999999999999999999,1,0.5",
+        "0,1,,1,0.5", "0,1,2,1,0.5,7", "0,1.5,2,1,0.5", "0,1,2,1,0.5\n1,2,3",
+    ])
     def test_bad_assignment_row(self, run_dir, tmp_path, row, capsys):
         path = str(tmp_path / "assignments.csv")
         with open(path, "w") as fh:

@@ -3,9 +3,11 @@
 One batch of the default benchmark is 20 scenes of about 8 pairs each; the
 test split is 400 such scenes.  ``test_selftrain_step`` times one whole
 self-training iteration: batch gather, forward, selection, loss, backward,
-threshold update and parameter step.  Each benchmark runs a fixed number of
-rounds (``benchmark.pedantic``) so the suite stays fast; compare the
-timings across changes with ``pytest tests/test_microbench.py
+threshold update and parameter step.  ``test_write_assignments`` and
+``test_read_assignments`` write and parse an assignment table of the size
+catm logs on the default benchmark (85,120 rows).  Each benchmark runs a
+fixed number of rounds (``benchmark.pedantic``) so the suite stays fast;
+compare the timings across changes with ``pytest tests/test_microbench.py
 --benchmark-only``.
 """
 
@@ -18,12 +20,14 @@ from strel import synthgen
 from strel.classifier import class_weights, forward_probs, init_params, predict_probs, sgd_step
 from strel.cli import RunConfig, generator_config
 from strel.edges import gumbel_noise, message_pass, sample_edges
-from strel.metrics import evaluate
+from strel.metrics import AssignmentLog, AssignmentRecord, evaluate
 from strel.rngs import stream
 from strel.selftrain import assign_pseudo_labels, partition_batch, three_term_loss
+from strel.tables import read_columns, write_columns
 from strel.thresholds import ema_update, initial_state, momentum_coefficients
 
 ROUNDS = 30
+IO_ROUNDS = 5
 
 
 RC = RunConfig(n_scenes=400)
@@ -44,8 +48,30 @@ def batch(split):
     return rows, keys, np.argmax(probs, axis=1), probs.max(axis=1)
 
 
-def _run(benchmark, fn, *args):
-    return benchmark.pedantic(fn, args=args, rounds=ROUNDS, iterations=1)
+def _run(benchmark, fn, *args, rounds=ROUNDS):
+    return benchmark.pedantic(fn, args=args, rounds=rounds, iterations=1)
+
+
+ASSIGNMENT_DTYPES = (np.int64,) * 4 + (np.float64,)
+
+
+@pytest.fixture(scope="module")
+def assignments():
+    """85,120 pseudo-labels over 1,500 iterations, as catm logs them."""
+    rng = stream(0, "assignments")
+    n = 85_120
+    return AssignmentLog(
+        np.sort(rng.integers(0, 1500, n)),
+        rng.integers(0, 1400, n),
+        rng.integers(0, 90, n),
+        rng.integers(1, 11, n),
+        rng.uniform(0.5, 1.0, n),
+    )
+
+
+def _write_assignments(path, log):
+    columns = [getattr(log, f) for f in AssignmentRecord._fields]
+    write_columns(path, AssignmentRecord._fields, columns, RC.echo())
 
 
 def test_selection(benchmark, split, batch):
@@ -105,3 +131,17 @@ def test_selftrain_step(benchmark, split):
 
     accepted, _, _ = _run(benchmark, step)
     assert len(accepted) > 0
+
+
+def test_write_assignments(benchmark, assignments, tmp_path):
+    path = tmp_path / "assignments.csv"
+    _run(benchmark, _write_assignments, path, assignments, rounds=IO_ROUNDS)
+    assert path.stat().st_size > 0
+
+
+def test_read_assignments(benchmark, assignments, tmp_path):
+    path = tmp_path / "assignments.csv"
+    _write_assignments(path, assignments)
+    columns = _run(benchmark, read_columns, path, AssignmentRecord._fields, ASSIGNMENT_DTYPES,
+                   rounds=IO_ROUNDS)
+    assert AssignmentLog(*columns) == assignments
