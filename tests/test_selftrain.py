@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from strel.classifier import (
 )
 from strel.errors import ConfigError
 from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog, compile_split
+from strel.metrics import AssignmentRecord
 from strel.rngs import stream
 from strel.selftrain import (
+    POLICIES,
     SelfTrainConfig,
     assign_pseudo_labels,
     load_checkpoint,
@@ -264,8 +267,8 @@ def small_selftrain_config(**overrides):
     return SelfTrainConfig(**base)
 
 
-def masked_dataset(n_scenes=16, seed=1):
-    ds = make_dataset(n_scenes=n_scenes, labels=(1, 2, 1, 2), seed=seed)
+def masked_dataset(n_scenes=16, seed=1, labels=(1, 2, 1, 2)):
+    ds = make_dataset(n_scenes=n_scenes, labels=labels, seed=seed, n_fg=max(labels))
     from strel.synthgen import mask_annotations, split
 
     masked = mask_annotations(ds, 0.25, seed=2)
@@ -400,24 +403,41 @@ class TestRun:
         for a in result.assignments:
             assert (a.iteration, a.scene_id, a.triplet_index) in on
 
-    def test_checkpoint_resume_matches_straight_run(self, tmp_path):
-        train, val, _ = masked_dataset(n_scenes=15)
-        start = init_params("linear", 8, 3, seed=4)
-        cfg = small_selftrain_config(max_iterations=10)
+    @pytest.mark.parametrize("k", [5, 10])
+    @pytest.mark.parametrize(
+        "policy, use_gsl",
+        [(p, False) for p in POLICIES] + [("catm", True)],
+        ids=list(POLICIES) + ["catm+gsl"],
+    )
+    def test_checkpoint_resume_matches_straight_run(self, tmp_path, policy, use_gsl, k):
+        # three foreground classes of unequal frequency, on which every policy
+        # but never accepts labels before and after k; both intervals fire on
+        # either side of k
+        train, val, _ = masked_dataset(n_scenes=15, labels=(1, 1, 1, 1, 2, 2, 3, 0))
+        start = init_params("linear", 8, 4, seed=4)
+        cfg = small_selftrain_config(
+            max_iterations=10, policy=policy, use_gsl=use_gsl,
+            dash_interval=3, valid_recompute_interval=3,
+        )
         full = run(start, train, val, cfg)
+        accepted_at = full.assignments.iteration
+        if policy != "never":
+            assert np.any(accepted_at < 5) and np.any(accepted_at >= 5)
 
-        half_cfg = small_selftrain_config(max_iterations=5)
-        half = run(start, train, val, half_cfg)
+        half = run(start, train, val, dataclasses.replace(cfg, max_iterations=k))
         path = tmp_path / "resume.ckpt"
         save_checkpoint(
-            path, half.params, half.thresholds, 5,
+            path, half.params, half.thresholds, k,
             half.log.iterations[-1].cumulative_counts, cfg.seed,
         )
         params, thresholds, iteration, counts, _ = load_checkpoint(path)
         resumed = run(
-            params, train, val, cfg,
+            params, train, val, cfg, edge_learner=half.edge_learner,
             start_iteration=iteration, thresholds=thresholds, cumulative_counts=counts,
         )
-        for (w1, _), (w2, _) in zip(full.params.layers, resumed.params.layers):
-            assert np.array_equal(w1, w2)
-        assert full.log.iterations[5:] == resumed.log.iterations
+        for (w1, b1), (w2, b2) in zip(full.params.layers, resumed.params.layers):
+            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        assert full.log.iterations[k:] == resumed.log.iterations
+        later = accepted_at >= k
+        for f in AssignmentRecord._fields:
+            assert np.array_equal(getattr(full.assignments, f)[later], getattr(resumed.assignments, f))
