@@ -389,5 +389,9 @@ def save_model(path, params: ModelParams, meta: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, dict]:
+    """The params of a model or self-train checkpoint, and its metadata."""
     tensors, meta = tensorio.load_tensors(path)
-    return params_from_tensors(tensors, meta["arch"]), meta
+    try:
+        return params_from_tensors(tensors, meta["arch"]), meta
+    except KeyError as exc:
+        raise ValidationError(f"{path} is not a model checkpoint: no {exc}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import synthgen, tables, tensorio
+from . import synthgen, tables
 from .classifier import TrainConfig, load_model, pretrain, save_model
 from .edges import load_edge_learner, save_edge_learner
 from .errors import ConfigError, RuntimeAbort, ValidationError
@@ -429,11 +429,7 @@ def cmd_eval(rc: RunConfig, checkpoint: str | None, split: str) -> int:
     path = checkpoint or _checkpoint_path(rc, "selftrain.ckpt")
     if not os.path.exists(path):
         raise ConfigError(f"missing checkpoint: {path}")
-    _, meta = tensorio.load_tensors(path)
-    if "threshold_kind" in meta:
-        params, _, _, _, _ = load_checkpoint(path)
-    else:
-        params, _ = load_model(path)
+    params, _ = load_model(path)
     edge = None
     gsl_path = _checkpoint_path(rc, "edge_learner.ckpt")
     if rc.use_gsl and os.path.exists(gsl_path):

@@ -63,29 +63,15 @@ from .labels import BG_INDEX, Dataset
 from .metrics import AssignmentLog, ColumnLog, evaluate
 from .rngs import stream
 from .thresholds import (
-    MomentumCoefficients,
-    ThresholdPolicy,
-    ThresholdState,
+    POLICIES,
+    Thresholds,
     constant_threshold,
-    dash_adaptive_policy,
     dash_adaptive_update,
     ema_update,
     fixed_class_threshold,
     freq_weighted_threshold,
-    initial_state,
     momentum_coefficients,
-    never_policy,
     uniform_coefficients,
-)
-
-POLICIES = (
-    "catm",
-    "constant",
-    "fixed-class",
-    "freq-weighted",
-    "dash-adaptive",
-    "valid-interval",
-    "never",
 )
 
 
@@ -134,6 +120,10 @@ class SelfTrainConfig:
             raise ConfigError("momentum exponents must lie in [0, 1]")
         if self.dash_interval < 1 or self.valid_recompute_interval < 1:
             raise ConfigError("policy intervals must be >= 1")
+        if self.policy == "dash-adaptive" and self.dash_growth <= 1.0:
+            raise ConfigError("dash growth factor must exceed 1")
+        if not 0.0 <= self.initial_tau <= 1.0:
+            raise ConfigError("initial threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -202,7 +192,7 @@ class SelfTrainResult:
     params: ModelParams
     log: TrainLog
     assignments: AssignmentLog
-    thresholds: ThresholdState | ThresholdPolicy
+    thresholds: Thresholds
     edge_learner: EdgeLearnerParams | None = None
     edge_trace: tuple[EdgeTraceRow, ...] = ()
 
@@ -221,29 +211,26 @@ def assign_pseudo_labels(
     candidates,
     pred_classes: np.ndarray,
     confidences: np.ndarray,
-    thresholds: ThresholdState | ThresholdPolicy,
+    thresholds: Thresholds,
     cap: int,
     gates=None,
 ) -> np.ndarray:
     """Select pseudo-labeled candidates for one batch.
 
     ``candidates`` holds one ``(scene, pair index)`` row per unannotated
-    pair.  A candidate qualifies when its argmax is a foreground class, its
-    confidence clears that class's threshold snapshot, and (when edge gating
-    is active) its hard edge sample is on.  Within one scene at most ``cap``
+    pair.  A candidate qualifies when its argmax is a class the thresholds
+    accept, its confidence clears that class's threshold snapshot, and (when
+    edge gating is active) its hard edge sample is on.  Within one scene at most ``cap``
     candidates per class survive, keeping the highest-confidence ones; ties
     keep the lowest pair index.  Returns the positions of the survivors in
     increasing order.
     """
     if cap < 1:
         raise ConfigError("cap must be >= 1")
-    if isinstance(thresholds, ThresholdPolicy) and thresholds.variant == "never":
-        return np.zeros(0, dtype=np.intp)
     keys = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
     classes = np.asarray(pred_classes, dtype=np.intp)
     conf = np.asarray(confidences, dtype=np.float64)
-    tau = np.concatenate(([np.inf], thresholds.tau))  # background never clears
-    eligible = conf >= tau[classes]
+    eligible = conf >= thresholds.bar[classes]
     if gates is not None:
         eligible &= np.asarray(gates, dtype=bool)
     pos = np.flatnonzero(eligible)
@@ -299,7 +286,7 @@ def three_term_loss(
 
 def _quantile_policy_from_val(
     cfg: SelfTrainConfig, params: ModelParams, val: Dataset, n_fg: int
-) -> ThresholdPolicy:
+) -> Thresholds:
     if len(val.arrays.features) == 0:
         raise ValidationError("validation split has no triplets")
     probs = predict_probs(params, val.arrays.features)
@@ -307,18 +294,16 @@ def _quantile_policy_from_val(
     if cfg.policy == "constant":
         # pool foreground-argmax confidences only: the background class is
         # predicted with far higher confidence and would set an unreachable bar
-        return constant_threshold(confs[classes != BG_INDEX], n_fg, cfg.policy_quantile)
-    pools = {
-        c: confs[classes == c] for c in range(1, n_fg + 1) if np.any(classes == c)
-    }
-    fixed = fixed_class_threshold(pools, n_fg, cfg.policy_quantile)
-    if cfg.policy in ("fixed-class", "valid-interval"):
-        return fixed
+        tau = constant_threshold(confs[classes != BG_INDEX], n_fg, cfg.policy_quantile)
+    else:
+        pools = {
+            c: confs[classes == c] for c in range(1, n_fg + 1) if np.any(classes == c)
+        }
+        tau = fixed_class_threshold(pools, n_fg, cfg.policy_quantile)
     if cfg.policy == "freq-weighted":
-        return freq_weighted_threshold(fixed, val.catalog, cfg.policy_mix)
-    if cfg.policy == "dash-adaptive":
-        return dash_adaptive_policy(fixed, cfg.dash_growth)
-    raise ConfigError(f"policy {cfg.policy!r} does not derive from validation confidences")
+        tau = freq_weighted_threshold(tau, val.catalog, cfg.policy_mix)
+    base_tau = tau if cfg.policy == "dash-adaptive" else None
+    return Thresholds(cfg.policy, tau, np.ones(n_fg, dtype=bool), base_tau=base_tau)
 
 
 def build_thresholds(
@@ -326,19 +311,46 @@ def build_thresholds(
     catalog,
     params: ModelParams,
     val: Dataset | None,
-) -> ThresholdState | ThresholdPolicy:
+) -> Thresholds:
     n_fg = catalog.n_foreground
     if cfg.policy == "catm":
         if cfg.uniform_momentum:
             coeff = uniform_coefficients(n_fg, 0.5)
         else:
             coeff = momentum_coefficients(catalog, cfg.alpha_inc, cfg.alpha_dec)
-        return initial_state(coeff, n_fg, cfg.initial_tau)
+        tau = np.full(n_fg, float(cfg.initial_tau))
+        return Thresholds("catm", tau, np.ones(n_fg, dtype=bool), *coeff)
     if cfg.policy == "never":
-        return never_policy(n_fg)
+        return Thresholds("never", np.ones(n_fg), np.zeros(n_fg, dtype=bool))
     if val is None:
         raise ConfigError(f"policy {cfg.policy!r} needs a validation split")
     return _quantile_policy_from_val(cfg, params, val, n_fg)
+
+
+def update_thresholds(
+    state: Thresholds,
+    cfg: SelfTrainConfig,
+    iteration: int,
+    pred_classes: np.ndarray,
+    confidences: np.ndarray,
+    params: ModelParams,
+    val: Dataset | None,
+) -> Thresholds:
+    """The thresholds after ``iteration``, by ``state.policy``.
+
+    catm takes one EMA step on the batch's predictions; dash-adaptive moves
+    to interval ``(iteration + 1) // dash_interval``; valid-interval
+    re-derives its quantiles from ``params`` on the validation split after
+    every ``valid_recompute_interval`` iterations; the rest stay put.
+    """
+    if state.policy == "catm":
+        return ema_update(state, pred_classes, confidences, cfg.strict_eligible_mean)
+    if state.policy == "dash-adaptive":
+        k = (iteration + 1) // cfg.dash_interval
+        return state if k == state.step else dash_adaptive_update(state, k, cfg.dash_growth)
+    if state.policy == "valid-interval" and (iteration + 1) % cfg.valid_recompute_interval == 0:
+        return _quantile_policy_from_val(cfg, params, val, len(state.tau))
+    return state
 
 
 def run(
@@ -349,7 +361,7 @@ def run(
     metric_ks: Sequence[int] = (2, 5, 10),
     edge_learner: EdgeLearnerParams | None = None,
     start_iteration: int = 0,
-    thresholds: ThresholdState | ThresholdPolicy | None = None,
+    thresholds: Thresholds | None = None,
     cumulative_counts: Sequence[int] | None = None,
     keep_edge_trace: bool = False,
 ) -> SelfTrainResult:
@@ -357,9 +369,14 @@ def run(
 
     Deterministic given the config seed; the ``start_iteration`` /
     ``thresholds`` / ``cumulative_counts`` triple resumes a checkpointed run
-    at iteration granularity and continues the exact same stream of batches.
+    at iteration granularity and continues the exact same stream of batches;
+    resumed thresholds must belong to ``cfg.policy``.
     """
     cfg.validate()
+    if thresholds is not None and thresholds.policy != cfg.policy:
+        raise ValidationError(
+            f"the thresholds to resume are policy {thresholds.policy!r}, not {cfg.policy!r}"
+        )
     if not train.scenes:
         raise ConfigError("training split is empty")
     catalog = train.catalog
@@ -470,16 +487,7 @@ def run(
 
             # threshold update first; it only reads pre-step confidences, so
             # ordering against the parameter step is observationally free
-            if isinstance(state, ThresholdState):
-                state = ema_update(
-                    state, pred_classes, confidences, cfg.strict_eligible_mean
-                )
-            elif cfg.policy == "dash-adaptive":
-                k = (it + 1) // cfg.dash_interval
-                if k != state.interval_index:
-                    state = dash_adaptive_update(state, k)
-            elif cfg.policy == "valid-interval" and (it + 1) % cfg.valid_recompute_interval == 0:
-                state = _quantile_policy_from_val(cfg, params, val, catalog.n_foreground)
+            state = update_thresholds(state, cfg, it, pred_classes, confidences, params, val)
 
             params = sgd_step(params, grads, cfg.learning_rate)
 
@@ -542,36 +550,18 @@ def _log_columns(arrays, log: list[tuple], empty: tuple[np.ndarray, ...]) -> tup
 # --- checkpointing ----------------------------------------------------------
 
 
-def save_checkpoint(path, result_params: ModelParams, thresholds, iteration: int,
+def save_checkpoint(path, result_params: ModelParams, thresholds: Thresholds, iteration: int,
                     cumulative_counts, seed: int, meta: dict | None = None) -> None:
     """Persist params + threshold state + counters for exact resume.
 
     All randomness is drawn from counter-based streams, so the seed and the
     iteration number fully determine the remaining RNG state.
     """
-    tensors = params_to_tensors(result_params)
-    tensors["thresholds.tau"] = np.asarray(thresholds.tau, dtype=np.float64)
+    tensors, threshold_meta = thresholds.to_tensors()
+    tensors.update(params_to_tensors(result_params))
     tensors["counts"] = np.asarray(cumulative_counts, dtype=np.int64)
-    full_meta = {
-        "arch": result_params.arch,
-        "iteration": int(iteration),
-        "seed": int(seed),
-        "threshold_kind": (
-            "state" if isinstance(thresholds, ThresholdState) else thresholds.variant
-        ),
-    }
-    if isinstance(thresholds, ThresholdState):
-        tensors["thresholds.lambda_inc"] = thresholds.coefficients.lambda_inc
-        tensors["thresholds.lambda_dec"] = thresholds.coefficients.lambda_dec
-        full_meta["threshold_iteration"] = thresholds.iteration
-        full_meta["alpha_inc"] = thresholds.coefficients.alpha_inc
-        full_meta["alpha_dec"] = thresholds.coefficients.alpha_dec
-    else:
-        if thresholds.base_tau is not None:
-            tensors["thresholds.base_tau"] = thresholds.base_tau
-        full_meta["growth"] = thresholds.growth
-        full_meta["interval_index"] = thresholds.interval_index
-    full_meta.update(meta or {})
+    full_meta = {"arch": result_params.arch, "iteration": int(iteration), "seed": int(seed),
+                 **threshold_meta, **(meta or {})}
     tensorio.save_tensors(path, tensors, full_meta)
 
 
@@ -581,26 +571,9 @@ def load_checkpoint(path):
     Returns (params, thresholds, iteration, cumulative_counts, meta).
     """
     tensors, meta = tensorio.load_tensors(path)
-    if "threshold_kind" not in meta or "thresholds.tau" not in tensors:
-        raise ValidationError(f"{path} is not a self-train checkpoint")
-    params = params_from_tensors(tensors, meta["arch"])
-    tau = tensors["thresholds.tau"]
-    if meta["threshold_kind"] == "state":
-        coeff = MomentumCoefficients(
-            lambda_inc=tensors["thresholds.lambda_inc"],
-            lambda_dec=tensors["thresholds.lambda_dec"],
-            alpha_inc=float(meta["alpha_inc"]),
-            alpha_dec=float(meta["alpha_dec"]),
-        )
-        thresholds = ThresholdState(
-            tau=tau, coefficients=coeff, iteration=int(meta["threshold_iteration"])
-        )
-    else:
-        thresholds = ThresholdPolicy(
-            variant=meta["threshold_kind"],
-            tau=tau,
-            base_tau=tensors.get("thresholds.base_tau"),
-            growth=float(meta.get("growth", 1.0)),
-            interval_index=int(meta.get("interval_index", 0)),
-        )
-    return params, thresholds, int(meta["iteration"]), tensors["counts"], meta
+    try:
+        params = params_from_tensors(tensors, meta["arch"])
+        thresholds = Thresholds.from_tensors(tensors, meta)
+        return params, thresholds, int(meta["iteration"]), tensors["counts"], meta
+    except KeyError as exc:
+        raise ValidationError(f"{path} is not a self-train checkpoint: no {exc}") from exc

@@ -1,39 +1,105 @@
-"""Pseudo-label acceptance thresholds.
+"""Pseudo-label acceptance thresholds for the seven self-training policies.
 
-The adaptive engine ("catm") keeps one threshold per foreground class and
-updates it every iteration as an exponential moving average of batch
-confidences, with per-class momentum derived from class frequency: head
-thresholds move up fast and down slowly, tail thresholds the reverse.
+Every policy is one frozen ``Thresholds``: its name, one threshold ``tau``
+per foreground class and an ``accept`` mask of the classes that may take
+pseudo-labels at all.  A candidate is accepted when its class is in
+``accept`` and its confidence is at least the class's ``tau``.  The policies
+differ only in how ``tau`` starts and moves:
 
-Four static or scheduled baselines share the same decision interface: a
-single pooled-quantile threshold ("constant"), per-class quantile thresholds
-("fixed-class"), a frequency-penalized mix ("freq-weighted"), and a
-monotonically growing schedule ("dash-adaptive").  A "never" variant that
-accepts nothing is included for regression baselines.
+- "catm" (class-specific adaptive thresholds with momentum) starts from one
+  constant and moves every iteration by an exponential moving average of the
+  batch confidences (``ema_update``).  Its per-class momentum
+  ``lambda_inc``/``lambda_dec`` follows class frequency: head thresholds move
+  up fast and down slowly, tail thresholds the reverse.
+- "constant", "fixed-class" and "freq-weighted" derive ``tau`` once from
+  validation confidences: one pooled upper quantile, per-class upper
+  quantiles, and per-class quantiles mixed with class frequency.
+  "valid-interval" re-derives the per-class quantiles at a fixed interval.
+- "dash-adaptive" ramps the per-class quantiles ``base_tau`` up by a growth
+  factor per interval (``dash_adaptive_update``).
+- "never" accepts no class, so self-training degenerates to supervised
+  training on the same SGD budget.
+
+``step`` counts catm's updates and holds dash-adaptive's current interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .labels import PredicateCatalog
 
-POLICY_VARIANTS = ("constant", "fixed-class", "freq-weighted", "dash-adaptive", "never")
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+POLICIES = (
+    "catm",
+    "constant",
+    "fixed-class",
+    "freq-weighted",
+    "dash-adaptive",
+    "valid-interval",
+    "never",
+)
+_ARRAYS = ("tau", "accept", "lambda_inc", "lambda_dec", "base_tau")
 
 
 @dataclass(frozen=True)
-class MomentumCoefficients:
+class Thresholds:
+    """One policy's per-foreground-class thresholds and update state."""
+
+    policy: str
+    tau: np.ndarray
+    accept: np.ndarray  # bool per class; a class outside it is never accepted
+    lambda_inc: np.ndarray | None = None  # catm momentum
+    lambda_dec: np.ndarray | None = None
+    base_tau: np.ndarray | None = None  # dash-adaptive ramp start
+    step: int = 0
+
+    def __post_init__(self) -> None:
+        for name in _ARRAYS:
+            if (arr := getattr(self, name)) is not None:
+                arr.setflags(write=False)
+
+    @cached_property
+    def bar(self) -> np.ndarray:
+        """The confidence each class index must reach, background first:
+        the background and every class outside ``accept`` are unreachable."""
+        bar = np.full(self.tau.size + 1, np.inf)
+        np.copyto(bar[1:], self.tau, where=self.accept)
+        return bar
+
+    def to_tensors(self) -> tuple[dict[str, np.ndarray], dict]:
+        """The checkpoint entries: tensors and metadata.
+
+        Tensors ``thresholds.tau`` (float64) and ``thresholds.accept``
+        (bool), one entry per foreground class, always; catm adds
+        ``thresholds.lambda_inc`` and ``thresholds.lambda_dec`` and
+        dash-adaptive ``thresholds.base_tau``, float64 of the same length.
+        Metadata ``thresholds.policy`` (a name from ``POLICIES``) and
+        ``thresholds.step`` (an int).
+        """
+        tensors = {f"thresholds.{a}": getattr(self, a) for a in _ARRAYS}
+        meta = {"thresholds.policy": self.policy, "thresholds.step": self.step}
+        return {k: v for k, v in tensors.items() if v is not None}, meta
+
+    @classmethod
+    def from_tensors(cls, tensors: Mapping[str, np.ndarray], meta: Mapping) -> Thresholds:
+        """Inverse of :meth:`to_tensors`; a KeyError names a missing entry."""
+        policy = meta["thresholds.policy"]
+        if policy not in POLICIES:
+            raise ValidationError(f"unknown threshold policy {policy!r}")
+        arrays = {a: tensors.get(f"thresholds.{a}") for a in _ARRAYS}
+        for required in ("tau", "accept"):
+            if arrays[required] is None:
+                raise KeyError(f"thresholds.{required}")
+        return cls(policy=policy, step=int(meta["thresholds.step"]), **arrays)
+
+
+class MomentumCoefficients(NamedTuple):
     """Per-class EMA momentum, indexed by frequency rank (= label index - 1).
 
     ``lambda_inc[r] = (count[r] / count[0]) ** alpha_inc`` and
@@ -44,8 +110,6 @@ class MomentumCoefficients:
 
     lambda_inc: np.ndarray
     lambda_dec: np.ndarray
-    alpha_inc: float
-    alpha_dec: float
 
 
 def momentum_coefficients(
@@ -57,52 +121,24 @@ def momentum_coefficients(
     if counts[0] <= 0:
         raise ConfigError("the most frequent class must have a positive count")
     ratio = counts / counts[0]
-    return MomentumCoefficients(
-        lambda_inc=_frozen(ratio**alpha_inc),
-        lambda_dec=_frozen(ratio[::-1] ** alpha_dec),
-        alpha_inc=float(alpha_inc),
-        alpha_dec=float(alpha_dec),
-    )
+    return MomentumCoefficients(ratio**alpha_inc, ratio[::-1] ** alpha_dec)
 
 
 def uniform_coefficients(n_foreground: int, value: float = 0.5) -> MomentumCoefficients:
     """Class-agnostic momentum, used by the no-class-specific-momentum ablation."""
     if not 0.0 < value <= 1.0:
         raise ConfigError("uniform momentum must lie in (0, 1]")
-    lam = _frozen(np.full(n_foreground, value))
-    return MomentumCoefficients(lambda_inc=lam, lambda_dec=lam, alpha_inc=float("nan"), alpha_dec=float("nan"))
-
-
-@dataclass(frozen=True)
-class ThresholdState:
-    """Adaptive per-foreground-class thresholds plus their momentum."""
-
-    tau: np.ndarray
-    coefficients: MomentumCoefficients
-    iteration: int = 0
-
-
-def initial_state(
-    coefficients: MomentumCoefficients, n_foreground: int, initial_tau: float = 0.0
-) -> ThresholdState:
-    if not 0.0 <= initial_tau <= 1.0:
-        raise ConfigError("initial threshold must lie in [0, 1]")
-    if coefficients.lambda_inc.shape != (n_foreground,):
-        raise ValidationError("momentum size must match the foreground class count")
-    return ThresholdState(
-        tau=_frozen(np.full(n_foreground, initial_tau)),
-        coefficients=coefficients,
-        iteration=0,
-    )
+    lam = np.full(n_foreground, value)
+    return MomentumCoefficients(lam, lam)
 
 
 def ema_update(
-    state: ThresholdState,
+    state: Thresholds,
     pred_classes,
     confidences,
     strict_eligible_mean: bool = False,
-) -> ThresholdState:
-    """One adaptive-threshold step from a batch of unannotated predictions.
+) -> Thresholds:
+    """One catm step from a batch of unannotated predictions.
 
     Per class c: if any prediction of class c clears the previous threshold,
     the threshold moves toward the batch mean confidence of all class-c
@@ -128,33 +164,14 @@ def ema_update(
         sel = by_class[bounds[c - 1] : bounds[c]]
         prev = tau[c - 1]
         if sel.max() >= prev:  # some prediction clears the previous threshold
-            lam = state.coefficients.lambda_inc[c - 1]
+            lam = state.lambda_inc[c - 1]
             if strict_eligible_mean:
                 sel = sel[sel >= prev]
         else:
-            lam = state.coefficients.lambda_dec[c - 1]
+            lam = state.lambda_dec[c - 1]
         mean = float(np.add.reduce(sel) / sel.size)  # exactly ndarray.mean
         tau[c - 1] = (1.0 - lam) * prev + lam * mean
-    return ThresholdState(
-        tau=_frozen(tau), coefficients=state.coefficients, iteration=state.iteration + 1
-    )
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """A static or scheduled per-class threshold vector."""
-
-    variant: str
-    tau: np.ndarray
-    base_tau: np.ndarray | None = None  # schedule start for dash-adaptive
-    growth: float = 1.0
-    interval_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.variant not in POLICY_VARIANTS:
-            raise ConfigError(f"unknown threshold policy variant {self.variant!r}")
-        if np.any(self.tau < 0.0) or np.any(self.tau > 1.0):
-            raise ValidationError("stored thresholds must lie in [0, 1]")
+    return replace(state, tau=tau, step=state.step + 1)
 
 
 def top_quantile(values, quantile: float) -> float:
@@ -168,32 +185,27 @@ def top_quantile(values, quantile: float) -> float:
     return float(arr[k - 1])
 
 
-def constant_threshold(
-    confidences, n_foreground: int, quantile: float = 0.01
-) -> ThresholdPolicy:
+def constant_threshold(confidences, n_foreground: int, quantile: float = 0.01) -> np.ndarray:
     """One pooled upper-quantile threshold applied to every class."""
-    tau = top_quantile(confidences, quantile)
-    return ThresholdPolicy(variant="constant", tau=_frozen(np.full(n_foreground, tau)))
+    return np.full(n_foreground, top_quantile(confidences, quantile))
 
 
 def fixed_class_threshold(
     confidences_by_class: Mapping[int, Sequence[float]],
     n_foreground: int,
     quantile: float = 0.01,
-) -> ThresholdPolicy:
-    """Per-class upper-quantile thresholds; absent classes never accept."""
+) -> np.ndarray:
+    """Per-class upper-quantile thresholds; an absent class gets 1.0."""
     tau = np.ones(n_foreground)
     for c, pool in confidences_by_class.items():
         if not 1 <= c <= n_foreground:
             raise ValidationError(f"not a foreground class index: {c}")
         if len(pool):
             tau[c - 1] = top_quantile(pool, quantile)
-    return ThresholdPolicy(variant="fixed-class", tau=_frozen(tau))
+    return tau
 
 
-def freq_weighted_threshold(
-    fixed: ThresholdPolicy, catalog: PredicateCatalog, mix: float
-) -> ThresholdPolicy:
+def freq_weighted_threshold(fixed, catalog: PredicateCatalog, mix: float) -> np.ndarray:
     """Blend per-class thresholds with normalized class frequency.
 
     tau_c = (1 - mix) * tau_c_fixed + mix * count_c / count_1, clipped to
@@ -203,33 +215,12 @@ def freq_weighted_threshold(
         raise ConfigError("mix weight must lie in [0, 1]")
     counts = np.asarray(catalog.counts, dtype=np.float64)
     freq = counts / counts[0]
-    tau = np.clip((1.0 - mix) * fixed.tau + mix * freq, 0.0, 1.0)
-    return ThresholdPolicy(variant="freq-weighted", tau=_frozen(tau))
+    return np.clip((1.0 - mix) * np.asarray(fixed) + mix * freq, 0.0, 1.0)
 
 
-def dash_adaptive_policy(fixed: ThresholdPolicy, growth: float) -> ThresholdPolicy:
-    """Monotone threshold ramp starting from the per-class quantile vector."""
-    if growth <= 1.0:
-        raise ConfigError("dash growth factor must exceed 1")
-    return ThresholdPolicy(
-        variant="dash-adaptive",
-        tau=fixed.tau,
-        base_tau=fixed.tau,
-        growth=float(growth),
-        interval_index=0,
-    )
-
-
-def dash_adaptive_update(policy: ThresholdPolicy, interval_index: int) -> ThresholdPolicy:
+def dash_adaptive_update(state: Thresholds, interval_index: int, growth: float) -> Thresholds:
     """Advance the ramp: tau_c = min(1, base_c * growth ** k)."""
-    if policy.variant != "dash-adaptive":
-        raise ConfigError("not a dash-adaptive policy")
     if interval_index < 0:
         raise ConfigError("interval index must be non-negative")
-    tau = np.minimum(1.0, policy.base_tau * policy.growth**interval_index)
-    return replace(policy, tau=_frozen(tau), interval_index=int(interval_index))
-
-
-def never_policy(n_foreground: int) -> ThresholdPolicy:
-    """Accepts nothing; self-training degenerates to supervised training."""
-    return ThresholdPolicy(variant="never", tau=_frozen(np.ones(n_foreground)))
+    tau = np.minimum(1.0, state.base_tau * growth**interval_index)
+    return replace(state, tau=tau, step=int(interval_index))

@@ -144,7 +144,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
     import math
     from dataclasses import replace
 
-    from strel import edges, selftrain, thresholds
+    from strel import edges, selftrain
     from strel.classifier import (
         add_grads, class_weights, downsample_background, predict_probs, sgd_step,
         weighted_ce_loss_grad, zero_grads,
@@ -215,14 +215,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
             if cfg.use_gsl:
                 _, g_e = edges.focal_loss_grad(edge, xs, xo, (observed != 0).astype(np.float64))
                 edge = replace(edge, net=sgd_step(edge.net, g_e, cfg.learning_rate))
-            if isinstance(state, thresholds.ThresholdState):
-                state = thresholds.ema_update(state, pred, conf, cfg.strict_eligible_mean)
-            elif cfg.policy == "dash-adaptive":
-                k = (it + 1) // cfg.dash_interval
-                if k != state.interval_index:
-                    state = thresholds.dash_adaptive_update(state, k)
-            elif cfg.policy == "valid-interval" and (it + 1) % cfg.valid_recompute_interval == 0:
-                state = selftrain._quantile_policy_from_val(cfg, params, val, catalog.n_foreground)
+            state = selftrain.update_thresholds(state, cfg, it, pred, conf, params, val)
             params = sgd_step(params, add_grads(add_grads(g_a, g_b), g_p, scale=cfg.beta), cfg.learning_rate)
             keys += [
                 (it, int(arrays.scene_ids[arrays.pair_scene[r]]), int(arrays.pair_index[r]), int(c))

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from strel import cli
+from strel import cli, tensorio
 from strel.errors import RuntimeAbort
 from strel.selftrain import load_checkpoint
 from strel.tables import read_table
@@ -42,10 +42,18 @@ def file_hash(path):
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
+    """A finished gen/pretrain/selftrain run; a test that writes copies it."""
     root = str(tmp_path_factory.mktemp("pipeline"))
     assert cli.main(["gen"] + tiny_args(root)) == 0
     assert cli.main(["pretrain"] + tiny_args(root)) == 0
     assert cli.main(["selftrain"] + tiny_args(root)) == 0
+    return root
+
+
+@pytest.fixture
+def run_dir(pipeline_dir, tmp_path):
+    root = str(tmp_path / "run")
+    shutil.copytree(pipeline_dir, root)
     return root
 
 
@@ -131,14 +139,14 @@ class TestPipeline:
         header, rows = read_table(os.path.join(pipeline_dir, "logs", "audit.csv"))
         assert len(rows) == 4  # one row per foreground class
 
-    def test_eval_of_pretrain_equals_selftrain_with_zero_iterations(self, pipeline_dir, tmp_path):
-        args = tiny_args(pipeline_dir, **{"max-iterations": 0, "log-dir": str(tmp_path / "l0")})
+    def test_eval_of_pretrain_equals_selftrain_with_zero_iterations(self, run_dir, tmp_path):
+        args = tiny_args(run_dir, **{"max-iterations": 0, "log-dir": str(tmp_path / "l0")})
         assert cli.main(["selftrain"] + args) == 0
         assert cli.main(["eval", "--split", "val"] + args) == 0
         zero_iter = read_table(os.path.join(str(tmp_path / "l0"), "eval_val.csv"))[1]
 
-        pre_args = tiny_args(pipeline_dir, **{"log-dir": str(tmp_path / "l1")})
-        ckpt = os.path.join(pipeline_dir, "ckpt", "pretrain.ckpt")
+        pre_args = tiny_args(run_dir, **{"log-dir": str(tmp_path / "l1")})
+        ckpt = os.path.join(run_dir, "ckpt", "pretrain.ckpt")
         assert cli.main(["eval", "--split", "val", "--checkpoint", ckpt] + pre_args) == 0
         pretrained = read_table(os.path.join(str(tmp_path / "l1"), "eval_val.csv"))[1]
         assert zero_iter == pretrained
@@ -150,11 +158,9 @@ class TestPipeline:
         assert code == 1
         assert "pretrain.ckpt" in capsys.readouterr().err
 
-    def test_resume_flag(self, pipeline_dir, tmp_path, capsys):
+    def test_resume_flag(self, run_dir, tmp_path, capsys):
         """Resuming a run that is already at max_iterations keeps its counts."""
-        root = str(tmp_path / "run")
-        shutil.copytree(pipeline_dir, root)
-        assert cli.main(["selftrain"] + tiny_args(root)) == 0  # other tests rewrite the checkpoint
+        root = run_dir
         finished = str(tmp_path / "finished.ckpt")
         shutil.copy(os.path.join(root, "ckpt", "selftrain.ckpt"), finished)
         capsys.readouterr()
@@ -168,12 +174,6 @@ class TestPipeline:
 
 class TestCorruptInputs:
     """A damaged input file exits 1 with a one-line ``error:`` message."""
-
-    @pytest.fixture
-    def run_dir(self, pipeline_dir, tmp_path):
-        root = str(tmp_path / "run")
-        shutil.copytree(pipeline_dir, root)
-        return root
 
     def _fails_with_one_line(self, argv, capsys):
         capsys.readouterr()
@@ -191,6 +191,19 @@ class TestCorruptInputs:
     def test_resume_from_pretrain_checkpoint(self, run_dir, capsys):
         ckpt = os.path.join(run_dir, "ckpt", "pretrain.ckpt")
         self._fails_with_one_line(["selftrain", "--resume", ckpt] + tiny_args(run_dir), capsys)
+
+    def test_resume_under_another_policy(self, run_dir, capsys):
+        ckpt = os.path.join(run_dir, "ckpt", "selftrain.ckpt")  # a catm run
+        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, policy="never")
+        self._fails_with_one_line(argv, capsys)
+
+    @pytest.mark.parametrize("drop", ["arch", "layer0.w"])
+    def test_checkpoint_without_params(self, run_dir, drop, capsys):
+        path = os.path.join(run_dir, "ckpt", "selftrain.ckpt")
+        tensors, meta = tensorio.load_tensors(path)
+        tensors.pop(drop, None), meta.pop(drop, None)
+        tensorio.save_tensors(path, tensors, meta)
+        self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
 
     @pytest.mark.parametrize(
         "edit",
@@ -235,9 +248,9 @@ class TestSweep:
         assert header[:2] == ["alpha_inc", "alpha_dec"]
         assert len(rows) == 4
 
-    def test_single_cell_matches_selftrain_run(self, pipeline_dir, tmp_path):
+    def test_single_cell_matches_selftrain_run(self, run_dir, tmp_path):
         sweep_args = tiny_args(
-            pipeline_dir,
+            run_dir,
             **{"max-iterations": 5, "alpha-inc": 0.4, "alpha-dec": 0.4,
                "log-dir": str(tmp_path / "s1")},
         )
@@ -245,7 +258,7 @@ class TestSweep:
         _, sweep_rows = read_table(os.path.join(str(tmp_path / "s1"), "sweep.csv"))
 
         run_args = tiny_args(
-            pipeline_dir,
+            run_dir,
             **{"max-iterations": 5, "alpha-inc": 0.4, "alpha-dec": 0.4,
                "log-dir": str(tmp_path / "s2")},
         )

@@ -22,9 +22,11 @@ from strel.cli import RunConfig, generator_config
 from strel.edges import gumbel_noise, message_pass, sample_edges
 from strel.metrics import AssignmentLog, AssignmentRecord, evaluate
 from strel.rngs import stream
-from strel.selftrain import assign_pseudo_labels, partition_batch, three_term_loss
+from strel.selftrain import (
+    SelfTrainConfig, assign_pseudo_labels, build_thresholds, partition_batch, three_term_loss,
+)
 from strel.tables import read_columns, write_columns
-from strel.thresholds import ema_update, initial_state, momentum_coefficients
+from strel.thresholds import ema_update
 
 ROUNDS = 30
 IO_ROUNDS = 5
@@ -76,15 +78,15 @@ def _write_assignments(path, log):
 
 def test_selection(benchmark, split, batch):
     _, keys, pred, conf = batch
-    state = initial_state(momentum_coefficients(split.catalog), split.catalog.n_foreground)
+    state = build_thresholds(SelfTrainConfig(), split.catalog, None, None)
     accepted = _run(benchmark, assign_pseudo_labels, keys, pred, conf, state, 3)
     assert 0 < len(accepted) <= len(keys)
 
 
 def test_ema_update(benchmark, split, batch):
     _, _, pred, conf = batch
-    state = initial_state(momentum_coefficients(split.catalog), split.catalog.n_foreground)
-    assert _run(benchmark, ema_update, state, pred, conf).iteration == 1
+    state = build_thresholds(SelfTrainConfig(), split.catalog, None, None)
+    assert _run(benchmark, ema_update, state, pred, conf).step == 1
 
 
 def test_evaluate(benchmark, split):
@@ -111,7 +113,7 @@ def test_selftrain_step(benchmark, split):
     train = synthgen.mask_annotations(split, RC.annotated_fraction, RC.mask_seed)
     arrays, n_fg = train.arrays, train.catalog.n_foreground
     params = init_params("linear", arrays.features.shape[1], train.catalog.n_classes, seed=1)
-    state = initial_state(momentum_coefficients(train.catalog), n_fg)
+    state = build_thresholds(SelfTrainConfig(), train.catalog, None, None)
     w = class_weights(train.catalog, "none")
 
     def step():  # the body of one ``selftrain.run`` iteration without the edge learner

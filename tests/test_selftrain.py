@@ -14,7 +14,7 @@ from strel.classifier import (
     sgd_step,
     weighted_ce_loss_grad,
 )
-from strel.errors import ConfigError
+from strel.errors import ConfigError, ValidationError
 from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog, compile_split
 from strel.metrics import AssignmentRecord
 from strel.rngs import stream
@@ -28,7 +28,7 @@ from strel.selftrain import (
     save_checkpoint,
     three_term_loss,
 )
-from strel.thresholds import ThresholdState, never_policy, uniform_coefficients
+from strel.thresholds import Thresholds
 
 from _oracles import brute_force_selection, gradient_relative_error
 from conftest import build_scene
@@ -51,11 +51,11 @@ def keys_for(*scenes):
 
 
 def open_state(n_fg, tau=0.0):
-    return ThresholdState(
-        tau=np.full(n_fg, float(tau)),
-        coefficients=uniform_coefficients(n_fg, 0.5),
-        iteration=0,
-    )
+    return Thresholds("fixed-class", np.full(n_fg, float(tau)), np.ones(n_fg, dtype=bool))
+
+
+def never_state(n_fg):
+    return Thresholds("never", np.ones(n_fg), np.zeros(n_fg, dtype=bool))
 
 
 class TestPartitionBatch:
@@ -141,7 +141,7 @@ class TestAssignPseudoLabels:
     def test_never_policy_accepts_nothing(self, scene_factory):
         scene = scene_factory(0, [1, 1], observed=[0, 0])
         out = assign_pseudo_labels(
-            keys_for(scene), np.ones(2, dtype=int), np.array([0.9, 0.9]), never_policy(1), cap=3
+            keys_for(scene), np.ones(2, dtype=int), np.array([0.9, 1.0]), never_state(1), cap=3
         )
         assert len(out) == 0
 
@@ -159,7 +159,7 @@ class TestAssignPseudoLabels:
         st.integers(0, 2**32 - 1),
         st.integers(1, 4),
         st.booleans(),
-        st.sampled_from(["catm", "never"]),
+        st.sampled_from(["fixed-class", "never"]),
     )
     def test_matches_per_group_oracle(self, seed, cap, gated, variant):
         rng = np.random.default_rng(seed)
@@ -169,9 +169,7 @@ class TestAssignPseudoLabels:
         conf = rng.choice([0.2, 0.5, 0.5, 0.8, 1.0], size=n)  # ties and conf == tau
         tau = rng.choice([0.0, 0.5, 0.8], size=n_fg)
         gates = rng.integers(0, 2, size=n).astype(bool) if gated else None
-        state = never_policy(n_fg) if variant == "never" else open_state(n_fg)
-        if variant != "never":
-            state = ThresholdState(tau=tau, coefficients=state.coefficients)
+        state = Thresholds(variant, tau, np.full(n_fg, variant != "never"))
         out = assign_pseudo_labels(keys, pred, conf, state, cap, gates)
         expected = brute_force_selection(keys, pred, conf, tau, cap, gates, never=variant == "never")
         assert out.tolist() == expected
@@ -441,3 +439,17 @@ class TestRun:
         later = accepted_at >= k
         for f in AssignmentRecord._fields:
             assert np.array_equal(getattr(full.assignments, f)[later], getattr(resumed.assignments, f))
+
+    def test_resume_under_another_policy_is_rejected(self, tmp_path):
+        train, val, _ = masked_dataset(n_scenes=15)
+        start = init_params("linear", 8, 3, seed=4)
+        half = run(start, train, val, small_selftrain_config(max_iterations=5))
+        path = tmp_path / "catm.ckpt"
+        save_checkpoint(path, half.params, half.thresholds, 5, np.zeros(2, dtype=np.int64), 5)
+        params, thresholds, iteration, counts, _ = load_checkpoint(path)
+        assert thresholds.policy == "catm"
+        with pytest.raises(ValidationError, match="catm"):
+            run(
+                params, train, val, small_selftrain_config(policy="never"),
+                start_iteration=iteration, thresholds=thresholds, cumulative_counts=counts,
+            )

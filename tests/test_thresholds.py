@@ -6,48 +6,36 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strel.errors import ConfigError, ValidationError
-from strel.labels import argmax_confidence, build_catalog
+from strel.labels import build_catalog
 from strel.thresholds import (
-    MomentumCoefficients,
-    ThresholdState,
+    Thresholds,
     constant_threshold,
-    dash_adaptive_policy,
     dash_adaptive_update,
     ema_update,
     fixed_class_threshold,
     freq_weighted_threshold,
-    initial_state,
     momentum_coefficients,
-    never_policy,
     top_quantile,
     uniform_coefficients,
 )
-from strel.selftrain import assign_pseudo_labels
-
-
-def coefficients(lambda_inc, lambda_dec):
-    return MomentumCoefficients(
-        lambda_inc=np.asarray(lambda_inc, dtype=np.float64),
-        lambda_dec=np.asarray(lambda_dec, dtype=np.float64),
-        alpha_inc=float("nan"),
-        alpha_dec=float("nan"),
-    )
+from strel.selftrain import SelfTrainConfig, assign_pseudo_labels, build_thresholds
 
 
 def state_with(tau, lambda_inc, lambda_dec, iteration=0):
-    return ThresholdState(
-        tau=np.asarray(tau, dtype=np.float64),
-        coefficients=coefficients(lambda_inc, lambda_dec),
-        iteration=iteration,
+    tau = np.asarray(tau, dtype=np.float64)
+    return Thresholds(
+        "catm", tau, np.ones(tau.size, dtype=bool),
+        np.asarray(lambda_inc, dtype=np.float64), np.asarray(lambda_dec, dtype=np.float64),
+        step=iteration,
     )
 
 
-def decide(thresholds, prediction):
-    """The class ``assign_pseudo_labels`` gives one prediction, or None."""
-    accepted = assign_pseudo_labels(
-        [(0, 0)], [prediction.argmax_class], [prediction.confidence], thresholds, cap=1
-    )
-    return prediction.argmax_class if len(accepted) else None
+def decide(thresholds, probs):
+    """The class ``assign_pseudo_labels`` gives the argmax of one probability
+    vector, or None."""
+    c = int(np.argmax(probs))
+    accepted = assign_pseudo_labels([(0, 0)], [c], [probs[c]], thresholds, cap=1)
+    return c if len(accepted) else None
 
 
 descending_counts = st.lists(
@@ -106,7 +94,7 @@ class TestEmaUpdate:
         state = state_with([0.5], [0.5], [0.9])
         out = ema_update(state, [1, 1], [0.6, 0.8])
         assert abs(out.tau[0] - 0.6) <= 1e-12  # 0.5*0.5 + 0.5*0.7
-        assert out.iteration == 1
+        assert out.step == 1
 
     def test_decrease_branch_hand_case(self):
         # tau 0.9, lambda_dec 0.2, all confidences below the bar
@@ -174,34 +162,29 @@ class TestEmaUpdate:
 class TestDecide:
     def test_accepts_above_threshold(self):
         state = state_with([0.5, 0.6], [1, 1], [1, 1])
-        pred = argmax_confidence((0.1, 0.2, 0.7))
-        assert decide(state, pred) == 2
+        assert decide(state, (0.1, 0.2, 0.7)) == 2
 
     def test_rejects_below_threshold(self):
         state = state_with([0.5, 0.8], [1, 1], [1, 1])
-        pred = argmax_confidence((0.1, 0.2, 0.7))
-        assert decide(state, pred) is None
+        assert decide(state, (0.1, 0.2, 0.7)) is None
 
     def test_background_argmax_never_labeled(self):
         state = state_with([0.0, 0.0], [1, 1], [1, 1])
-        pred = argmax_confidence((0.5, 0.3, 0.2))
-        assert decide(state, pred) is None
+        assert decide(state, (0.5, 0.3, 0.2)) is None
 
     def test_comparison_is_greater_or_equal(self):
         state = state_with([0.7], [1], [1])
-        pred = argmax_confidence((0.3, 0.7))
-        assert decide(state, pred) == 1
+        assert decide(state, (0.3, 0.7)) == 1
 
-    def test_never_policy(self):
-        pred = argmax_confidence((0.0, 1.0))
-        assert decide(never_policy(1), pred) is None
+    def test_never_policy(self, tiny_catalog):
+        never = build_thresholds(SelfTrainConfig(policy="never"), tiny_catalog, None, None)
+        assert decide(never, (0.0, 0.0, 0.0, 1.0)) is None
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6), st.floats(0.0, 1.0))
     def test_never_returns_background(self, raw, tau0):
         probs = np.asarray(raw) / np.sum(raw)
-        pred = argmax_confidence(probs)
         state = state_with([tau0] * (len(raw) - 1), [1] * (len(raw) - 1), [1] * (len(raw) - 1))
-        assert decide(state, pred) != 0
+        assert decide(state, probs) != 0
 
 
 class TestQuantilePolicies:
@@ -210,69 +193,66 @@ class TestQuantilePolicies:
         # oracle: k-th largest with k = ceil(q * n)
         assert top_quantile(pool, 0.10) == sorted(pool, reverse=True)[0] == 1.0
         assert top_quantile(pool, 1.0) == min(pool)
-        policy = constant_threshold(pool, n_foreground=3, quantile=0.10)
-        assert np.all(policy.tau == 1.0)
+        assert np.all(constant_threshold(pool, n_foreground=3, quantile=0.10) == 1.0)
 
     def test_constant_pool(self):
-        policy = constant_threshold([0.5] * 7, n_foreground=2, quantile=0.01)
-        assert np.all(policy.tau == 0.5)
+        assert np.all(constant_threshold([0.5] * 7, n_foreground=2, quantile=0.01) == 0.5)
 
     def test_empty_pool_is_an_error(self):
         with pytest.raises(ValidationError):
             constant_threshold([], n_foreground=2)
 
     def test_fixed_class_pools(self):
-        policy = fixed_class_threshold({1: [0.2, 0.9], 2: [0.4]}, n_foreground=3, quantile=0.5)
-        assert policy.tau[0] == 0.9  # ceil(0.5*2) = 1st largest
-        assert policy.tau[1] == 0.4
-        assert policy.tau[2] == 1.0  # absent class never accepts
+        tau = fixed_class_threshold({1: [0.2, 0.9], 2: [0.4]}, n_foreground=3, quantile=0.5)
+        assert tau[0] == 0.9  # ceil(0.5*2) = 1st largest
+        assert tau[1] == 0.4
+        assert tau[2] == 1.0  # an absent class gets the top bar
 
     def test_identical_pools_give_identical_thresholds(self):
         pool = [0.3, 0.6, 0.9]
-        policy = fixed_class_threshold({1: pool, 2: pool}, n_foreground=2, quantile=0.34)
-        assert policy.tau[0] == policy.tau[1]
+        tau = fixed_class_threshold({1: pool, 2: pool}, n_foreground=2, quantile=0.34)
+        assert tau[0] == tau[1]
 
     def test_freq_weighted_identity_mix(self, tiny_catalog):
         fixed = fixed_class_threshold({1: [0.6], 2: [0.5], 3: [0.4]}, 3, 0.5)
         blended = freq_weighted_threshold(fixed, tiny_catalog, mix=0.0)
-        np.testing.assert_array_equal(blended.tau, fixed.tau)
+        np.testing.assert_array_equal(blended, fixed)
 
     def test_freq_weighted_pure_frequency(self, tiny_catalog):
         fixed = fixed_class_threshold({1: [0.6], 2: [0.5], 3: [0.4]}, 3, 0.5)
         blended = freq_weighted_threshold(fixed, tiny_catalog, mix=1.0)
-        np.testing.assert_allclose(blended.tau, [1.0, 0.8, 0.2], rtol=1e-12)
+        np.testing.assert_allclose(blended, [1.0, 0.8, 0.2], rtol=1e-12)
 
     def test_freq_weighted_hand_mix(self, tiny_catalog):
         fixed = fixed_class_threshold({1: [0.6], 2: [0.5], 3: [0.4]}, 3, 0.5)
         blended = freq_weighted_threshold(fixed, tiny_catalog, mix=0.5)
-        assert abs(blended.tau[0] - 0.8) <= 1e-12  # 0.5*0.6 + 0.5*1.0
+        assert abs(blended[0] - 0.8) <= 1e-12  # 0.5*0.6 + 0.5*1.0
 
 
 class TestDashAdaptive:
-    def _policy(self, base=0.5, growth=1.1):
-        fixed = fixed_class_threshold({1: [base]}, n_foreground=1, quantile=1.0)
-        return dash_adaptive_policy(fixed, growth)
+    def _policy(self, base=0.5):
+        tau = fixed_class_threshold({1: [base]}, n_foreground=1, quantile=1.0)
+        return Thresholds("dash-adaptive", tau, np.ones(1, dtype=bool), base_tau=tau)
 
     def test_one_interval_growth(self):
-        out = dash_adaptive_update(self._policy(), 1)
+        out = dash_adaptive_update(self._policy(), 1, 1.1)
         assert abs(out.tau[0] - 0.55) <= 1e-12
+        assert out.step == 1
 
     def test_zero_intervals_is_start_point(self):
-        out = dash_adaptive_update(self._policy(), 0)
+        out = dash_adaptive_update(self._policy(), 0, 1.1)
         assert out.tau[0] == 0.5
 
     def test_saturates_at_one_and_blocks_everything(self):
-        out = dash_adaptive_update(self._policy(), 500)
+        out = dash_adaptive_update(self._policy(), 500, 1.1)
         assert out.tau[0] == 1.0
-        pred = argmax_confidence((0.01, 0.99))
-        assert decide(out, pred) is None  # softmax confidence < 1 never clears
+        assert decide(out, (0.01, 0.99)) is None  # softmax confidence < 1 never clears
 
     def test_monotone_in_intervals(self):
         policy = self._policy()
-        taus = [dash_adaptive_update(policy, k).tau[0] for k in range(10)]
+        taus = [dash_adaptive_update(policy, k, 1.1).tau[0] for k in range(10)]
         assert all(b >= a for a, b in zip(taus, taus[1:]))
 
     def test_growth_must_exceed_one(self):
-        fixed = fixed_class_threshold({1: [0.5]}, 1, 1.0)
         with pytest.raises(ConfigError):
-            dash_adaptive_policy(fixed, 1.0)
+            SelfTrainConfig(policy="dash-adaptive", dash_growth=1.0).validate()
