@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import ConfigError, RuntimeAbort, ValidationError
-from .labels import BG_INDEX, Dataset, Prediction, PredicateCatalog, TripletInstance, argmax_confidence
+from .labels import BG_INDEX, Dataset, PredicateCatalog, TripletInstance
 from .rngs import stream
 
 PROB_FLOOR = 1e-12
@@ -140,17 +140,6 @@ def predict_probs(params: ModelParams, X) -> np.ndarray:
             f"feature matrix must be (n, {params.feature_dim}), got {X.shape}"
         )
     return forward_probs(params, X)[0]
-
-
-def forward(params: ModelParams, features) -> Prediction:
-    """Single-instance forward pass wrapped as a Prediction."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.shape != (params.feature_dim,):
-        raise ValidationError(
-            f"expected a {params.feature_dim}-dimensional feature vector, got {feats.shape}"
-        )
-    probs = predict_probs(params, feats[None, :])[0]
-    return argmax_confidence(probs)
 
 
 def zero_grads(params: ModelParams) -> Grads:

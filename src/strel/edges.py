@@ -7,8 +7,7 @@ relaxed = sigmoid((log s + e) / temperature) and hard = [relaxed > 0.5].
 The hard decision depends only on the sign of log s + e, so it is invariant
 to the temperature.  Self-training uses the hard samples only, to gate
 pseudo-labels and to pick the message-passing edges; no gradient flows
-through them, so the scorer learns from its focal loss alone
-(``straight_through_grad`` gives the relaxation's slope for analysis).
+through them, so the scorer learns from its focal loss alone.
 
 Under this single-noise construction P(hard = 1) = 1 - exp(-s), not s.
 
@@ -139,14 +138,6 @@ def sample_edges(scores, temperature: float, noise) -> EdgeSamples:
         raise ValidationError("need one noise value per edge score")
     relaxed = _sigmoid((np.log(s) + e) / temperature)
     return EdgeSamples(score=s, relaxed=relaxed, hard=(relaxed > 0.5).astype(np.intp), noise=e)
-
-
-def straight_through_grad(samples: EdgeSamples, temperature: float) -> np.ndarray:
-    """d hard / d score under the straight-through convention.
-
-    Equals d relaxed / d score = relaxed * (1 - relaxed) / (temperature * s).
-    """
-    return samples.relaxed * (1.0 - samples.relaxed) / (temperature * samples.score)
 
 
 def focal_loss_grad(

@@ -1,4 +1,4 @@
-"""Relation label space, prediction records, and scene containers.
+"""Relation label space and scene containers.
 
 Index 0 of every probability vector and label field is reserved for the
 background class ("no relation").  Foreground classes occupy indices 1..F in
@@ -14,7 +14,6 @@ once on first use (see ``SplitArrays``).
 from __future__ import annotations
 
 import json
-import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -25,8 +24,6 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 
 BG_INDEX = 0
-
-PROB_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,12 +63,6 @@ class PredicateCatalog:
     def n_foreground(self) -> int:
         return len(self.counts)
 
-    def count_of(self, class_index: int) -> int:
-        """Training count of a foreground class, looked up by label index."""
-        if not 1 <= class_index <= self.n_foreground:
-            raise ValidationError(f"not a foreground class index: {class_index}")
-        return self.counts[class_index - 1]
-
 
 def build_catalog(label_counts: Mapping[str, int], bg_name: str = "bg") -> PredicateCatalog:
     """Build a catalog from raw per-class counts.
@@ -92,38 +83,6 @@ def build_catalog(label_counts: Mapping[str, int], bg_name: str = "bg") -> Predi
     names = (bg_name,) + tuple(name for name, _ in ordered)
     counts = tuple(count for _, count in ordered)
     return PredicateCatalog(class_names=names, counts=counts)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """A class-probability vector with its confidence and argmax class.
-
-    ``confidence`` is the maximum entry of ``probs`` and ``argmax_class`` the
-    lowest index attaining it.
-    """
-
-    probs: np.ndarray
-    confidence: float
-    argmax_class: int
-
-
-def argmax_confidence(probs) -> Prediction:
-    """Wrap a probability vector into a Prediction.
-
-    The vector must be non-negative and sum to 1 within 1e-6; argmax ties
-    break toward the lowest class index.
-    """
-    arr = np.array(probs, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("probs must be a non-empty vector")
-    if np.any(arr < 0.0):
-        raise ValidationError("probabilities must be non-negative")
-    total = float(arr.sum())
-    if not math.isfinite(total) or abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(f"probabilities must sum to 1, got {total!r}")
-    idx = int(np.argmax(arr))
-    arr.setflags(write=False)
-    return Prediction(probs=arr, confidence=float(arr[idx]), argmax_class=idx)
 
 
 @dataclass(frozen=True)

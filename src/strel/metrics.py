@@ -81,14 +81,6 @@ def per_class_recall_at_k(preds: SplitPredictions, k: int, n_foreground: int) ->
     return out
 
 
-def mean_recall_at_k(preds: SplitPredictions, k: int, n_foreground: int) -> float:
-    """Unweighted mean of per-class recall over classes with ground truth."""
-    per_class = per_class_recall_at_k(preds, k, n_foreground)
-    if np.all(np.isnan(per_class)):
-        raise ValidationError("mean recall is undefined without any ground truth")
-    return float(np.nanmean(per_class))
-
-
 def f_at_k(recall: float, mean_recall: float) -> float:
     """Harmonic mean of overall and per-class-mean recall; 0 when both are 0."""
     if recall < 0.0 or mean_recall < 0.0:

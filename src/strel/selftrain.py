@@ -327,15 +327,8 @@ def build_thresholds(
     return _quantile_policy_from_val(cfg, params, val, n_fg)
 
 
-def update_thresholds(
-    state: Thresholds,
-    cfg: SelfTrainConfig,
-    iteration: int,
-    pred_classes: np.ndarray,
-    confidences: np.ndarray,
-    params: ModelParams,
-    val: Dataset | None,
-) -> Thresholds:
+def update_thresholds(state: Thresholds, cfg: SelfTrainConfig, iteration: int, pred_classes,
+                      confidences, params: ModelParams, val: Dataset | None) -> Thresholds:
     """The thresholds after ``iteration``, by ``state.policy``.
 
     catm takes one EMA step on the batch's predictions; dash-adaptive moves

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,54 +82,43 @@ class Thresholds:
         Metadata ``thresholds.policy`` (a name from ``POLICIES``) and
         ``thresholds.step`` (an int).
         """
-        tensors = {f"thresholds.{a}": getattr(self, a) for a in _ARRAYS}
-        meta = {"thresholds.policy": self.policy, "thresholds.step": self.step}
-        return {k: v for k, v in tensors.items() if v is not None}, meta
+        tensors = {f"thresholds.{a}": v for a in _ARRAYS if (v := getattr(self, a)) is not None}
+        return tensors, {"thresholds.policy": self.policy, "thresholds.step": self.step}
 
     @classmethod
     def from_tensors(cls, tensors: Mapping[str, np.ndarray], meta: Mapping) -> Thresholds:
         """Inverse of :meth:`to_tensors`; a KeyError names a missing entry."""
-        policy = meta["thresholds.policy"]
-        if policy not in POLICIES:
-            raise ValidationError(f"unknown threshold policy {policy!r}")
-        arrays = {a: tensors.get(f"thresholds.{a}") for a in _ARRAYS}
-        for required in ("tau", "accept"):
-            if arrays[required] is None:
-                raise KeyError(f"thresholds.{required}")
-        return cls(policy=policy, step=int(meta["thresholds.step"]), **arrays)
+        tau, accept = tensors["thresholds.tau"], tensors["thresholds.accept"]
+        optional = (tensors.get(f"thresholds.{a}") for a in _ARRAYS[2:])
+        return cls(meta["thresholds.policy"], tau, accept, *optional, int(meta["thresholds.step"]))
 
 
-class MomentumCoefficients(NamedTuple):
-    """Per-class EMA momentum, indexed by frequency rank (= label index - 1).
+def momentum_coefficients(
+    catalog: PredicateCatalog, alpha_inc: float = 0.4, alpha_dec: float = 0.4
+) -> tuple[np.ndarray, np.ndarray]:
+    """catm's momentum ``(lambda_inc, lambda_dec)`` per class, indexed by
+    frequency rank (= label index - 1).
 
     ``lambda_inc[r] = (count[r] / count[0]) ** alpha_inc`` and
     ``lambda_dec[r] = (count[F - 1 - r] / count[0]) ** alpha_dec`` on the
     descending-count ranking, so lambda_inc is non-increasing and lambda_dec
     non-decreasing along the ranking.
     """
-
-    lambda_inc: np.ndarray
-    lambda_dec: np.ndarray
-
-
-def momentum_coefficients(
-    catalog: PredicateCatalog, alpha_inc: float = 0.4, alpha_dec: float = 0.4
-) -> MomentumCoefficients:
     if not 0.0 <= alpha_inc <= 1.0 or not 0.0 <= alpha_dec <= 1.0:
         raise ConfigError("momentum exponents must lie in [0, 1]")
     counts = np.asarray(catalog.counts, dtype=np.float64)
     if counts[0] <= 0:
         raise ConfigError("the most frequent class must have a positive count")
     ratio = counts / counts[0]
-    return MomentumCoefficients(ratio**alpha_inc, ratio[::-1] ** alpha_dec)
+    return ratio**alpha_inc, ratio[::-1] ** alpha_dec
 
 
-def uniform_coefficients(n_foreground: int, value: float = 0.5) -> MomentumCoefficients:
+def uniform_coefficients(n_foreground: int, value: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """Class-agnostic momentum, used by the no-class-specific-momentum ablation."""
     if not 0.0 < value <= 1.0:
         raise ConfigError("uniform momentum must lie in (0, 1]")
     lam = np.full(n_foreground, value)
-    return MomentumCoefficients(lam, lam)
+    return lam, lam
 
 
 def ema_update(
@@ -220,7 +209,5 @@ def freq_weighted_threshold(fixed, catalog: PredicateCatalog, mix: float) -> np.
 
 def dash_adaptive_update(state: Thresholds, interval_index: int, growth: float) -> Thresholds:
     """Advance the ramp: tau_c = min(1, base_c * growth ** k)."""
-    if interval_index < 0:
-        raise ConfigError("interval index must be non-negative")
     tau = np.minimum(1.0, state.base_tau * growth**interval_index)
     return replace(state, tau=tau, step=int(interval_index))

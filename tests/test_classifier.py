@@ -11,7 +11,6 @@ from strel.classifier import (
     balanced_resample,
     class_weights,
     downsample_background,
-    forward,
     init_params,
     load_model,
     pretrain,
@@ -28,7 +27,7 @@ from strel.labels import Dataset, TripletInstance, build_catalog
 from strel.rngs import stream
 
 from _oracles import gradient_relative_error
-from conftest import build_scene, iter_triplets
+from conftest import build_scene
 
 
 def linear_params(weights, bias):
@@ -54,19 +53,19 @@ def triplet(features, observed, hidden=None):
 class TestForward:
     def test_zero_model_is_uniform(self):
         params = linear_params(np.zeros((2, 3)), np.zeros(3))
-        p = forward(params, np.array([0.3, -0.4]))
-        np.testing.assert_allclose(p.probs, np.full(3, 1 / 3), atol=1e-15)
+        p = predict_probs(params, np.array([[0.3, -0.4]]))[0]
+        np.testing.assert_allclose(p, np.full(3, 1 / 3), atol=1e-15)
 
     def test_hand_softmax(self):
         # bias-only model: logits (0, ln 2, ln 4) -> probs (1/7, 2/7, 4/7)
         params = linear_params(np.zeros((1, 3)), [0.0, math.log(2), math.log(4)])
-        p = forward(params, np.zeros(1))
-        np.testing.assert_allclose(p.probs, [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
+        p = predict_probs(params, np.zeros((1, 1)))[0]
+        np.testing.assert_allclose(p, [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         params = linear_params(np.zeros((2, 3)), np.zeros(3))
         with pytest.raises(ValidationError):
-            forward(params, np.zeros(5))
+            predict_probs(params, np.zeros((1, 5)))
 
     @given(
         st.lists(st.floats(min_value=-30, max_value=30), min_size=2, max_size=6),
@@ -212,12 +211,8 @@ class TestPretrain:
         train = separable_dataset()
         cfg = TrainConfig(learning_rate=0.5, n_epochs=50, batch_size=10, seed=1)
         params, _ = pretrain(train, cfg)
-        correct = total = 0
-        for t in iter_triplets(train):
-            pred = forward(params, t.features)
-            correct += pred.argmax_class == t.observed_label
-            total += 1
-        assert correct == total
+        pred = np.argmax(predict_probs(params, train.arrays.features), axis=1)
+        assert np.array_equal(pred, train.arrays.observed)
 
     def test_deterministic_given_seed(self):
         train = separable_dataset(n_scenes=12)

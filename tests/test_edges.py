@@ -14,7 +14,6 @@ from strel.edges import (
     init_edge_learner,
     message_pass,
     sample_edges,
-    straight_through_grad,
 )
 from strel.errors import ConfigError, ValidationError
 from strel.labels import Entity, compile_split, make_scene
@@ -117,7 +116,9 @@ class TestGumbelSample:
         hi = gumbel_sample(s + h, temp, noise=eps).relaxed
         lo = gumbel_sample(s - h, temp, noise=eps).relaxed
         numeric = (hi - lo) / (2 * h)
-        assert straight_through_grad(samples, temp)[0] == pytest.approx(numeric, rel=1e-5)
+        # d relaxed / d score = relaxed * (1 - relaxed) / (temperature * s)
+        slope = samples.relaxed * (1.0 - samples.relaxed) / (temp * samples.score)
+        assert slope[0] == pytest.approx(numeric, rel=1e-5)
 
     def test_noise_length_checked(self):
         with pytest.raises(ValidationError):

@@ -11,7 +11,6 @@ from strel.labels import (
     PredicateCatalog,
     Scene,
     TripletInstance,
-    argmax_confidence,
     build_catalog,
     compile_split,
     make_scene,
@@ -71,42 +70,10 @@ class TestCatalogInvariants:
             PredicateCatalog(("bg", "a"), (5, 4))
 
     def test_count_lookup_by_class_index(self, tiny_catalog):
-        assert tiny_catalog.count_of(1) == 50
-        assert tiny_catalog.count_of(3) == 10
-        with pytest.raises(ValidationError):
-            tiny_catalog.count_of(0)
-
-
-class TestArgmaxConfidence:
-    def test_definitional(self):
-        p = argmax_confidence((0.2, 0.3, 0.5))
-        assert p.confidence == 0.5 and p.argmax_class == 2
-
-    def test_one_hot(self):
-        p = argmax_confidence((1.0, 0.0, 0.0))
-        assert p.confidence == 1.0 and p.argmax_class == 0
-
-    def test_tie_breaks_to_lowest_index(self):
-        p = argmax_confidence((0.4, 0.4, 0.2))
-        assert p.argmax_class == 0
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValidationError):
-            argmax_confidence((1.1, -0.1))
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(ValidationError):
-            argmax_confidence((0.5, 0.4))
-
-    @given(
-        st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=12)
-    )
-    def test_confidence_is_exact_max(self, raw):
-        arr = np.asarray(raw)
-        arr = arr / arr.sum()
-        p = argmax_confidence(arr)
-        assert p.confidence == arr.max()  # same arithmetic path, no tolerance
-        assert p.argmax_class == int(np.argmax(arr))
+        # the foreground class with label index c has count counts[c - 1]
+        assert tiny_catalog.counts[1 - 1] == 50
+        assert tiny_catalog.counts[3 - 1] == 10
+        assert len(tiny_catalog.counts) == tiny_catalog.n_foreground == 3
 
 
 class TestTripletInstance:

@@ -45,23 +45,23 @@ descending_counts = st.lists(
 
 class TestMomentumCoefficients:
     def test_worked_example_alpha_one_is_exact(self, tiny_catalog):
-        mc = momentum_coefficients(tiny_catalog, 1.0, 1.0)
-        assert tuple(mc.lambda_inc) == (1.0, 0.8, 0.2)
-        assert tuple(mc.lambda_dec) == (0.2, 0.8, 1.0)
+        lambda_inc, lambda_dec = momentum_coefficients(tiny_catalog, 1.0, 1.0)
+        assert tuple(lambda_inc) == (1.0, 0.8, 0.2)
+        assert tuple(lambda_dec) == (0.2, 0.8, 1.0)
 
     def test_alpha_zero_is_all_ones(self, tiny_catalog):
-        mc = momentum_coefficients(tiny_catalog, 0.0, 0.0)
-        assert np.all(mc.lambda_inc == 1.0) and np.all(mc.lambda_dec == 1.0)
+        lambda_inc, lambda_dec = momentum_coefficients(tiny_catalog, 0.0, 0.0)
+        assert np.all(lambda_inc == 1.0) and np.all(lambda_dec == 1.0)
 
     def test_alpha_half_matches_power_formula(self, tiny_catalog):
-        mc = momentum_coefficients(tiny_catalog, 0.5, 0.5)
+        lambda_inc, lambda_dec = momentum_coefficients(tiny_catalog, 0.5, 0.5)
         # independent arithmetic evaluation of the power formula
         expected_inc = [(50 / 50) ** 0.5, (40 / 50) ** 0.5, (10 / 50) ** 0.5]
         expected_dec = [(10 / 50) ** 0.5, (40 / 50) ** 0.5, (50 / 50) ** 0.5]
-        np.testing.assert_allclose(mc.lambda_inc, expected_inc, rtol=0, atol=0)
-        np.testing.assert_allclose(mc.lambda_dec, expected_dec, rtol=0, atol=0)
-        assert mc.lambda_inc[1] == pytest.approx(0.894427, abs=5e-7)
-        assert mc.lambda_inc[2] == pytest.approx(0.447214, abs=5e-7)
+        np.testing.assert_allclose(lambda_inc, expected_inc, rtol=0, atol=0)
+        np.testing.assert_allclose(lambda_dec, expected_dec, rtol=0, atol=0)
+        assert lambda_inc[1] == pytest.approx(0.894427, abs=5e-7)
+        assert lambda_inc[2] == pytest.approx(0.447214, abs=5e-7)
 
     def test_head_zero_count_is_an_error(self):
         from strel.labels import PredicateCatalog
@@ -77,15 +77,15 @@ class TestMomentumCoefficients:
     @given(descending_counts, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_monotonicity_along_ranking(self, counts, a_inc, a_dec):
         cat = build_catalog({f"c{i}": c for i, c in enumerate(counts)})
-        mc = momentum_coefficients(cat, a_inc, a_dec)
-        assert np.all(np.diff(mc.lambda_inc) <= 1e-15)
-        assert np.all(np.diff(mc.lambda_dec) >= -1e-15)
-        assert np.all(mc.lambda_inc > 0) and np.all(mc.lambda_inc <= 1.0)
-        assert np.all(mc.lambda_dec > 0) and np.all(mc.lambda_dec <= 1.0)
+        lambda_inc, lambda_dec = momentum_coefficients(cat, a_inc, a_dec)
+        assert np.all(np.diff(lambda_inc) <= 1e-15)
+        assert np.all(np.diff(lambda_dec) >= -1e-15)
+        assert np.all(lambda_inc > 0) and np.all(lambda_inc <= 1.0)
+        assert np.all(lambda_dec > 0) and np.all(lambda_dec <= 1.0)
 
     def test_uniform_ablation_value(self):
-        mc = uniform_coefficients(4, 0.5)
-        assert np.all(mc.lambda_inc == 0.5) and np.all(mc.lambda_dec == 0.5)
+        lambda_inc, lambda_dec = uniform_coefficients(4, 0.5)
+        assert np.all(lambda_inc == 0.5) and np.all(lambda_dec == 0.5)
 
 
 class TestEmaUpdate:
