@@ -122,7 +122,7 @@ class SelfTrainConfig:
             raise ConfigError("policy intervals must be >= 1")
         if self.policy == "dash-adaptive" and self.dash_growth <= 1.0:
             raise ConfigError("dash growth factor must exceed 1")
-        if not 0.0 <= self.initial_tau <= 1.0:
+        if self.policy == "catm" and not 0.0 <= self.initial_tau <= 1.0:
             raise ConfigError("initial threshold must lie in [0, 1]")
 
 
