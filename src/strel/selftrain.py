@@ -227,13 +227,15 @@ def assign_pseudo_labels(
     """
     if cap < 1:
         raise ConfigError("cap must be >= 1")
-    keys = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
     classes = np.asarray(pred_classes, dtype=np.intp)
     conf = np.asarray(confidences, dtype=np.float64)
     eligible = conf >= thresholds.bar[classes]
     if gates is not None:
         eligible &= np.asarray(gates, dtype=bool)
     pos = np.flatnonzero(eligible)
+    if not pos.size:  # as in every batch under never: skip the sort
+        return pos
+    keys = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
     scene, cls = keys[pos, 0], classes[pos]
     order = np.lexsort((keys[pos, 1], -conf[pos], cls, scene))
     pos, scene, cls = pos[order], scene[order], cls[order]

@@ -26,8 +26,7 @@ differ only in how ``tau`` starts and moves:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -58,19 +57,17 @@ class Thresholds:
     lambda_dec: np.ndarray | None = None
     base_tau: np.ndarray | None = None  # dash-adaptive ramp start
     step: int = 0
+    # the confidence each class index must reach, background first: the
+    # background and every class outside ``accept`` are unreachable
+    bar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in _ARRAYS:
-            if (arr := getattr(self, name)) is not None:
-                arr.setflags(write=False)
-
-    @cached_property
-    def bar(self) -> np.ndarray:
-        """The confidence each class index must reach, background first:
-        the background and every class outside ``accept`` are unreachable."""
         bar = np.full(self.tau.size + 1, np.inf)
         np.copyto(bar[1:], self.tau, where=self.accept)
-        return bar
+        object.__setattr__(self, "bar", bar)
+        for arr in (bar, self.tau, self.accept, self.lambda_inc, self.lambda_dec, self.base_tau):
+            if arr is not None:
+                arr.setflags(write=False)
 
     def to_tensors(self) -> tuple[dict[str, np.ndarray], dict]:
         """The checkpoint entries: tensors and metadata.
@@ -160,7 +157,9 @@ def ema_update(
             lam = state.lambda_dec[c - 1]
         mean = float(np.add.reduce(sel) / sel.size)  # exactly ndarray.mean
         tau[c - 1] = (1.0 - lam) * prev + lam * mean
-    return replace(state, tau=tau, step=state.step + 1)
+    # the constructor, not ``replace``: this runs every iteration
+    return Thresholds(state.policy, tau, state.accept, state.lambda_inc, state.lambda_dec,
+                      state.base_tau, state.step + 1)
 
 
 def top_quantile(values, quantile: float) -> float:

@@ -160,15 +160,14 @@ class TestPipeline:
 
     def test_resume_flag(self, run_dir, tmp_path, capsys):
         """Resuming a run that is already at max_iterations keeps its counts."""
-        root = run_dir
         finished = str(tmp_path / "finished.ckpt")
-        shutil.copy(os.path.join(root, "ckpt", "selftrain.ckpt"), finished)
+        shutil.copy(os.path.join(run_dir, "ckpt", "selftrain.ckpt"), finished)
         capsys.readouterr()
-        assert cli.main(["selftrain", "--resume", finished] + tiny_args(root)) == 0
+        assert cli.main(["selftrain", "--resume", finished] + tiny_args(run_dir)) == 0
         assert capsys.readouterr().out.startswith("self-trained 0 iterations")
         counts = load_checkpoint(finished)[3]
         assert counts.sum() > 0
-        resumed = load_checkpoint(os.path.join(root, "ckpt", "selftrain.ckpt"))[3]
+        resumed = load_checkpoint(os.path.join(run_dir, "ckpt", "selftrain.ckpt"))[3]
         assert resumed.tolist() == counts.tolist()
 
 
@@ -201,7 +200,8 @@ class TestCorruptInputs:
     def test_checkpoint_without_params(self, run_dir, drop, capsys):
         path = os.path.join(run_dir, "ckpt", "selftrain.ckpt")
         tensors, meta = tensorio.load_tensors(path)
-        tensors.pop(drop, None), meta.pop(drop, None)
+        tensors.pop(drop, None)
+        meta.pop(drop, None)
         tensorio.save_tensors(path, tensors, meta)
         self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
 
