@@ -3,10 +3,15 @@
 Everything here recomputes expected values through a different path than the
 library: central finite differences for gradients, and plain per-item loops,
 dicts and sets for pseudo-label selection, the ranking metrics and message
-passing, where the library works on whole arrays.
+passing, where the library works on whole arrays; and the dataset pipeline
+in object form, one scene record per scene.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,3 +241,139 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
         "tau": np.array(taus).reshape(-1, catalog.n_foreground),
         "epochs": np.array(epochs, dtype=np.float64),
     }
+
+
+# --- the object-form dataset pipeline --------------------------------------
+#
+# The synthetic generator, annotation masking and scene split as they were
+# written before the library built datasets as columns: one ``Entity`` and one
+# ``TripletInstance`` per draw, labels remapped by rebuilding every triplet.
+# The columnar library must reproduce these scenes bit for bit.
+
+
+class ObjectDataset(NamedTuple):
+    scenes: tuple
+    catalog: object
+    split: str
+
+
+def object_annotated_counts(scenes, n_foreground: int) -> list[int]:
+    counts = [0] * n_foreground
+    for scene in scenes:
+        for t in scene.triplets:
+            if t.observed_label != 0:
+                counts[t.observed_label - 1] += 1
+    return counts
+
+
+def _object_relabel(scene_groups, counts, names):
+    from strel.labels import PredicateCatalog, Scene
+
+    order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
+    mapping = {0: 0}
+    for new_rank, old_zero_based in enumerate(order):
+        mapping[old_zero_based + 1] = new_rank + 1
+
+    def relabel(scene):
+        triplets = tuple(
+            dataclasses.replace(
+                t, observed_label=mapping[t.observed_label], hidden_label=mapping[t.hidden_label]
+            )
+            for t in scene.triplets
+        )
+        return Scene(scene.scene_id, scene.entities, triplets)
+
+    remapped = [[relabel(s) for s in scenes] for scenes in scene_groups]
+    catalog = PredicateCatalog(
+        class_names=("bg",) + tuple(names[i] for i in order),
+        counts=tuple(counts[i] for i in order),
+    )
+    return remapped, catalog
+
+
+def object_generate(config) -> ObjectDataset:
+    """``synthgen.generate``, one pair at a time."""
+    from strel.labels import Entity, make_scene
+    from strel.synthgen import _prototypes, zipf_shares
+
+    config.validate()
+    root = np.random.SeedSequence(config.seed)
+    proto_seq, scene_root = root.spawn(2)
+    protos = _prototypes(config, np.random.default_rng(proto_seq))
+    shares = zipf_shares(config.n_fg_classes, config.zipf_exponent)
+    half = config.feature_dim // 2
+    lo = max(1, config.entities_min // 2)
+    hi = max(lo, config.entities_max // 2)
+
+    scenes = []
+    for scene_id, seq in enumerate(scene_root.spawn(config.n_scenes)):
+        rng = np.random.default_rng(seq)
+        n_pairs = int(rng.integers(lo, hi + 1))
+        entities, pairs = [], []
+        for j in range(n_pairs):
+            if rng.random() < config.true_bg_fraction:
+                label, sigma = 0, config.bg_noise_sigma
+            else:
+                label = 1 + int(rng.choice(config.n_fg_classes, p=shares))
+                sigma = config.noise_sigma
+            proto = protos[label]
+            subj_feat = proto[:half] + sigma * rng.standard_normal(half)
+            obj_feat = proto[half:] + sigma * rng.standard_normal(half)
+            sid, oid = 2 * j, 2 * j + 1
+            entities.append(Entity(sid, int(rng.integers(config.n_entity_classes)), subj_feat))
+            entities.append(Entity(oid, int(rng.integers(config.n_entity_classes)), obj_feat))
+            pairs.append((sid, oid, label, label))
+        scenes.append(make_scene(scene_id, entities, pairs))
+
+    names = [f"rel{k:02d}" for k in range(1, config.n_fg_classes + 1)]
+    counts = object_annotated_counts(scenes, config.n_fg_classes)
+    (scenes,), catalog = _object_relabel([scenes], counts, names)
+    return ObjectDataset(tuple(scenes), catalog, "full")
+
+
+def object_mask_annotations(dataset: ObjectDataset, fraction: float, seed: int) -> ObjectDataset:
+    """``synthgen.mask_annotations`` over a set of (scene, pair) keys."""
+    from strel.labels import Scene
+
+    refs = [
+        (i, j)
+        for i, scene in enumerate(dataset.scenes)
+        for j, t in enumerate(scene.triplets)
+        if t.hidden_label != 0
+    ]
+    keep = math.ceil(fraction * len(refs))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    chosen = rng.choice(len(refs), size=keep, replace=False) if refs else []
+    keep_set = {refs[int(k)] for k in chosen}
+    scenes = []
+    for i, scene in enumerate(dataset.scenes):
+        triplets = tuple(
+            dataclasses.replace(t, observed_label=t.hidden_label if (i, j) in keep_set else 0)
+            for j, t in enumerate(scene.triplets)
+        )
+        scenes.append(Scene(scene.scene_id, scene.entities, triplets))
+    return ObjectDataset(tuple(scenes), dataset.catalog, dataset.split)
+
+
+def _object_allocate(n: int, fractions) -> list[int]:
+    base = [int(math.floor(f * n)) for f in fractions]
+    remainder = n - sum(base)
+    residuals = sorted(range(len(fractions)), key=lambda i: (-(fractions[i] * n - base[i]), i))
+    for i in residuals[:remainder]:
+        base[i] += 1
+    return base
+
+
+def object_split(dataset: ObjectDataset, fractions, seed: int) -> tuple[ObjectDataset, ...]:
+    """``synthgen.split``: scene lists, relabelled by the train counts."""
+    f = np.asarray(fractions, dtype=np.float64)
+    n = len(dataset.scenes)
+    sizes = _object_allocate(n, f)
+    perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
+    bounds = [0, sizes[0], sizes[0] + sizes[1], n]
+    groups = [[dataset.scenes[int(i)] for i in perm[bounds[k] : bounds[k + 1]]] for k in range(3)]
+    counts = object_annotated_counts(groups[0], dataset.catalog.n_foreground)
+    groups, catalog = _object_relabel(groups, counts, dataset.catalog.class_names[1:])
+    return tuple(
+        ObjectDataset(tuple(g), catalog, tag) for g, tag in zip(groups, ("train", "val", "test"))
+    )

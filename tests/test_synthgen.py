@@ -1,14 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from strel.cli import RunConfig, generator_config
 from strel.errors import ConfigError
 from strel.labels import BG_INDEX, annotated_counts, scene_to_line
 from strel.synthgen import GeneratorConfig, generate, mask_annotations, split, zipf_shares
 
+from _oracles import object_generate, object_mask_annotations, object_split
 from conftest import build_scene, iter_triplets
-from strel.labels import Dataset, build_catalog
+from strel.labels import Dataset, build_catalog, compile_split
 
 
 def small_config(**overrides):
@@ -213,3 +218,93 @@ class TestSplit:
             split="train",
         )
         assert counts_by_name(original_subset) == counts_by_name(train)
+
+
+# --- the columnar pipeline against the object-form oracle ------------------------
+
+
+def assert_records_equal(a, b):
+    """Two scene records (or entities, or triplets) agree field by field,
+    arrays bit for bit."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        elif isinstance(x, tuple):
+            assert len(x) == len(y)
+            for u, v in zip(x, y):
+                assert_records_equal(u, v)
+        else:
+            assert x == y, field.name
+
+
+def assert_same_split(ours, oracle):
+    assert ours.split == oracle.split and ours.catalog == oracle.catalog
+    got, want = ours.arrays, compile_split(oracle.scenes)
+    assert got.features.dtype == want.features.dtype and got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    for name in ("observed", "hidden", "scene_ids", "scene_offsets", "subject_row", "object_row",
+                 "pair_scene", "pair_index"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert len(ours.scenes) == len(oracle.scenes)
+    for a, b in zip(ours.scenes, oracle.scenes):
+        assert_records_equal(a, b)
+
+
+def run_both(config, fraction, mask_seed, fractions, split_seed):
+    full = generate(config)
+    masked = mask_annotations(full, fraction, mask_seed)
+    ref_full = object_generate(config)
+    ref_masked = object_mask_annotations(ref_full, fraction, mask_seed)
+    assert_same_split(full, ref_full)
+    assert_same_split(masked, ref_masked)
+    for ours, ref in zip(split(masked, fractions, split_seed),
+                         object_split(ref_masked, fractions, split_seed)):
+        assert_same_split(ours, ref)
+
+
+@st.composite
+def generator_configs(draw):
+    n_fg = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        ranks = draw(st.permutations(range(1, n_fg + 1)))
+        n_pairs = draw(st.integers(0, n_fg // 2))
+        pairs = ",".join(f"{ranks[2 * g]}:{ranks[2 * g + 1]}" for g in range(n_pairs))
+        sibling = dict(sibling_pairs=pairs, sibling_groups=0)
+    else:
+        sibling = dict(sibling_groups=draw(st.integers(0, (n_fg - 1) // 2)))
+    entities_min = draw(st.integers(2, 9))
+    return GeneratorConfig(
+        n_scenes=draw(st.integers(10, 30)),
+        entities_min=entities_min,
+        entities_max=draw(st.integers(entities_min, 16)),
+        n_fg_classes=n_fg,
+        zipf_exponent=draw(st.sampled_from([0.0, 1.0, 1.5, 3.0])),
+        feature_dim=2 * draw(st.integers(1, 10)),
+        true_bg_fraction=draw(st.sampled_from([0.0, 0.15, 0.6]) | st.floats(0.0, 0.95)),
+        n_entity_classes=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        **sibling,
+    )
+
+
+class TestObjectOracle:
+    @given(
+        config=generator_configs(),
+        fraction=st.floats(0.01, 1.0),
+        mask_seed=st.integers(0, 1000),
+        fractions=st.sampled_from([(0.7, 0.1, 0.2), (0.4, 0.3, 0.3), (0.5, 0.25, 0.25)]),
+        split_seed=st.integers(0, 1000),
+    )
+    def test_small_configs_match_the_object_pipeline(
+        self, config, fraction, mask_seed, fractions, split_seed
+    ):
+        run_both(config, fraction, mask_seed, fractions, split_seed)
+
+    def test_benchmark_default_matches_the_object_pipeline(self):
+        rc = RunConfig()
+        run_both(
+            generator_config(rc), rc.annotated_fraction, rc.mask_seed,
+            (rc.train_fraction, rc.val_fraction, rc.test_fraction), rc.split_seed,
+        )
