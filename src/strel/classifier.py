@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from . import tensorio
 from .errors import ConfigError, RuntimeAbort, ValidationError
-from .labels import BG_INDEX, Dataset, PredicateCatalog, TripletInstance
+from .labels import BG_INDEX, Dataset, PredicateCatalog
 from .rngs import stream
 
 PROB_FLOOR = 1e-12
@@ -190,37 +188,30 @@ def weighted_ce_grads(
 
 
 def supervised_loss_grad(
-    params: ModelParams,
-    triplets: Iterable[TripletInstance],
-    class_weights: np.ndarray,
+    params: ModelParams, X: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
 ) -> tuple[float, Grads]:
-    """Mean weighted cross-entropy over annotated triplets."""
-    batch = list(triplets)
-    if not batch:
+    """Mean weighted cross-entropy over annotated pairs: feature rows ``X``
+    and their observed labels."""
+    y = np.asarray(labels, dtype=np.intp)
+    if not len(y):
         return 0.0, zero_grads(params)
-    for t in batch:
-        if t.observed_label == BG_INDEX:
-            raise ValidationError("supervised loss expects annotated triplets only")
+    if np.any(y == BG_INDEX):
+        raise ValidationError("supervised loss expects annotated triplets only")
     w = np.asarray(class_weights, dtype=np.float64)
     if w.shape != (params.n_classes,):
         raise ValidationError("class_weights length must match the class count")
-    X = np.stack([t.features for t in batch])
-    y = np.array([t.observed_label for t in batch])
-    return weighted_ce_loss_grad(params, X, y, w[y] / len(batch))
+    return weighted_ce_loss_grad(params, X, y, w[y] / len(y))
 
 
 def background_loss_grad(
-    params: ModelParams,
-    triplets: Sequence[TripletInstance],
-    class_weights: np.ndarray,
+    params: ModelParams, X: np.ndarray, class_weights: np.ndarray
 ) -> tuple[float, Grads]:
-    """Mean cross-entropy treating every given triplet as background."""
-    if not triplets:
+    """Mean cross-entropy treating every feature row of ``X`` as background."""
+    n = len(X)
+    if not n:
         return 0.0, zero_grads(params)
     w = np.asarray(class_weights, dtype=np.float64)
-    X = np.stack([t.features for t in triplets])
-    y = np.full(len(triplets), BG_INDEX)
-    return weighted_ce_loss_grad(params, X, y, np.full(len(triplets), w[BG_INDEX] / len(triplets)))
+    return weighted_ce_loss_grad(params, X, np.full(n, BG_INDEX), np.full(n, w[BG_INDEX] / n))
 
 
 def sgd_step(params: ModelParams, grads: Grads, lr: float) -> ModelParams:
@@ -259,41 +250,36 @@ def class_weights(catalog: PredicateCatalog, scheme: str) -> np.ndarray:
 
 
 def balanced_resample(
-    triplets: Sequence[TripletInstance], rng: np.random.Generator
-) -> list[TripletInstance]:
-    """Resample annotated triplets so classes appear near-uniformly.
+    rows: np.ndarray, labels: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Resample annotated rows so classes appear near-uniformly.
 
-    Total count is preserved; classes are drawn with replacement from their
-    own pools in label order, so the result is deterministic given the rng.
+    ``labels`` holds each row's class.  Total count is preserved; classes
+    are drawn with replacement from their own pools (rows in given order) in
+    label order, so the result is deterministic given the rng.
     """
-    pools: dict[int, list[TripletInstance]] = {}
-    for t in triplets:
-        pools.setdefault(t.observed_label, []).append(t)
-    classes = sorted(pools)
-    base, extra = divmod(len(triplets), len(classes))
-    out: list[TripletInstance] = []
+    classes = np.unique(labels)
+    base, extra = divmod(len(rows), len(classes))
+    out = []
     for slot, c in enumerate(classes):
-        take = base + (1 if slot < extra else 0)
-        pool = pools[c]
-        for i in rng.integers(0, len(pool), size=take):
-            out.append(pool[int(i)])
-    return out
+        pool = rows[labels == c]
+        out.append(pool[rng.integers(0, len(pool), size=base + (1 if slot < extra else 0))])
+    return np.concatenate(out)
 
 
 def downsample_background(
-    triplets: Sequence[TripletInstance], keep_fraction: float, rng: np.random.Generator
-) -> list[TripletInstance]:
-    """Subsample observed-background triplets for the loss.
+    rows: np.ndarray, keep_fraction: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Subsample observed-background rows for the loss, keeping their order.
 
     Mirrors the pair-proposal subsampling of detection pipelines so the
     background term does not drown the annotated term when only a few
-    percent of pairs are annotated.  Keeps at least one triplet.
+    percent of pairs are annotated.  Keeps at least one row.
     """
-    if keep_fraction >= 1.0 or len(triplets) == 0:
-        return list(triplets)
-    k = max(1, math.ceil(keep_fraction * len(triplets)))
-    idx = np.sort(rng.choice(len(triplets), size=k, replace=False))
-    return [triplets[int(i)] for i in idx]
+    if keep_fraction >= 1.0 or len(rows) == 0:
+        return rows
+    k = max(1, math.ceil(keep_fraction * len(rows)))
+    return rows[np.sort(rng.choice(len(rows), size=k, replace=False))]
 
 
 @dataclass(frozen=True)
@@ -317,27 +303,32 @@ def pretrain(
     extends with a pseudo-label term.
     """
     cfg.validate()
-    if not train.scenes:
+    arrays = train.arrays
+    n_scenes = len(arrays.scene_ids)
+    if not n_scenes:
         raise ConfigError("training split is empty")
     catalog = train.catalog
-    feature_dim = train.scenes[0].triplets[0].features.shape[0]
-    params = init_params(cfg.arch, feature_dim, catalog.n_classes, cfg.hidden_dim, cfg.seed)
+    params = init_params(
+        cfg.arch, arrays.features.shape[1], catalog.n_classes, cfg.hidden_dim, cfg.seed
+    )
     w = class_weights(catalog, cfg.reweight)
 
     log: list[PretrainEpoch] = []
     for epoch in range(cfg.n_epochs):
-        order = stream(cfg.seed, "epoch-order", epoch).permutation(len(train.scenes))
+        order = stream(cfg.seed, "epoch-order", epoch).permutation(n_scenes)
         losses = []
         for b, start in enumerate(range(0, len(order), cfg.batch_size)):
-            scenes = [train.scenes[int(i)] for i in order[start : start + cfg.batch_size]]
-            annotated = [t for s in scenes for t in s.triplets if t.observed_label != BG_INDEX]
-            background = [t for s in scenes for t in s.triplets if t.observed_label == BG_INDEX]
+            rows = arrays.rows_of(order[start : start + cfg.batch_size])
+            observed = arrays.observed[rows]
+            annotated, background = rows[observed != BG_INDEX], rows[observed == BG_INDEX]
             rng = stream(cfg.seed, "batch", epoch, b)
-            if cfg.oversample and annotated:
-                annotated = balanced_resample(annotated, rng)
+            if cfg.oversample and len(annotated):
+                annotated = balanced_resample(annotated, arrays.observed[annotated], rng)
             background = downsample_background(background, cfg.bg_downsample, rng)
-            loss_a, g_a = supervised_loss_grad(params, annotated, w)
-            loss_b, g_b = background_loss_grad(params, background, w)
+            loss_a, g_a = supervised_loss_grad(
+                params, arrays.features[annotated], arrays.observed[annotated], w
+            )
+            loss_b, g_b = background_loss_grad(params, arrays.features[background], w)
             loss = loss_a + loss_b
             if not math.isfinite(loss):
                 raise RuntimeAbort(f"pretraining diverged at epoch {epoch}, batch {b}")

@@ -274,11 +274,39 @@ def load_split(rc: RunConfig, split: str) -> Dataset:
     catalog = PredicateCatalog(
         class_names=tuple(info["class_names"]), counts=tuple(info["train_counts"])
     )
-    return Dataset(scenes=read_scenes(path), catalog=catalog, split=split)
+    return Dataset(read_scenes(path), catalog, split)
 
 
 def _checkpoint_path(rc: RunConfig, name: str) -> str:
     return os.path.join(rc.checkpoint_dir, name)
+
+
+def _saved_config(meta: dict) -> dict:
+    config = meta.get("config")
+    return config if isinstance(config, dict) else {}
+
+
+def _check_resumed_gsl(path: str, meta: dict, use_gsl: bool) -> None:
+    saved = bool(_saved_config(meta).get("use_gsl", False))
+    if saved != use_gsl:
+        raise ConfigError(
+            f"{path} was saved with use_gsl={str(saved).lower()}; "
+            f"resume it with --use-gsl {str(saved).lower()}"
+        )
+
+
+def _resumed_edge_learner(path: str, iteration: int):
+    """The edge learner saved beside a self-train checkpoint, at its iteration."""
+    gsl_path = os.path.join(os.path.dirname(path), "edge_learner.ckpt")
+    if not os.path.exists(gsl_path):
+        raise ConfigError(f"missing edge learner beside {path}: {gsl_path}")
+    learner, meta = load_edge_learner(gsl_path)
+    saved = _saved_config(meta).get("max_iterations")
+    if saved != iteration:
+        raise ValidationError(
+            f"{gsl_path} was saved at iteration {saved}, the checkpoint {path} at {iteration}"
+        )
+    return learner
 
 
 # --- commands -----------------------------------------------------------------
@@ -292,16 +320,17 @@ def cmd_gen(rc: RunConfig) -> int:
         masked, (rc.train_fraction, rc.val_fraction, rc.test_fraction), rc.split_seed
     )
     paths = _dataset_paths(rc)
-    for split, ds in (("train", train), ("val", val), ("test", test)):
-        write_scenes(paths[split], ds.scenes)
+    splits = {"train": train.arrays, "val": val.arrays, "test": test.arrays}
+    for split, arrays in splits.items():
+        write_scenes(paths[split], arrays)
+    n_fg = train.catalog.n_foreground
     manifest = {
         "config": rc.echo(),
         "class_names": list(train.catalog.class_names),
         "train_counts": list(train.catalog.counts),
-        "scenes": {s: len(d.scenes) for s, d in (("train", train), ("val", val), ("test", test))},
+        "scenes": {s: len(a.scene_ids) for s, a in splits.items()},
         "annotated_triplets": {
-            s: int(sum(annotated_counts(d.scenes, d.catalog.n_foreground)))
-            for s, d in (("train", train), ("val", val), ("test", test))
+            s: int(annotated_counts(a.observed, n_fg).sum()) for s, a in splits.items()
         },
     }
     with open(_manifest_path(rc), "w", encoding="utf-8") as fh:
@@ -345,15 +374,15 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     if resume:
         if not os.path.exists(resume):
             raise ConfigError(f"missing resume checkpoint: {resume}")
-        params, thresholds, iteration, counts, _ = load_checkpoint(resume)
+        params, thresholds, iteration, counts, meta = load_checkpoint(resume)
         kwargs = {
             "start_iteration": iteration,
             "thresholds": thresholds,
             "cumulative_counts": counts,
         }
-        gsl_path = _checkpoint_path(rc, "edge_learner.ckpt")
-        if cfg.use_gsl and os.path.exists(gsl_path):
-            kwargs["edge_learner"] = load_edge_learner(gsl_path)[0]
+        _check_resumed_gsl(resume, meta, cfg.use_gsl)
+        if cfg.use_gsl:
+            kwargs["edge_learner"] = _resumed_edge_learner(resume, iteration)
 
     result = run(params, train, val, cfg, metric_ks=rc.metric_ks,
                  keep_edge_trace=edge_trace, **kwargs)

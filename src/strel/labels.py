@@ -1,23 +1,27 @@
-"""Relation label space and scene containers.
+"""Relation label space, the columnar dataset, and the scene file record.
 
 Index 0 of every probability vector and label field is reserved for the
 background class ("no relation").  Foreground classes occupy indices 1..F in
 descending training-count order, so a foreground class's label index doubles
 as its frequency rank.
 
-All types here are immutable value records and safe to share across
-parallel readers.  ``Scene`` is the input/output format; training and
-evaluation read a split through ``Dataset.arrays``, the columnar form built
-once on first use (see ``SplitArrays``).
+The columns are the dataset: a split is a ``SplitArrays``, one row per pair
+and one per entity, which the generator fills, masking and splitting gather,
+and training and evaluation read through ``Dataset.arrays``.  ``Scene``,
+``Entity`` and ``TripletInstance`` are the record of the scene file format:
+``read_scenes`` parses them and compiles their columns, ``write_scenes``
+writes the lines from the columns, and ``Dataset.scenes`` builds them only
+when read.  All types here are immutable and safe to share across parallel
+readers.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -172,48 +176,52 @@ def make_scene(
     return Scene(scene_id=scene_id, entities=tuple(entities), triplets=tuple(triplets))
 
 
-@dataclass(frozen=True)
-class Dataset:
-    scenes: tuple[Scene, ...]
-    catalog: PredicateCatalog
-    split: str = "train"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scenes", tuple(self.scenes))
-
-    @cached_property
-    def arrays(self) -> SplitArrays:
-        """The split in columnar form, compiled on first use and cached."""
-        return compile_split(self.scenes)
-
-
 @dataclass(frozen=True, eq=False)
 class SplitArrays:
-    """A split as flat arrays: one row per pair, scenes in split order and
-    pairs in scene order, so the rows of scene position ``s`` are
-    ``scene_offsets[s]:scene_offsets[s + 1]`` and a row's within-scene index
-    is ``pair_index``.  ``subject_row``/``object_row`` number the entities,
-    each scene's contiguously.  A pair's features are its endpoints'
-    features concatenated (``relation_features``), so entity features are
-    read back from the halves of the pair rows that name them.
+    """A split as flat arrays: the dataset itself, one row per pair and one
+    per entity.
+
+    Scenes are in split order and each scene's pairs and entities are
+    contiguous in file order: the pair rows of scene position ``s`` are
+    ``scene_offsets[s]:scene_offsets[s + 1]`` and its entity rows
+    ``entity_offsets[s]:entity_offsets[s + 1]``.  ``subject_row`` and
+    ``object_row`` name a pair's endpoints by entity row, and a pair's
+    features are its endpoints' features concatenated
+    (``relation_features``), built once on first read.
     """
 
-    features: np.ndarray  # (N, d) pair features
+    scene_ids: np.ndarray  # (S,)
+    scene_offsets: np.ndarray  # (S + 1,) pair rows
+    entity_offsets: np.ndarray  # (S + 1,) entity rows
+    entity_ids: np.ndarray  # (E,) ids, unique within a scene
+    entity_classes: np.ndarray  # (E,)
+    entity_features: np.ndarray  # (E, d / 2)
     subject_row: np.ndarray  # (N,) entity rows
     object_row: np.ndarray
-    scene_offsets: np.ndarray  # (S + 1,)
-    scene_ids: np.ndarray  # (S,)
-    pair_scene: np.ndarray  # (N,) scene position of each pair
-    pair_index: np.ndarray  # (N,)
     observed: np.ndarray  # (N,) labels
     hidden: np.ndarray
 
+    @cached_property
+    def features(self) -> np.ndarray:
+        """(N, d) pair features."""
+        return np.concatenate(
+            [self.entity_features[self.subject_row], self.entity_features[self.object_row]], axis=1
+        )
+
+    @cached_property
+    def pair_scene(self) -> np.ndarray:
+        """(N,) scene position of each pair."""
+        return np.repeat(np.arange(len(self.scene_ids), dtype=np.int32), np.diff(self.scene_offsets))
+
+    @cached_property
+    def pair_index(self) -> np.ndarray:
+        """(N,) each pair's index within its scene."""
+        starts = np.repeat(self.scene_offsets[:-1], np.diff(self.scene_offsets))
+        return (np.arange(len(starts)) - starts).astype(np.int32)
+
     def rows_of(self, scene_positions: np.ndarray) -> np.ndarray:
         """Pair rows of the given scene positions, scene by scene in order."""
-        starts = self.scene_offsets[scene_positions]
-        lengths = self.scene_offsets[scene_positions + 1] - starts
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return shift + np.arange(shift.size)
+        return _ranges(self.scene_offsets, scene_positions)
 
     def entity_table(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Features of the entities the given pairs name, one row each, and
@@ -221,93 +229,149 @@ class SplitArrays:
         ids, local = np.unique(
             np.concatenate([self.subject_row[rows], self.object_row[rows]]), return_inverse=True
         )
-        subj, obj = local[: len(rows)], local[len(rows) :]
-        half = self.features.shape[1] // 2
-        table = np.empty((len(ids), half))
-        table[subj] = self.features[rows, :half]
-        table[obj] = self.features[rows, half:]
-        return table, subj, obj
+        return self.entity_features[ids], local[: len(rows)], local[len(rows) :]
+
+    def take(self, scene_positions: np.ndarray) -> SplitArrays:
+        """The split of the given scene positions, in that order."""
+        rows = self.rows_of(scene_positions)
+        entities = _ranges(self.entity_offsets, scene_positions)
+        n_entities = np.diff(self.entity_offsets)[scene_positions]
+        entity_offsets = np.concatenate(([0], np.cumsum(n_entities)))
+        # every endpoint moves with its scene's first entity row
+        shift = np.repeat(
+            entity_offsets[:-1] - self.entity_offsets[scene_positions],
+            np.diff(self.scene_offsets)[scene_positions],
+        )
+        return SplitArrays(
+            scene_ids=self.scene_ids[scene_positions],
+            scene_offsets=np.concatenate(([0], np.cumsum(np.diff(self.scene_offsets)[scene_positions]))),
+            entity_offsets=entity_offsets,
+            entity_ids=self.entity_ids[entities],
+            entity_classes=self.entity_classes[entities],
+            entity_features=self.entity_features[entities],
+            subject_row=(self.subject_row[rows] + shift).astype(np.int32),
+            object_row=(self.object_row[rows] + shift).astype(np.int32),
+            observed=self.observed[rows],
+            hidden=self.hidden[rows],
+        )
+
+    def to_scenes(self) -> tuple[Scene, ...]:
+        """The split as scene records; their arrays are views of the columns."""
+        ids, classes = self.entity_ids.tolist(), self.entity_classes.tolist()
+        subj, obj = self.subject_row.tolist(), self.object_row.tolist()
+        observed, hidden = self.observed.tolist(), self.hidden.tolist()
+        ents, pairs = self.entity_offsets.tolist(), self.scene_offsets.tolist()
+        features, entity_features = self.features, self.entity_features
+        scenes = []
+        for s, scene_id in enumerate(self.scene_ids.tolist()):
+            entities = tuple(
+                Entity(ids[k], classes[k], entity_features[k]) for k in range(ents[s], ents[s + 1])
+            )
+            triplets = tuple(
+                TripletInstance(
+                    scene_id, ids[subj[r]], ids[obj[r]], classes[subj[r]], classes[obj[r]],
+                    features[r], observed[r], hidden[r],
+                )
+                for r in range(pairs[s], pairs[s + 1])
+            )
+            scenes.append(Scene(scene_id, entities, triplets))
+        return tuple(scenes)
 
 
-def compile_split(scenes: Sequence[Scene]) -> SplitArrays:
-    triplets = [t for scene in scenes for t in scene.triplets]
-    if len({t.features.shape for t in triplets}) > 1:
-        raise ValidationError("pair features differ in length across the split")
+def _ranges(offsets: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The rows ``offsets[p]:offsets[p + 1]`` of every position, in order."""
+    starts = offsets[positions]
+    lengths = offsets[positions + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return shift + np.arange(shift.size)
+
+
+def compile_split(scenes: Iterable[Scene]) -> SplitArrays:
+    """The columns of a sequence of scene records."""
+    scene_ids, n_entities, n_pairs = array("q"), array("q"), array("q")
+    entity_ids, entity_classes, features = array("q"), array("q"), []
     # four int32 columns per pair: subject row, object row, observed, hidden
     columns = array("i")
     base = 0
     for scene in scenes:
-        row = {e.id: base + k for k, e in enumerate(scene.entities)}
+        row = {}
+        for k, e in enumerate(scene.entities):
+            row[e.id] = base + k
+            entity_ids.append(e.id)
+            entity_classes.append(e.entity_class)
+            features.append(e.features)
         for t in scene.triplets:
             columns.extend((row[t.subject_id], row[t.object_id], t.observed_label, t.hidden_label))
+        scene_ids.append(scene.scene_id)
+        n_entities.append(len(scene.entities))
+        n_pairs.append(len(scene.triplets))
         base += len(scene.entities)
+    if len({f.shape for f in features}) > 1:
+        raise ValidationError("entity features differ in length across the split")
     subj, obj, observed, hidden = np.frombuffer(columns, dtype=np.int32).reshape(-1, 4).T.copy()
-    counts = np.array([len(scene.triplets) for scene in scenes], dtype=np.intp)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
     return SplitArrays(
-        features=(
-            np.concatenate([t.features for t in triplets]).reshape(len(triplets), -1)
-            if triplets else np.zeros((0, 0))
+        scene_ids=np.array(scene_ids, dtype=np.intp),
+        scene_offsets=np.concatenate(([0], np.cumsum(n_pairs, dtype=np.intp))),
+        entity_offsets=np.concatenate(([0], np.cumsum(n_entities, dtype=np.intp))),
+        entity_ids=np.array(entity_ids, dtype=np.intp),
+        entity_classes=np.array(entity_classes, dtype=np.intp),
+        entity_features=(
+            np.concatenate(features).reshape(len(features), -1) if features else np.zeros((0, 0))
         ),
         subject_row=subj,
         object_row=obj,
-        scene_offsets=offsets,
-        scene_ids=np.array([scene.scene_id for scene in scenes], dtype=np.intp),
-        pair_scene=np.repeat(np.arange(len(scenes), dtype=np.int32), counts),
-        pair_index=(np.arange(len(triplets)) - np.repeat(offsets[:-1], counts)).astype(np.int32),
         observed=observed,
         hidden=hidden,
     )
 
 
-def annotated_counts(scenes: Iterable[Scene], n_foreground: int) -> list[int]:
-    """Per-class counts of annotated (non-background) triplets."""
-    counts = [0] * n_foreground
-    for scene in scenes:
-        for t in scene.triplets:
-            if t.observed_label != BG_INDEX:
-                counts[t.observed_label - 1] += 1
-    return counts
+@dataclass(frozen=True)
+class Dataset:
+    """One split: its columns, the label space and the split's name."""
+
+    arrays: SplitArrays
+    catalog: PredicateCatalog
+    split: str = "train"
+
+    @cached_property
+    def scenes(self) -> tuple[Scene, ...]:
+        """The split as scene records, built on first read and cached."""
+        return self.arrays.to_scenes()
 
 
-def relabel_triplet(t: TripletInstance, mapping: Mapping[int, int]) -> TripletInstance:
-    return replace(
-        t,
-        observed_label=mapping[t.observed_label],
-        hidden_label=mapping[t.hidden_label],
-    )
-
-
-def relabel_scene(scene: Scene, mapping: Mapping[int, int]) -> Scene:
-    return Scene(
-        scene_id=scene.scene_id,
-        entities=scene.entities,
-        triplets=tuple(relabel_triplet(t, mapping) for t in scene.triplets),
-    )
+def annotated_counts(observed: np.ndarray, n_foreground: int) -> np.ndarray:
+    """Per-class counts of annotated (non-background) pairs."""
+    return np.bincount(observed, minlength=n_foreground + 1)[1:]
 
 
 # --- line-delimited serialization ------------------------------------------
 #
-# One scene per line; entity features carry 9 significant digits, and triplet
+# One scene per line; entity features carry 9 significant digits, and pair
 # features are rebuilt from the endpoints on read.
 
 
-def _fmt_features(values: np.ndarray) -> str:
-    return "[" + ",".join("%.9g" % v for v in values) + "]"
-
-
-def scene_to_line(scene: Scene) -> str:
-    ent = ",".join(
-        '{"id":%d,"class":%d,"features":%s}'
-        % (e.id, e.entity_class, _fmt_features(e.features))
-        for e in scene.entities
-    )
-    tri = ",".join(
-        '{"subj":%d,"obj":%d,"observed":%d,"hidden":%d}'
-        % (t.subject_id, t.object_id, t.observed_label, t.hidden_label)
-        for t in scene.triplets
-    )
-    return '{"scene_id":%d,"entities":[%s],"triplets":[%s]}' % (scene.scene_id, ent, tri)
+def scene_lines(arrays: SplitArrays) -> Iterator[str]:
+    """One JSON line per scene, written from the columns."""
+    entity = '{"id":%d,"class":%d,"features":[' + ",".join(["%.9g"] * arrays.entity_features.shape[1]) + "]}"
+    entities = [
+        entity % (i, c, *f)
+        for i, c, f in zip(
+            arrays.entity_ids.tolist(), arrays.entity_classes.tolist(), arrays.entity_features.tolist()
+        )
+    ]
+    ids = arrays.entity_ids
+    triplets = [
+        '{"subj":%d,"obj":%d,"observed":%d,"hidden":%d}' % t
+        for t in zip(
+            ids[arrays.subject_row].tolist(), ids[arrays.object_row].tolist(),
+            arrays.observed.tolist(), arrays.hidden.tolist(),
+        )
+    ]
+    ents, pairs = arrays.entity_offsets.tolist(), arrays.scene_offsets.tolist()
+    for s, scene_id in enumerate(arrays.scene_ids.tolist()):
+        yield '{"scene_id":%d,"entities":[%s],"triplets":[%s]}' % (
+            scene_id, ",".join(entities[ents[s] : ents[s + 1]]), ",".join(triplets[pairs[s] : pairs[s + 1]])
+        )
 
 
 def scene_from_line(line: str) -> Scene:
@@ -332,13 +396,12 @@ def scene_from_line(line: str) -> Scene:
         raise ValidationError(f"malformed scene line: {type(exc).__name__}: {exc}") from exc
 
 
-def write_scenes(path, scenes: Iterable[Scene]) -> None:
+def write_scenes(path, arrays: SplitArrays) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for scene in scenes:
-            fh.write(scene_to_line(scene))
-            fh.write("\n")
+        fh.writelines(line + "\n" for line in scene_lines(arrays))
 
 
-def read_scenes(path) -> tuple[Scene, ...]:
+def read_scenes(path) -> SplitArrays:
+    """The columns of a scene file, parsed line by line as scene records."""
     with open(path, "r", encoding="utf-8") as fh:
-        return tuple(scene_from_line(line) for line in fh if line.strip())
+        return compile_split(scene_from_line(line) for line in fh if line.strip())

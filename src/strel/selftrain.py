@@ -372,10 +372,11 @@ def run(
         raise ValidationError(
             f"the thresholds to resume are policy {thresholds.policy!r}, not {cfg.policy!r}"
         )
-    if not train.scenes:
-        raise ConfigError("training split is empty")
     catalog = train.catalog
     arrays = train.arrays
+    n_scenes = len(arrays.scene_ids)
+    if not n_scenes:
+        raise ConfigError("training split is empty")
     params = pretrained
     w = class_weights(catalog, cfg.reweight)
     state = thresholds if thresholds is not None else build_thresholds(cfg, catalog, params, val)
@@ -393,7 +394,6 @@ def run(
         )
 
     keys = np.stack([arrays.pair_scene, arrays.pair_index], axis=1).astype(np.int64)
-    n_scenes = len(train.scenes)
     batches_per_epoch = math.ceil(n_scenes / cfg.batch_size)
     n_iter, n_fg = max(cfg.max_iterations - start_iteration, 0), catalog.n_foreground
     losses = np.zeros((n_iter, 4))  # annotated, background, pseudo, total
@@ -456,9 +456,7 @@ def run(
             background = un[unaccepted]
             if cfg.bg_downsample < 1.0:
                 rng = stream(cfg.seed, "bg-downsample", it)
-                background = np.asarray(
-                    downsample_background(background, cfg.bg_downsample, rng), dtype=np.intp
-                )
+                background = downsample_background(background, cfg.bg_downsample, rng)
             total, grads, breakdown = three_term_loss(
                 params,
                 forward,

@@ -11,27 +11,27 @@ Semantic ambiguity is modelled with *sibling groups*: selected tail-class
 prototypes are planted close to a head-class prototype, which produces the
 soft, unsharpened confidences that defeat a single global acceptance
 threshold.
+
+The dataset is built as columns (``labels.SplitArrays``) from the first
+draw on: the generator fills the pair, label and entity columns straight
+from its per-scene streams, masking is one row mask over the label column,
+a split is one gather of scene rows, and relabelling to frequency rank is a
+lookup table over the label columns.  ``Scene`` records exist only as the
+scene file format.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .labels import (
-    BG_INDEX,
-    Dataset,
-    Entity,
-    PredicateCatalog,
-    Scene,
-    annotated_counts,
-    make_scene,
-    relabel_scene,
-)
+from .labels import BG_INDEX, Dataset, PredicateCatalog, SplitArrays, annotated_counts
 
 
 @dataclass(frozen=True)
@@ -150,71 +150,85 @@ def _prototypes(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray
 
 
 def _canonical_relabel(
-    scene_groups: Sequence[Sequence[Scene]],
-    counts: Sequence[int],
-    names: Sequence[str],
-) -> tuple[list[list[Scene]], PredicateCatalog]:
-    """Re-sort foreground classes by descending count and remap all labels.
+    counts: Sequence[int], names: Sequence[str]
+) -> tuple[np.ndarray, PredicateCatalog]:
+    """Re-sort foreground classes by descending count.
 
-    Keeps label index == frequency rank after any operation that changes the
-    counts; ties preserve the previous index order.
+    Returns the label lookup table (old label -> new label) and the catalog
+    under the new order, so that label index keeps matching frequency rank
+    after any operation that changes the counts; ties preserve the previous
+    index order.
     """
     order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
-    mapping = {BG_INDEX: BG_INDEX}
-    for new_rank, old_zero_based in enumerate(order):
-        mapping[old_zero_based + 1] = new_rank + 1
-    remapped = [[relabel_scene(s, mapping) for s in scenes] for scenes in scene_groups]
+    lut = np.zeros(len(counts) + 1, dtype=np.int32)
+    lut[1 + np.array(order, dtype=np.intp)] = np.arange(1, len(counts) + 1)
     catalog = PredicateCatalog(
         class_names=("bg",) + tuple(names[i] for i in order),
         counts=tuple(counts[i] for i in order),
     )
-    return remapped, catalog
+    return lut, catalog
 
 
 def generate(config: GeneratorConfig) -> Dataset:
     """Generate a fully annotated dataset (observed == hidden everywhere).
 
-    Identical configs produce bit-identical datasets.
+    Every scene draws from its own stream: its pair count, then per pair the
+    background coin, the class (inverse-CDF of the Zipf shares, as
+    ``Generator.choice`` draws it), the pair's noise and its two entity
+    classes.  Identical configs produce bit-identical datasets.
     """
     config.validate()
     root = np.random.SeedSequence(config.seed)
     proto_seq, scene_root = root.spawn(2)
     protos = _prototypes(config, np.random.default_rng(proto_seq))
-    shares = zipf_shares(config.n_fg_classes, config.zipf_exponent)
-    half = config.feature_dim // 2
+    # Generator.choice(p=shares) draws one uniform and bisects this CDF
+    cdf = zipf_shares(config.n_fg_classes, config.zipf_exponent).cumsum()
+    cdf = (cdf / cdf[-1]).tolist()
     lo = max(1, config.entities_min // 2)
     hi = max(lo, config.entities_max // 2)
+    bg_fraction, n_classes = config.true_bg_fraction, config.n_entity_classes
 
-    scenes = []
-    for scene_id, seq in enumerate(scene_root.spawn(config.n_scenes)):
+    noise = np.empty((config.n_scenes * hi, config.feature_dim))
+    labels, classes = array("i"), array("q")
+    counts = np.empty(config.n_scenes, dtype=np.intp)
+    for s, seq in enumerate(scene_root.spawn(config.n_scenes)):
         rng = np.random.default_rng(seq)
-        n_pairs = int(rng.integers(lo, hi + 1))
-        entities: list[Entity] = []
-        pairs = []
-        for j in range(n_pairs):
-            if rng.random() < config.true_bg_fraction:
-                label = BG_INDEX
-                sigma = config.bg_noise_sigma
+        random, normal, integers = rng.random, rng.standard_normal, rng.integers
+        counts[s] = n_pairs = int(integers(lo, hi + 1))
+        for _ in range(n_pairs):
+            if random() < bg_fraction:
+                labels.append(BG_INDEX)
             else:
-                label = 1 + int(rng.choice(config.n_fg_classes, p=shares))
-                sigma = config.noise_sigma
-            proto = protos[label]
-            subj_feat = proto[:half] + sigma * rng.standard_normal(half)
-            obj_feat = proto[half:] + sigma * rng.standard_normal(half)
-            sid, oid = 2 * j, 2 * j + 1
-            entities.append(
-                Entity(sid, int(rng.integers(config.n_entity_classes)), subj_feat)
-            )
-            entities.append(
-                Entity(oid, int(rng.integers(config.n_entity_classes)), obj_feat)
-            )
-            pairs.append((sid, oid, label, label))
-        scenes.append(make_scene(scene_id, entities, pairs))
+                labels.append(1 + bisect_right(cdf, random()))
+            normal(out=noise[len(labels) - 1])
+            classes.append(integers(n_classes))
+            classes.append(integers(n_classes))
 
-    provisional_names = [f"rel{k:02d}" for k in range(1, config.n_fg_classes + 1)]
-    counts = annotated_counts(scenes, config.n_fg_classes)
-    (scenes,), catalog = _canonical_relabel([scenes], counts, provisional_names)
-    return Dataset(scenes=tuple(scenes), catalog=catalog, split="full")
+    n = len(labels)
+    hidden = np.array(labels, dtype=np.int32)
+    sigma = np.where(hidden == BG_INDEX, config.bg_noise_sigma, config.noise_sigma)
+    features = protos[hidden] + sigma[:, None] * noise[:n]
+    lut, catalog = _canonical_relabel(
+        annotated_counts(hidden, config.n_fg_classes).tolist(),
+        [f"rel{k:02d}" for k in range(1, config.n_fg_classes + 1)],
+    )
+    hidden = lut[hidden]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    # pair r owns entity rows 2r (subject) and 2r + 1 (object), ids 2j and 2j + 1
+    entity_rows = np.arange(2 * n)
+    arrays = SplitArrays(
+        scene_ids=np.arange(config.n_scenes, dtype=np.intp),
+        scene_offsets=offsets,
+        entity_offsets=2 * offsets,
+        entity_ids=entity_rows - np.repeat(2 * offsets[:-1], 2 * counts),
+        entity_classes=np.array(classes, dtype=np.intp),
+        entity_features=features.reshape(2 * n, config.feature_dim // 2),
+        subject_row=entity_rows[0::2].astype(np.int32),
+        object_row=entity_rows[1::2].astype(np.int32),
+        observed=hidden,
+        hidden=hidden,
+    )
+    return Dataset(arrays, catalog, split="full")
 
 
 def mask_annotations(dataset: Dataset, annotated_fraction: float, seed: int) -> Dataset:
@@ -226,28 +240,15 @@ def mask_annotations(dataset: Dataset, annotated_fraction: float, seed: int) -> 
     """
     if not 0.0 < annotated_fraction <= 1.0:
         raise ConfigError("annotated_fraction must lie in (0, 1]")
-    refs = [
-        (i, j)
-        for i, scene in enumerate(dataset.scenes)
-        for j, t in enumerate(scene.triplets)
-        if t.hidden_label != BG_INDEX
-    ]
+    arrays = dataset.arrays
+    refs = np.flatnonzero(arrays.hidden != BG_INDEX)
     keep = math.ceil(annotated_fraction * len(refs))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    chosen = rng.choice(len(refs), size=keep, replace=False) if refs else []
-    keep_set = {refs[int(k)] for k in chosen}
-
-    new_scenes = []
-    for i, scene in enumerate(dataset.scenes):
-        triplets = tuple(
-            replace(
-                t,
-                observed_label=t.hidden_label if (i, j) in keep_set else BG_INDEX,
-            )
-            for j, t in enumerate(scene.triplets)
-        )
-        new_scenes.append(Scene(scene.scene_id, scene.entities, triplets))
-    return Dataset(scenes=tuple(new_scenes), catalog=dataset.catalog, split=dataset.split)
+    observed = np.full_like(arrays.hidden, BG_INDEX)
+    if len(refs):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        kept = refs[rng.choice(len(refs), size=keep, replace=False)]
+        observed[kept] = arrays.hidden[kept]
+    return Dataset(replace(arrays, observed=observed), dataset.catalog, dataset.split)
 
 
 def _allocate(n: int, fractions: np.ndarray) -> list[int]:
@@ -268,7 +269,7 @@ def split(
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Scene-disjoint train/val/test partition.
 
-    Catalog counts are recomputed from the train split's annotated triplets
+    Catalog counts are recomputed from the train split's annotated pairs
     only, and labels across all three splits are remapped so that label index
     keeps matching frequency rank under the new counts.
     """
@@ -277,23 +278,19 @@ def split(
         raise ConfigError("need three positive split fractions")
     if abs(float(f.sum()) - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")
-    n = len(dataset.scenes)
+    n = len(dataset.arrays.scene_ids)
     sizes = _allocate(n, f)
     if any(s == 0 for s in sizes):
         raise ConfigError(f"every split must be non-empty, got sizes {sizes}")
 
     perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
     bounds = [0, sizes[0], sizes[0] + sizes[1], n]
-    groups = [
-        [dataset.scenes[int(i)] for i in perm[bounds[k] : bounds[k + 1]]]
-        for k in range(3)
-    ]
-
-    fg_names = dataset.catalog.class_names[1:]
-    counts = annotated_counts(groups[0], dataset.catalog.n_foreground)
-    groups, catalog = _canonical_relabel(groups, counts, fg_names)
-    tags = ("train", "val", "test")
+    parts = [dataset.arrays.take(perm[bounds[k] : bounds[k + 1]]) for k in range(3)]
+    lut, catalog = _canonical_relabel(
+        annotated_counts(parts[0].observed, dataset.catalog.n_foreground).tolist(),
+        dataset.catalog.class_names[1:],
+    )
     return tuple(
-        Dataset(scenes=tuple(g), catalog=catalog, split=tag)
-        for g, tag in zip(groups, tags)
+        Dataset(replace(p, observed=lut[p.observed], hidden=lut[p.hidden]), catalog, tag)
+        for p, tag in zip(parts, ("train", "val", "test"))
     )

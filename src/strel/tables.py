@@ -13,11 +13,13 @@ text held in memory does not grow with the table.  :func:`write_table`
 takes rows and writes them through the same formatter.
 
 :func:`read_columns` parses a table body with one ``np.loadtxt`` call into
-typed columns; :func:`read_table` returns the cells as strings.
+typed columns (only when that call fails does it parse line by line, to
+name the first bad line); :func:`read_table` returns the cells as strings.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from typing import Iterable, Mapping, Sequence
 
@@ -75,11 +77,41 @@ def _skip_to_body(fh) -> list[str]:
     return []
 
 
+def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1)
+
+
+def _reason(exc: Exception) -> str:
+    """numpy's message without its row number, which counts data rows only
+    (from 0 for a bad cell, from 1 for a wrong cell count), and without the
+    advice on its own arguments after a ';'."""
+    return re.sub(r" at row \d+", "", str(exc).split(";")[0])
+
+
+def _first_bad_line(path, dtype: np.dtype) -> str | None:
+    """``line <n>: <reason>`` for the first body line that does not parse,
+    numbered from 1 over the whole file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = enumerate(fh, 1)
+        for _, line in lines:  # the echo, then the header
+            if line.rstrip("\n") and not line.startswith("#"):
+                break
+        for number, line in lines:
+            try:
+                _loadtxt([line], dtype)
+            except (ValueError, OverflowError) as exc:
+                return f"line {number}: {_reason(exc)}"
+    return None
+
+
 def read_columns(path, names: Sequence[str], dtypes: Sequence) -> tuple[np.ndarray, ...]:
     """The columns of a table whose header is ``names``, parsed as ``dtypes``.
 
     A header-only table gives empty columns.  A missing or extra cell, or a
-    cell that does not parse as its column's dtype, is a ``ValidationError``.
+    cell that does not parse as its column's dtype, is a ``ValidationError``
+    that names the file line of the first bad row.
     """
     dtype = np.dtype(list(zip(names, dtypes)))
     with open(path, "r", encoding="utf-8") as fh:
@@ -87,12 +119,9 @@ def read_columns(path, names: Sequence[str], dtypes: Sequence) -> tuple[np.ndarr
         if header != list(names):
             raise ValidationError(f"{path}: header {','.join(header)!r} is not {','.join(names)!r}")
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                body = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=1)
+            body = _loadtxt(fh, dtype)
         except (ValueError, OverflowError) as exc:
-            # numpy's message ends with advice on its own arguments after a ';'
-            raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from exc
+            raise ValidationError(f"{path}: {_first_bad_line(path, dtype) or _reason(exc)}") from exc
     return tuple(body[name] for name in names)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,6 +22,22 @@ def tiny_catalog() -> PredicateCatalog:
 def iter_triplets(dataset):
     """Every pair of a dataset, scene by scene."""
     return (t for scene in dataset.scenes for t in scene.triplets)
+
+
+def assert_records_equal(a, b):
+    """Two scene records (or entities, or triplets) agree field by field,
+    arrays bit for bit."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        elif isinstance(x, tuple):
+            assert len(x) == len(y)
+            for u, v in zip(x, y):
+                assert_records_equal(u, v)
+        else:
+            assert x == y, field.name
 
 
 def build_scene(scene_id, labels, rng=None, dim=4, observed=None):

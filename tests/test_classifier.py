@@ -23,7 +23,7 @@ from strel.classifier import (
     zero_grads,
 )
 from strel.errors import ConfigError, RuntimeAbort, ValidationError
-from strel.labels import Dataset, TripletInstance, build_catalog
+from strel.labels import Dataset, build_catalog, compile_split
 from strel.rngs import stream
 
 from _oracles import gradient_relative_error
@@ -34,19 +34,6 @@ def linear_params(weights, bias):
     return ModelParams(
         arch="linear",
         layers=((np.asarray(weights, dtype=np.float64), np.asarray(bias, dtype=np.float64)),),
-    )
-
-
-def triplet(features, observed, hidden=None):
-    return TripletInstance(
-        scene_id=0,
-        subject_id=0,
-        object_id=1,
-        subject_class=0,
-        object_class=0,
-        features=np.asarray(features, dtype=np.float64),
-        observed_label=observed,
-        hidden_label=observed if hidden is None else hidden,
     )
 
 
@@ -88,17 +75,17 @@ class TestSupervisedLoss:
     def test_half_probability_gives_ln2(self):
         # two classes, zero model: true-class probability 0.5
         params = linear_params(np.zeros((1, 2)), np.zeros(2))
-        loss, _ = supervised_loss_grad(params, [triplet([0.0], observed=1)], np.ones(2))
+        loss, _ = supervised_loss_grad(params, np.zeros((1, 1)), np.array([1]), np.ones(2))
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_perfect_prediction_gives_zero(self):
         params = linear_params(np.zeros((1, 2)), [-40.0, 40.0])
-        loss, _ = supervised_loss_grad(params, [triplet([0.0], observed=1)], np.ones(2))
+        loss, _ = supervised_loss_grad(params, np.zeros((1, 1)), np.array([1]), np.ones(2))
         assert loss < 1e-10
 
     def test_empty_batch(self):
         params = linear_params(np.zeros((2, 3)), np.zeros(3))
-        loss, grads = supervised_loss_grad(params, [], np.ones(3))
+        loss, grads = supervised_loss_grad(params, np.zeros((0, 2)), np.zeros(0, int), np.ones(3))
         assert loss == 0.0
         for gw, gb in grads:
             assert not gw.any() and not gb.any()
@@ -106,7 +93,7 @@ class TestSupervisedLoss:
     def test_background_rejected(self):
         params = linear_params(np.zeros((1, 2)), np.zeros(2))
         with pytest.raises(ValidationError):
-            supervised_loss_grad(params, [triplet([0.0], observed=0)], np.ones(2))
+            supervised_loss_grad(params, np.zeros((1, 1)), np.array([0]), np.ones(2))
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_gradient_matches_finite_differences(self, arch):
@@ -203,7 +190,7 @@ def separable_dataset(n_scenes=30):
             pairs.append((sid_e, oid_e, label, label))
         scenes.append(make_scene(sid, ents, pairs))
     catalog = build_catalog({"pos": 2 * n_scenes, "neg": n_scenes})
-    return Dataset(scenes=tuple(scenes), catalog=catalog, split="train")
+    return Dataset(compile_split(scenes), catalog, split="train")
 
 
 class TestPretrain:
@@ -232,18 +219,17 @@ class TestPretrain:
 
 class TestBatchHelpers:
     def test_balanced_resample_keeps_size_and_balances(self):
-        trips = [triplet([0.0], observed=1)] * 9 + [triplet([0.0], observed=2)] * 3
-        out = balanced_resample(trips, stream(0, "t"))
+        rows, labels = np.arange(100, 112), np.array([1] * 9 + [2] * 3)
+        out = balanced_resample(rows, labels, stream(0, "t"))
         assert len(out) == 12
-        counts = {c: sum(1 for t in out if t.observed_label == c) for c in (1, 2)}
-        assert counts[1] == 6 and counts[2] == 6
+        assert np.all(labels[out[:6] - 100] == 1) and np.all(labels[out[6:] - 100] == 2)
 
     def test_downsample_background_bounds(self):
-        trips = [triplet([0.0], observed=0, hidden=0)] * 40
-        out = downsample_background(trips, 0.25, stream(0, "d"))
-        assert len(out) == 10
-        assert downsample_background(trips, 1.0, stream(0, "d")) == trips
-        tiny = downsample_background(trips[:2], 0.01, stream(0, "d"))
+        rows = np.arange(200, 240)
+        out = downsample_background(rows, 0.25, stream(0, "d"))
+        assert len(out) == 10 and np.all(np.diff(out) > 0) and set(out) <= set(rows)
+        assert np.array_equal(downsample_background(rows, 1.0, stream(0, "d")), rows)
+        tiny = downsample_background(rows[:2], 0.01, stream(0, "d"))
         assert len(tiny) == 1  # never drops the whole pool
 
 

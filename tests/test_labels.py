@@ -17,11 +17,15 @@ from strel.labels import (
     read_scenes,
     relation_features,
     scene_from_line,
-    scene_to_line,
+    scene_lines,
     write_scenes,
 )
 
-from conftest import build_shared_scene
+from conftest import assert_records_equal, build_shared_scene
+
+
+def line_of(scene):
+    return next(scene_lines(compile_split([scene])))
 
 
 class TestBuildCatalog:
@@ -127,8 +131,8 @@ class TestSerialization:
     def test_round_trip_preserves_structure(self, tmp_path):
         scenes = self._sample_scenes()
         path = tmp_path / "scenes.jsonl"
-        write_scenes(path, scenes)
-        back = read_scenes(path)
+        write_scenes(path, compile_split(scenes))
+        back = read_scenes(path).to_scenes()
         assert len(back) == len(scenes)
         for a, b in zip(scenes, back):
             assert a.scene_id == b.scene_id
@@ -139,8 +143,8 @@ class TestSerialization:
 
     def test_second_round_trip_is_byte_stable(self, tmp_path):
         scenes = self._sample_scenes()
-        first = [scene_to_line(s) for s in scenes]
-        second = [scene_to_line(scene_from_line(line)) for line in first]
+        first = list(scene_lines(compile_split(scenes)))
+        second = list(scene_lines(compile_split(scene_from_line(line) for line in first)))
         assert first == second
 
     def test_nine_significant_digits(self):
@@ -149,20 +153,20 @@ class TestSerialization:
             [Entity(0, 0, np.array([1.23456789123456])), Entity(1, 0, np.array([2.0]))],
             [(0, 1, 0, 0)],
         )
-        line = scene_to_line(scene)
+        line = line_of(scene)
         assert "1.23456789" in line and "1.234567891" not in line
 
     def test_line_has_exactly_the_specified_fields(self):
         import json
 
         scene = self._sample_scenes()[0]
-        raw = json.loads(scene_to_line(scene))
+        raw = json.loads(line_of(scene))
         assert set(raw) == {"scene_id", "entities", "triplets"}
         assert set(raw["entities"][0]) == {"id", "class", "features"}
         assert set(raw["triplets"][0]) == {"subj", "obj", "observed", "hidden"}
 
     def test_malformed_line_is_a_validation_error(self):
-        line = scene_to_line(self._sample_scenes()[0])
+        line = line_of(self._sample_scenes()[0])
         for bad in (line[:-5], '{"scene_id": 1}', '{"scene_id": 1, "entities": 3, "triplets": []}'):
             with pytest.raises(ValidationError, match="malformed scene line"):
                 scene_from_line(bad)
@@ -208,6 +212,22 @@ class TestSplitArrays:
         with pytest.raises(ValidationError, match="differ in length"):
             compile_split(self._scenes() + [short])
 
-    def test_dataset_compiles_once(self, tiny_catalog):
-        ds = Dataset(scenes=tuple(self._scenes()), catalog=tiny_catalog)
-        assert ds.arrays is ds.arrays
+    def test_take_equals_compiling_the_chosen_scenes(self):
+        scenes = self._scenes()
+        positions = np.array([2, 0, 3])
+        got, want = compile_split(scenes).take(positions), compile_split([scenes[p] for p in positions])
+        for name in ("scene_ids", "scene_offsets", "entity_offsets", "entity_ids", "entity_classes",
+                     "entity_features", "subject_row", "object_row", "observed", "hidden", "features"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+    def test_scene_view_rebuilds_the_records(self):
+        scenes = self._scenes()
+        back = compile_split(scenes).to_scenes()
+        assert len(back) == len(scenes)
+        for a, b in zip(back, scenes):
+            assert_records_equal(a, b)
+
+    def test_dataset_builds_its_scene_view_once(self, tiny_catalog):
+        ds = Dataset(compile_split(self._scenes()), tiny_catalog)
+        assert ds.scenes is ds.scenes

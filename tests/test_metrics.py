@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strel.errors import ValidationError
-from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
+from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog, compile_split
 from strel.metrics import (
     AssignmentRecord,
     audit_pseudo_labels,
@@ -124,7 +124,7 @@ class TestArrayFormsMatchPerSceneOracles:
         catalog = build_catalog({"a": 3, "b": 2, "c": 1})
         params = init_params("linear", 6, 4, seed=seed % 97)
         edges = init_edge_learner(3, seed=seed % 89) if with_edges else None
-        report = evaluate(params, Dataset(scenes=scenes, catalog=catalog), (1, 3), edges)
+        report = evaluate(params, Dataset(compile_split(scenes), catalog), (1, 3), edges)
 
         per_scene = []
         for scene in scenes:
@@ -215,10 +215,10 @@ class TestGroups:
 class TestEvaluate:
     def _dataset(self):
         rng = np.random.default_rng(3)
-        scenes = tuple(build_scene(i, [1, 2, 1, 0], rng=rng) for i in range(6))
-        counts = annotated_counts(scenes, 2)
+        arrays = compile_split(build_scene(i, [1, 2, 1, 0], rng=rng) for i in range(6))
+        counts = annotated_counts(arrays.observed, 2)
         catalog = build_catalog({"a": counts[0], "b": counts[1]})
-        return Dataset(scenes=scenes, catalog=catalog, split="val")
+        return Dataset(arrays, catalog, split="val")
 
     def test_report_shape_and_ranges(self):
         from strel.classifier import init_params
@@ -237,14 +237,13 @@ class TestEvaluate:
 class TestAudit:
     def _dataset(self, n_scenes=5):
         rng = np.random.default_rng(11)
-        scenes = tuple(
+        arrays = compile_split(
             build_scene(i, [1, 2, 3, 0], rng=rng, observed=[0, 0, 3, 0])
             for i in range(n_scenes)
         )
-        counts = annotated_counts(scenes, 3)
-        counts = [max(c, 1) for c in counts]
+        counts = [max(c, 1) for c in annotated_counts(arrays.observed, 3)]
         catalog = build_catalog({"a": 30, "b": 20, "c": counts[2]})
-        return Dataset(scenes=scenes, catalog=catalog, split="train")
+        return Dataset(arrays, catalog, split="train")
 
     def _record(self, scene_id, index, cls):
         return AssignmentRecord(0, scene_id, index, cls, 0.9)
@@ -307,7 +306,7 @@ class TestAudit:
             build_scene(int(sid), [1, 2, 3, 0], rng=rng, observed=list(rng.integers(0, 2, 4) * [1, 2, 3, 0]))
             for sid in ids
         )
-        ds = Dataset(scenes=scenes, catalog=build_catalog({"a": 30, "b": 20, "c": 10}))
+        ds = Dataset(compile_split(scenes), build_catalog({"a": 30, "b": 20, "c": 10}))
         records = [
             AssignmentRecord(0, int(rng.choice(ids)), int(rng.integers(4)), int(rng.integers(1, 4)), 0.5)
             for _ in range(int(rng.integers(0, 30)))

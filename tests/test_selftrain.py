@@ -36,13 +36,13 @@ from conftest import build_scene
 
 def make_dataset(n_scenes=12, labels=(1, 2, 1, 0), observed=None, n_fg=2, seed=0):
     rng = np.random.default_rng(seed)
-    scenes = tuple(
+    arrays = compile_split(
         build_scene(i, list(labels), rng=rng, observed=list(observed) if observed else None)
         for i in range(n_scenes)
     )
-    counts = annotated_counts(scenes, n_fg)
+    counts = annotated_counts(arrays.observed, n_fg)
     catalog = build_catalog({f"c{i}": max(c, 1) for i, c in enumerate(counts)})
-    return Dataset(scenes=scenes, catalog=catalog, split="train")
+    return Dataset(arrays, catalog, split="train")
 
 
 def keys_for(*scenes):

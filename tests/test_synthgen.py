@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +7,11 @@ from hypothesis import strategies as st
 
 from strel.cli import RunConfig, generator_config
 from strel.errors import ConfigError
-from strel.labels import BG_INDEX, annotated_counts, scene_to_line
+from strel.labels import BG_INDEX, annotated_counts, scene_lines
 from strel.synthgen import GeneratorConfig, generate, mask_annotations, split, zipf_shares
 
 from _oracles import object_generate, object_mask_annotations, object_split
-from conftest import build_scene, iter_triplets
+from conftest import assert_records_equal, build_scene, iter_triplets
 from strel.labels import Dataset, build_catalog, compile_split
 
 
@@ -38,10 +37,10 @@ def small_config(**overrides):
 def hand_dataset(n_scenes=10, labels_per_scene=(1, 2, 3, 1), n_fg=3):
     """Fully annotated dataset with known labels, for masking/split tests."""
     rng = np.random.default_rng(7)
-    scenes = tuple(build_scene(i, labels_per_scene, rng=rng) for i in range(n_scenes))
-    counts = annotated_counts(scenes, n_fg)
+    arrays = compile_split(build_scene(i, labels_per_scene, rng=rng) for i in range(n_scenes))
+    counts = annotated_counts(arrays.observed, n_fg).tolist()
     catalog = build_catalog({f"c{i}": c for i, c in enumerate(counts)})
-    return Dataset(scenes=scenes, catalog=catalog, split="full")
+    return Dataset(arrays, catalog, split="full")
 
 
 class TestZipfShares:
@@ -70,15 +69,16 @@ class TestGenerate:
         cfg = small_config()
         a = generate(cfg)
         b = generate(cfg)
-        lines_a = [scene_to_line(s) for s in a.scenes]
-        lines_b = [scene_to_line(s) for s in b.scenes]
+        lines_a = list(scene_lines(a.arrays))
+        lines_b = list(scene_lines(b.arrays))
         assert lines_a == lines_b
         assert a.catalog == b.catalog
 
     def test_counts_sorted_and_catalog_consistent(self):
         ds = generate(small_config())
         assert all(a >= b for a, b in zip(ds.catalog.counts, ds.catalog.counts[1:]))
-        recount = annotated_counts(ds.scenes, ds.catalog.n_foreground)
+        labels = [t.observed_label for t in iter_triplets(ds)]
+        recount = [labels.count(c) for c in range(1, ds.catalog.n_foreground + 1)]
         assert tuple(recount) == ds.catalog.counts
 
     def test_fully_annotated_at_generation(self):
@@ -213,7 +213,7 @@ class TestSplit:
 
         split_scene_ids = {s.scene_id for s in train.scenes}
         original_subset = Dataset(
-            scenes=tuple(s for s in ds.scenes if s.scene_id in split_scene_ids),
+            compile_split(s for s in ds.scenes if s.scene_id in split_scene_ids),
             catalog=ds.catalog,
             split="train",
         )
@@ -223,30 +223,15 @@ class TestSplit:
 # --- the columnar pipeline against the object-form oracle ------------------------
 
 
-def assert_records_equal(a, b):
-    """Two scene records (or entities, or triplets) agree field by field,
-    arrays bit for bit."""
-    assert type(a) is type(b)
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        elif isinstance(x, tuple):
-            assert len(x) == len(y)
-            for u, v in zip(x, y):
-                assert_records_equal(u, v)
-        else:
-            assert x == y, field.name
-
-
 def assert_same_split(ours, oracle):
     assert ours.split == oracle.split and ours.catalog == oracle.catalog
     got, want = ours.arrays, compile_split(oracle.scenes)
     assert got.features.dtype == want.features.dtype and got.features.shape == want.features.shape
     assert got.features.tobytes() == want.features.tobytes()
     for name in ("observed", "hidden", "scene_ids", "scene_offsets", "subject_row", "object_row",
-                 "pair_scene", "pair_index"):
+                 "pair_scene", "pair_index", "entity_offsets", "entity_ids", "entity_classes"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.entity_features.tobytes() == want.entity_features.tobytes()
     assert len(ours.scenes) == len(oracle.scenes)
     for a, b in zip(ours.scenes, oracle.scenes):
         assert_records_equal(a, b)

@@ -107,6 +107,7 @@ def test_corrupt_table_is_a_one_line_validation_error(tmp_path_factory, columns,
     with pytest.raises(ValidationError) as err:
         read_columns(path, NAMES, DTYPES)
     assert "\n" not in str(err.value) and str(path) in str(err.value)
+    assert f": line {at + 1}: " in str(err.value) and " at row " not in str(err.value)
 
 
 def test_wrong_header_is_a_validation_error(tmp_path):
