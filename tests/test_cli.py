@@ -2,9 +2,11 @@ import hashlib
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from strel import cli, tensorio
+from strel.edges import load_edge_learner
 from strel.errors import RuntimeAbort
 from strel.selftrain import load_checkpoint
 from strel.tables import read_table
@@ -34,6 +36,14 @@ def tiny_args(root, **extra):
     for key, val in values.items():
         out.extend([f"--{key}", str(val)])
     return out
+
+
+def gsl_selftrain(root, iterations, log, resume=None):
+    """Self-train catm with the edge learner into ``root``'s checkpoint dir;
+    returns the checkpoint path."""
+    args = tiny_args(root, **{"use-gsl": "true", "max-iterations": iterations, "log-dir": str(log)})
+    assert cli.main(["selftrain"] + (["--resume", resume] if resume else []) + args) == 0
+    return os.path.join(root, "ckpt", "selftrain.ckpt")
 
 
 def file_hash(path):
@@ -170,6 +180,22 @@ class TestPipeline:
         resumed = load_checkpoint(os.path.join(run_dir, "ckpt", "selftrain.ckpt"))[3]
         assert resumed.tolist() == counts.tolist()
 
+    def test_gsl_resume_reads_the_learner_beside_the_checkpoint(self, run_dir, tmp_path):
+        """A catm + edge learner run resumed at 5 from a moved checkpoint
+        ends where the straight 10-iteration run ends."""
+        def final_weights(ckpt):
+            learner = load_edge_learner(os.path.join(run_dir, "ckpt", "edge_learner.ckpt"))[0]
+            return [a for wb in load_checkpoint(ckpt)[0].layers + learner.net.layers for a in wb]
+
+        straight = final_weights(gsl_selftrain(run_dir, 10, log=tmp_path / "l10"))
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        shutil.move(gsl_selftrain(run_dir, 5, log=tmp_path / "l5"), moved / "selftrain.ckpt")
+        shutil.move(os.path.join(run_dir, "ckpt", "edge_learner.ckpt"), moved / "edge_learner.ckpt")
+        resume = str(moved / "selftrain.ckpt")
+        resumed = final_weights(gsl_selftrain(run_dir, 10, log=tmp_path / "lr", resume=resume))
+        assert all(np.array_equal(a, b) for a, b in zip(straight, resumed, strict=True))
+
 
 class TestCorruptInputs:
     """A damaged input file exits 1 with a one-line ``error:`` message."""
@@ -194,6 +220,32 @@ class TestCorruptInputs:
     def test_resume_under_another_policy(self, run_dir, capsys):
         ckpt = os.path.join(run_dir, "ckpt", "selftrain.ckpt")  # a catm run
         argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, policy="never")
+        self._fails_with_one_line(argv, capsys)
+
+    def test_resume_gsl_checkpoint_without_gsl(self, run_dir, tmp_path, capsys):
+        ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
+        self._fails_with_one_line(["selftrain", "--resume", ckpt] + tiny_args(run_dir), capsys)
+
+    def test_resume_plain_checkpoint_with_gsl(self, run_dir, capsys):
+        ckpt = os.path.join(run_dir, "ckpt", "selftrain.ckpt")  # catm without the learner
+        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
+        self._fails_with_one_line(argv, capsys)
+
+    def test_resume_gsl_without_its_edge_learner(self, run_dir, tmp_path, capsys):
+        """The learner in --checkpoint-dir is not the one of a checkpoint
+        kept elsewhere."""
+        moved = str(tmp_path / "moved.ckpt")
+        shutil.copy(gsl_selftrain(run_dir, 5, log=tmp_path / "l"), moved)
+        argv = ["selftrain", "--resume", moved] + tiny_args(run_dir, **{"use-gsl": "true"})
+        self._fails_with_one_line(argv, capsys)
+
+    def test_resume_gsl_with_a_learner_of_another_iteration(self, run_dir, tmp_path, capsys):
+        half = str(tmp_path / "half.ckpt")
+        shutil.copy(gsl_selftrain(run_dir, 5, log=tmp_path / "l5"), half)
+        shutil.copy(half, os.path.join(run_dir, "ckpt", "half.ckpt"))
+        gsl_selftrain(run_dir, 10, log=tmp_path / "l10")  # rewrites the learner beside it
+        ckpt = os.path.join(run_dir, "ckpt", "half.ckpt")
+        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
         self._fails_with_one_line(argv, capsys)
 
     @pytest.mark.parametrize("drop", ["arch", "layer0.w"])

@@ -5,7 +5,8 @@ test split is 400 such scenes.  ``test_selftrain_step`` times one whole
 self-training iteration: batch gather, forward, selection, loss, backward,
 threshold update and parameter step.  ``test_write_assignments`` and
 ``test_read_assignments`` write and parse an assignment table of the size
-catm logs on the default benchmark (85,120 rows).  Each benchmark runs a
+catm logs on the default benchmark (85,120 rows).  ``test_setup`` generates,
+masks and splits the default 2,000-scene benchmark.  Each benchmark runs a
 fixed number of rounds (``benchmark.pedantic``) so the suite stays fast;
 compare the timings across changes with ``pytest tests/test_microbench.py
 --benchmark-only``.
@@ -30,6 +31,7 @@ from strel.thresholds import ema_update
 
 ROUNDS = 30
 IO_ROUNDS = 5
+SETUP_ROUNDS = 3
 
 
 RC = RunConfig(n_scenes=400)
@@ -147,3 +149,16 @@ def test_read_assignments(benchmark, assignments, tmp_path):
     columns = _run(benchmark, read_columns, path, AssignmentRecord._fields, ASSIGNMENT_DTYPES,
                    rounds=IO_ROUNDS)
     assert AssignmentLog(*columns) == assignments
+
+
+def test_setup(benchmark):
+    rc = RunConfig()
+    fractions = (rc.train_fraction, rc.val_fraction, rc.test_fraction)
+
+    def setup():
+        full = synthgen.generate(generator_config(rc))
+        masked = synthgen.mask_annotations(full, rc.annotated_fraction, rc.mask_seed)
+        return synthgen.split(masked, fractions, rc.split_seed)
+
+    train, val, test = _run(benchmark, setup, rounds=SETUP_ROUNDS)
+    assert sum(len(d.arrays.scene_ids) for d in (train, val, test)) == rc.n_scenes
