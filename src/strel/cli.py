@@ -281,31 +281,23 @@ def _checkpoint_path(rc: RunConfig, name: str) -> str:
     return os.path.join(rc.checkpoint_dir, name)
 
 
-def _saved_config(meta: dict) -> dict:
-    config = meta.get("config")
-    return config if isinstance(config, dict) else {}
-
-
-def _check_resumed_gsl(path: str, meta: dict, use_gsl: bool) -> None:
-    saved = bool(_saved_config(meta).get("use_gsl", False))
+def _resumed_edge_learner(path: str, meta: dict, iteration: int, use_gsl: bool):
+    """The edge learner of a resumed self-train checkpoint: the one saved
+    beside it at its iteration, or None for a run without one."""
+    config = meta.get("config") if isinstance(meta.get("config"), dict) else {}
+    saved = bool(config.get("use_gsl", False))
     if saved != use_gsl:
-        raise ConfigError(
-            f"{path} was saved with use_gsl={str(saved).lower()}; "
-            f"resume it with --use-gsl {str(saved).lower()}"
-        )
-
-
-def _resumed_edge_learner(path: str, iteration: int):
-    """The edge learner saved beside a self-train checkpoint, at its iteration."""
+        flag = str(saved).lower()
+        raise ConfigError(f"{path} was saved with use_gsl={flag}; resume it with --use-gsl {flag}")
+    if not use_gsl:
+        return None
     gsl_path = os.path.join(os.path.dirname(path), "edge_learner.ckpt")
     if not os.path.exists(gsl_path):
         raise ConfigError(f"missing edge learner beside {path}: {gsl_path}")
-    learner, meta = load_edge_learner(gsl_path)
-    saved = _saved_config(meta).get("max_iterations")
-    if saved != iteration:
-        raise ValidationError(
-            f"{gsl_path} was saved at iteration {saved}, the checkpoint {path} at {iteration}"
-        )
+    learner, gsl_meta = load_edge_learner(gsl_path)
+    at = gsl_meta.get("config", {}).get("max_iterations")
+    if at != iteration:
+        raise ValidationError(f"{gsl_path} was saved at iteration {at}, {path} at {iteration}")
     return learner
 
 
@@ -380,9 +372,7 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
             "thresholds": thresholds,
             "cumulative_counts": counts,
         }
-        _check_resumed_gsl(resume, meta, cfg.use_gsl)
-        if cfg.use_gsl:
-            kwargs["edge_learner"] = _resumed_edge_learner(resume, iteration)
+        kwargs["edge_learner"] = _resumed_edge_learner(resume, meta, iteration, cfg.use_gsl)
 
     result = run(params, train, val, cfg, metric_ks=rc.metric_ks,
                  keep_edge_trace=edge_trace, **kwargs)

@@ -211,7 +211,8 @@ class SplitArrays:
     @cached_property
     def pair_scene(self) -> np.ndarray:
         """(N,) scene position of each pair."""
-        return np.repeat(np.arange(len(self.scene_ids), dtype=np.int32), np.diff(self.scene_offsets))
+        counts = np.diff(self.scene_offsets)
+        return np.repeat(np.arange(len(counts), dtype=np.int32), counts)
 
     @cached_property
     def pair_index(self) -> np.ndarray:
@@ -235,16 +236,14 @@ class SplitArrays:
         """The split of the given scene positions, in that order."""
         rows = self.rows_of(scene_positions)
         entities = _ranges(self.entity_offsets, scene_positions)
+        n_pairs = np.diff(self.scene_offsets)[scene_positions]
         n_entities = np.diff(self.entity_offsets)[scene_positions]
         entity_offsets = np.concatenate(([0], np.cumsum(n_entities)))
         # every endpoint moves with its scene's first entity row
-        shift = np.repeat(
-            entity_offsets[:-1] - self.entity_offsets[scene_positions],
-            np.diff(self.scene_offsets)[scene_positions],
-        )
+        shift = np.repeat(entity_offsets[:-1] - self.entity_offsets[scene_positions], n_pairs)
         return SplitArrays(
             scene_ids=self.scene_ids[scene_positions],
-            scene_offsets=np.concatenate(([0], np.cumsum(np.diff(self.scene_offsets)[scene_positions]))),
+            scene_offsets=np.concatenate(([0], np.cumsum(n_pairs))),
             entity_offsets=entity_offsets,
             entity_ids=self.entity_ids[entities],
             entity_classes=self.entity_classes[entities],
@@ -256,26 +255,21 @@ class SplitArrays:
         )
 
     def to_scenes(self) -> tuple[Scene, ...]:
-        """The split as scene records; their arrays are views of the columns."""
+        """The split as scene records."""
         ids, classes = self.entity_ids.tolist(), self.entity_classes.tolist()
-        subj, obj = self.subject_row.tolist(), self.object_row.tolist()
-        observed, hidden = self.observed.tolist(), self.hidden.tolist()
-        ents, pairs = self.entity_offsets.tolist(), self.scene_offsets.tolist()
-        features, entity_features = self.features, self.entity_features
-        scenes = []
-        for s, scene_id in enumerate(self.scene_ids.tolist()):
-            entities = tuple(
-                Entity(ids[k], classes[k], entity_features[k]) for k in range(ents[s], ents[s + 1])
-            )
-            triplets = tuple(
-                TripletInstance(
-                    scene_id, ids[subj[r]], ids[obj[r]], classes[subj[r]], classes[obj[r]],
-                    features[r], observed[r], hidden[r],
-                )
-                for r in range(pairs[s], pairs[s + 1])
-            )
-            scenes.append(Scene(scene_id, entities, triplets))
-        return tuple(scenes)
+        entities = [Entity(*e) for e in zip(ids, classes, self.entity_features)]
+        pairs = list(zip(*self.pair_columns()))
+        ents, rows = self.entity_offsets.tolist(), self.scene_offsets.tolist()
+        return tuple(
+            make_scene(scene_id, entities[ents[s] : ents[s + 1]], pairs[rows[s] : rows[s + 1]])
+            for s, scene_id in enumerate(self.scene_ids.tolist())
+        )
+
+    def pair_columns(self) -> tuple[list[int], ...]:
+        """Each pair's subject id, object id, observed and hidden label."""
+        ids = self.entity_ids
+        return (ids[self.subject_row].tolist(), ids[self.object_row].tolist(),
+                self.observed.tolist(), self.hidden.tolist())
 
 
 def _ranges(offsets: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -352,25 +346,19 @@ def annotated_counts(observed: np.ndarray, n_foreground: int) -> np.ndarray:
 
 def scene_lines(arrays: SplitArrays) -> Iterator[str]:
     """One JSON line per scene, written from the columns."""
-    entity = '{"id":%d,"class":%d,"features":[' + ",".join(["%.9g"] * arrays.entity_features.shape[1]) + "]}"
-    entities = [
-        entity % (i, c, *f)
-        for i, c, f in zip(
-            arrays.entity_ids.tolist(), arrays.entity_classes.tolist(), arrays.entity_features.tolist()
-        )
-    ]
-    ids = arrays.entity_ids
-    triplets = [
-        '{"subj":%d,"obj":%d,"observed":%d,"hidden":%d}' % t
-        for t in zip(
-            ids[arrays.subject_row].tolist(), ids[arrays.object_row].tolist(),
-            arrays.observed.tolist(), arrays.hidden.tolist(),
-        )
-    ]
-    ents, pairs = arrays.entity_offsets.tolist(), arrays.scene_offsets.tolist()
+    features = ",".join(["%.9g"] * arrays.entity_features.shape[1])
+    entity = '{"id":%d,"class":%d,"features":[' + features + "]}"
+    ids, classes, values = (a.tolist() for a in (arrays.entity_ids, arrays.entity_classes,
+                                                  arrays.entity_features))
+    entities = [entity % (i, c, *f) for i, c, f in zip(ids, classes, values)]
+    pair = '{"subj":%d,"obj":%d,"observed":%d,"hidden":%d}'
+    pairs = [pair % p for p in zip(*arrays.pair_columns())]
+    ents, rows = arrays.entity_offsets.tolist(), arrays.scene_offsets.tolist()
     for s, scene_id in enumerate(arrays.scene_ids.tolist()):
         yield '{"scene_id":%d,"entities":[%s],"triplets":[%s]}' % (
-            scene_id, ",".join(entities[ents[s] : ents[s + 1]]), ",".join(triplets[pairs[s] : pairs[s + 1]])
+            scene_id,
+            ",".join(entities[ents[s] : ents[s + 1]]),
+            ",".join(pairs[rows[s] : rows[s + 1]]),
         )
 
 

@@ -121,7 +121,8 @@ def read_columns(path, names: Sequence[str], dtypes: Sequence) -> tuple[np.ndarr
         try:
             body = _loadtxt(fh, dtype)
         except (ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}: {_first_bad_line(path, dtype) or _reason(exc)}") from exc
+            detail = _first_bad_line(path, dtype) or _reason(exc)
+            raise ValidationError(f"{path}: {detail}") from exc
     return tuple(body[name] for name in names)
 
 
