@@ -173,7 +173,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
         t = np.asarray(targets, dtype=np.intp)
         return weighted_ce_loss_grad(params, X[rows], t, w[t] / len(rows))
 
-    n_scenes = len(train.scenes)
+    n_scenes = len(arrays.scene_ids)
     per_epoch = math.ceil(n_scenes / cfg.batch_size)
     keys, confs, taus, epochs = [], [], [], []
     it, epoch = 0, 0
