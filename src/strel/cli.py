@@ -281,11 +281,16 @@ def _checkpoint_path(rc: RunConfig, name: str) -> str:
     return os.path.join(rc.checkpoint_dir, name)
 
 
+def _echoed(meta: dict, key: str):
+    """A run-config value a checkpoint echoes in its metadata, or None."""
+    config = meta.get("config")
+    return config.get(key) if isinstance(config, dict) else None
+
+
 def _resumed_edge_learner(path: str, meta: dict, iteration: int, use_gsl: bool):
     """The edge learner of a resumed self-train checkpoint: the one saved
     beside it at its iteration, or None for a run without one."""
-    config = meta.get("config") if isinstance(meta.get("config"), dict) else {}
-    saved = bool(config.get("use_gsl", False))
+    saved = bool(_echoed(meta, "use_gsl"))
     if saved != use_gsl:
         flag = str(saved).lower()
         raise ConfigError(f"{path} was saved with use_gsl={flag}; resume it with --use-gsl {flag}")
@@ -295,7 +300,7 @@ def _resumed_edge_learner(path: str, meta: dict, iteration: int, use_gsl: bool):
     if not os.path.exists(gsl_path):
         raise ConfigError(f"missing edge learner beside {path}: {gsl_path}")
     learner, gsl_meta = load_edge_learner(gsl_path)
-    at = gsl_meta.get("config", {}).get("max_iterations")
+    at = _echoed(gsl_meta, "max_iterations")
     if at != iteration:
         raise ValidationError(f"{gsl_path} was saved at iteration {at}, {path} at {iteration}")
     return learner

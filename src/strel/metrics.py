@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
-from itertools import chain
+from operator import attrgetter
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -274,11 +274,12 @@ def audit_pseudo_labels(
     n_fg = dataset.catalog.n_foreground
     if isinstance(assignments, AssignmentLog):
         scene_id, index, cls = assignments.scene_id, assignments.triplet_index, assignments.assigned_class
-    else:
-        scene_id, index, cls = np.fromiter(
-            chain.from_iterable((a.scene_id, a.triplet_index, a.assigned_class) for a in assignments),
-            dtype=np.int64,
-        ).reshape(-1, 3).T
+    else:  # one pass over the records per field
+        records = list(assignments)
+        scene_id, index, cls = (
+            np.fromiter(map(attrgetter(f), records), dtype=np.int64, count=len(records))
+            for f in ("scene_id", "triplet_index", "assigned_class")
+        )
     ids = arrays.scene_ids
     if len(scene_id) and not len(ids):
         raise ValidationError(f"assignment references unknown scene {scene_id[0]}")
