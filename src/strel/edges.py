@@ -218,12 +218,9 @@ def save_edge_learner(path, params: EdgeLearnerParams, meta: dict | None = None)
 
 def load_edge_learner(path) -> tuple[EdgeLearnerParams, dict]:
     tensors, meta = tensorio.load_tensors(path)
-    net = params_from_tensors(tensors, meta["arch"])
-    return (
-        EdgeLearnerParams(
-            net=net,
-            temperature=float(meta["temperature"]),
-            focal_gamma=float(meta["focal_gamma"]),
-        ),
-        meta,
-    )
+    try:
+        net = params_from_tensors(tensors, meta["arch"])
+        temperature, focal_gamma = float(meta["temperature"]), float(meta["focal_gamma"])
+    except KeyError as exc:
+        raise ValidationError(f"{path} is not an edge-learner checkpoint: no {exc}") from exc
+    return EdgeLearnerParams(net=net, temperature=temperature, focal_gamma=focal_gamma), meta

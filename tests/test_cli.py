@@ -239,6 +239,18 @@ class TestCorruptInputs:
         argv = ["selftrain", "--resume", moved] + tiny_args(run_dir, **{"use-gsl": "true"})
         self._fails_with_one_line(argv, capsys)
 
+    @pytest.mark.parametrize("drop", ["temperature", "layer0.w"])
+    def test_edge_learner_without_its_fields(self, run_dir, tmp_path, drop, capsys):
+        ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
+        path = os.path.join(run_dir, "ckpt", "edge_learner.ckpt")
+        tensors, meta = tensorio.load_tensors(path)
+        tensors.pop(drop, None)
+        meta.pop(drop, None)
+        tensorio.save_tensors(path, tensors, meta)
+        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
+        self._fails_with_one_line(argv, capsys)
+        self._fails_with_one_line(["eval"] + tiny_args(run_dir, **{"use-gsl": "true"}), capsys)
+
     def test_resume_gsl_with_a_learner_of_another_iteration(self, run_dir, tmp_path, capsys):
         half = str(tmp_path / "half.ckpt")
         shutil.copy(gsl_selftrain(run_dir, 5, log=tmp_path / "l5"), half)
