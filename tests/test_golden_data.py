@@ -1,7 +1,7 @@
 """Golden data: ``strel gen`` writes recorded files byte for byte.
 
 A 60-scene ``strel gen`` at the default generator settings, run from a
-scratch directory with relative paths (the manifest echoes them), must
+temporary directory with relative paths (the manifest echoes them), must
 write ``train/val/test.jsonl`` and ``manifest.json`` whose SHA-256 hashes
 equal the ones in ``GOLDEN``.  A change to how datasets are generated,
 masked, split or written must pass this unchanged; only a change meant to
