@@ -3,6 +3,11 @@
 Configuration is a flat ``key = value`` text file; every field can also be
 overridden by a ``--kebab-case`` flag.  Exit codes: 0 success, 1 validation
 or configuration error, 2 runtime abort.
+
+``strel gen`` writes each split's columns as one archive, ``<data_dir>/train.tns``
+(see ``labels``), beside ``manifest.json``; ``load_split`` reads one and checks it
+against the manifest's catalog.  The file is binary; read it as any archive:
+``columns, meta = strel.tensorio.load_tensors("data/train.tns")``.
 """
 
 from __future__ import annotations
@@ -247,7 +252,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _dataset_paths(rc: RunConfig) -> dict[str, str]:
     return {
-        split: os.path.join(rc.data_dir, f"{split}.jsonl")
+        split: os.path.join(rc.data_dir, f"{split}.tns")
         for split in ("train", "val", "test")
     }
 
@@ -274,7 +279,10 @@ def load_split(rc: RunConfig, split: str) -> Dataset:
     catalog = PredicateCatalog(
         class_names=tuple(info["class_names"]), counts=tuple(info["train_counts"])
     )
-    return Dataset(read_scenes(path), catalog, split)
+    arrays = read_scenes(path)
+    if arrays.hidden.max(initial=0) > catalog.n_foreground:
+        raise ValidationError(f"{path}: a hidden label lies outside the {manifest} catalog")
+    return Dataset(arrays, catalog, split)
 
 
 def _checkpoint_path(rc: RunConfig, name: str) -> str:
@@ -287,13 +295,14 @@ def _echoed(meta: dict, key: str):
     return config.get(key) if isinstance(config, dict) else None
 
 
-def _resumed_edge_learner(path: str, meta: dict, iteration: int, use_gsl: bool):
-    """The edge learner of a resumed self-train checkpoint: the one saved
-    beside it at its iteration, or None for a run without one."""
+def _edge_learner_beside(path: str, meta: dict, iteration, use_gsl: bool):
+    """The edge learner of the checkpoint at ``path`` (metadata ``meta``, saved
+    at ``iteration``): the one saved beside it at that iteration, or None for a
+    run without one.  Resuming and evaluating a checkpoint both go through here."""
     saved = bool(_echoed(meta, "use_gsl"))
     if saved != use_gsl:
         flag = str(saved).lower()
-        raise ConfigError(f"{path} was saved with use_gsl={flag}; resume it with --use-gsl {flag}")
+        raise ConfigError(f"{path} was saved with use_gsl={flag}; use it with --use-gsl {flag}")
     if not use_gsl:
         return None
     gsl_path = os.path.join(os.path.dirname(path), "edge_learner.ckpt")
@@ -377,7 +386,7 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
             "thresholds": thresholds,
             "cumulative_counts": counts,
         }
-        kwargs["edge_learner"] = _resumed_edge_learner(resume, meta, iteration, cfg.use_gsl)
+        kwargs["edge_learner"] = _edge_learner_beside(resume, meta, iteration, cfg.use_gsl)
 
     result = run(params, train, val, cfg, metric_ks=rc.metric_ks,
                  keep_edge_trace=edge_trace, **kwargs)
@@ -453,11 +462,8 @@ def cmd_eval(rc: RunConfig, checkpoint: str | None, split: str) -> int:
     path = checkpoint or _checkpoint_path(rc, "selftrain.ckpt")
     if not os.path.exists(path):
         raise ConfigError(f"missing checkpoint: {path}")
-    params, _ = load_model(path)
-    edge = None
-    gsl_path = _checkpoint_path(rc, "edge_learner.ckpt")
-    if rc.use_gsl and os.path.exists(gsl_path):
-        edge, _ = load_edge_learner(gsl_path)
+    params, meta = load_model(path)
+    edge = _edge_learner_beside(path, meta, meta.get("iteration"), rc.use_gsl)
     report = evaluate(params, dataset, rc.metric_ks, edge)
 
     os.makedirs(rc.log_dir, exist_ok=True)
@@ -562,9 +568,10 @@ def cmd_sweep(rc: RunConfig, grid: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="strel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the config flags every command takes
+    _add_config_flags(common)
     for name in ("gen", "pretrain", "selftrain", "eval", "audit", "sweep"):
-        p = sub.add_parser(name)
-        _add_config_flags(p)
+        p = sub.add_parser(name, parents=[common])
         if name == "selftrain":
             p.add_argument("--resume", default=None, help="checkpoint to resume from")
             p.add_argument("--edge-trace", action="store_true", help="log edge samples")

@@ -1,4 +1,4 @@
-"""Relation label space, the columnar dataset, and the scene file record.
+"""Relation label space, the columnar dataset, and the split file.
 
 Index 0 of every probability vector and label field is reserved for the
 background class ("no relation").  Foreground classes occupy indices 1..F in
@@ -7,25 +7,24 @@ as its frequency rank.
 
 The columns are the dataset: a split is a ``SplitArrays``, one row per pair
 and one per entity, which the generator fills, masking and splitting gather,
-and training and evaluation read through ``Dataset.arrays``.  ``Scene``,
-``Entity`` and ``TripletInstance`` are the record of the scene file format:
-``read_scenes`` parses them and compiles their columns, ``write_scenes``
-writes the lines from the columns, and ``Dataset.scenes`` builds them only
-when read.  All types here are immutable and safe to share across parallel
-readers.
+and training and evaluation read through ``Dataset.arrays``.  On disk it is
+one ``tensorio`` archive of those columns under their field names
+(``write_scenes``; ``SPLIT_COLUMNS`` gives the dtypes), which ``read_scenes``
+loads in one read and checks.  ``Scene``, ``Entity`` and ``TripletInstance``
+are the record view that ``Dataset.scenes`` builds on first read.  All types
+here are immutable and safe to share across parallel readers.
 """
 
 from __future__ import annotations
 
-import json
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .tensorio import pack_tensors, unpack_tensors
 
 BG_INDEX = 0
 
@@ -280,45 +279,6 @@ def _ranges(offsets: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return shift + np.arange(shift.size)
 
 
-def compile_split(scenes: Iterable[Scene]) -> SplitArrays:
-    """The columns of a sequence of scene records."""
-    scene_ids, n_entities, n_pairs = array("q"), array("q"), array("q")
-    entity_ids, entity_classes, features = array("q"), array("q"), []
-    # four int32 columns per pair: subject row, object row, observed, hidden
-    columns = array("i")
-    base = 0
-    for scene in scenes:
-        row = {}
-        for k, e in enumerate(scene.entities):
-            row[e.id] = base + k
-            entity_ids.append(e.id)
-            entity_classes.append(e.entity_class)
-            features.append(e.features)
-        for t in scene.triplets:
-            columns.extend((row[t.subject_id], row[t.object_id], t.observed_label, t.hidden_label))
-        scene_ids.append(scene.scene_id)
-        n_entities.append(len(scene.entities))
-        n_pairs.append(len(scene.triplets))
-        base += len(scene.entities)
-    if len({f.shape for f in features}) > 1:
-        raise ValidationError("entity features differ in length across the split")
-    subj, obj, observed, hidden = np.frombuffer(columns, dtype=np.int32).reshape(-1, 4).T.copy()
-    return SplitArrays(
-        scene_ids=np.array(scene_ids, dtype=np.intp),
-        scene_offsets=np.concatenate(([0], np.cumsum(n_pairs, dtype=np.intp))),
-        entity_offsets=np.concatenate(([0], np.cumsum(n_entities, dtype=np.intp))),
-        entity_ids=np.array(entity_ids, dtype=np.intp),
-        entity_classes=np.array(entity_classes, dtype=np.intp),
-        entity_features=(
-            np.concatenate(features).reshape(len(features), -1) if features else np.zeros((0, 0))
-        ),
-        subject_row=subj,
-        object_row=obj,
-        observed=observed,
-        hidden=hidden,
-    )
-
-
 @dataclass(frozen=True)
 class Dataset:
     """One split: its columns, the label space and the split's name."""
@@ -338,58 +298,77 @@ def annotated_counts(observed: np.ndarray, n_foreground: int) -> np.ndarray:
     return np.bincount(observed, minlength=n_foreground + 1)[1:]
 
 
-# --- line-delimited serialization ------------------------------------------
-#
-# One scene per line; entity features carry 9 significant digits, and pair
-# features are rebuilt from the endpoints on read.
+# --- the split file ----------------------------------------------------------
 
-
-def scene_lines(arrays: SplitArrays) -> Iterator[str]:
-    """One JSON line per scene, written from the columns."""
-    features = ",".join(["%.9g"] * arrays.entity_features.shape[1])
-    entity = '{"id":%d,"class":%d,"features":[' + features + "]}"
-    ids, classes, values = (a.tolist() for a in (arrays.entity_ids, arrays.entity_classes,
-                                                  arrays.entity_features))
-    entities = [entity % (i, c, *f) for i, c, f in zip(ids, classes, values)]
-    pair = '{"subj":%d,"obj":%d,"observed":%d,"hidden":%d}'
-    pairs = [pair % p for p in zip(*arrays.pair_columns())]
-    ents, rows = arrays.entity_offsets.tolist(), arrays.scene_offsets.tolist()
-    for s, scene_id in enumerate(arrays.scene_ids.tolist()):
-        yield '{"scene_id":%d,"entities":[%s],"triplets":[%s]}' % (
-            scene_id,
-            ",".join(entities[ents[s] : ents[s + 1]]),
-            ",".join(pairs[rows[s] : rows[s + 1]]),
-        )
-
-
-def scene_from_line(line: str) -> Scene:
-    try:
-        raw = json.loads(line)
-        entities = [
-            Entity(
-                id=int(e["id"]),
-                entity_class=int(e["class"]),
-                features=np.asarray(e["features"], dtype=np.float64),
-            )
-            for e in raw["entities"]
-        ]
-        pairs = [
-            (int(t["subj"]), int(t["obj"]), int(t["observed"]), int(t["hidden"]))
-            for t in raw["triplets"]
-        ]
-        return make_scene(int(raw["scene_id"]), entities, pairs)
-    except ValidationError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise ValidationError(f"malformed scene line: {type(exc).__name__}: {exc}") from exc
+SPLIT_COLUMNS = {  # every SplitArrays field and its dtype on disk
+    "scene_ids": np.int64,
+    "scene_offsets": np.int64,
+    "entity_offsets": np.int64,
+    "entity_ids": np.int64,
+    "entity_classes": np.int64,
+    "entity_features": np.float64,
+    "subject_row": np.int32,
+    "object_row": np.int32,
+    "observed": np.int32,
+    "hidden": np.int32,
+}
 
 
 def write_scenes(path, arrays: SplitArrays) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in scene_lines(arrays))
+    """Write a split as its column archive.  Entity features are stored as
+    printed with 9 significant digits and parsed back, the values of the JSONL
+    scene file the archive replaced, so a dataset keeps its numbers."""
+    columns = {name: np.asarray(getattr(arrays, name), t) for name, t in SPLIT_COLUMNS.items()}
+    flat = arrays.entity_features.ravel().tolist()
+    text = ",".join(["%.9g"] * len(flat)) % tuple(flat)
+    features = np.fromiter(map(float, text.split(",")), np.float64, len(flat))
+    columns["entity_features"] = features.reshape(arrays.entity_features.shape)
+    with open(path, "wb") as fh:
+        fh.write(pack_tensors(columns))
 
 
 def read_scenes(path) -> SplitArrays:
-    """The columns of a scene file, parsed line by line as scene records."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return compile_split(scene_from_line(line) for line in fh if line.strip())
+    """The columns of a split archive; a damaged one is a ValidationError."""
+    with open(path, "rb") as fh:
+        columns, _ = unpack_tensors(fh.read(), path)
+    for name, dtype in SPLIT_COLUMNS.items():
+        column = columns.get(name)
+        rank = 2 if name == "entity_features" else 1
+        if column is None or column.dtype != dtype or column.ndim != rank:
+            raise ValidationError(f"{path}: no {rank}-d {np.dtype(dtype)} column {name!r}")
+    arrays = SplitArrays(**{name: columns[name] for name in SPLIT_COLUMNS})
+    fault = _fault(arrays)
+    if fault:
+        raise ValidationError(f"{path}: {fault}")
+    return arrays
+
+
+def _fault(arrays: SplitArrays) -> str | None:
+    """The first invariant the columns of a split break, or None."""
+    n_scenes = len(arrays.scene_ids)
+    for name in ("scene_offsets", "entity_offsets"):
+        offsets = getattr(arrays, name)
+        if len(offsets) != n_scenes + 1 or offsets[0] != 0 or (np.diff(offsets) < 0).any():
+            return f"{name} must start at 0, never fall and hold {n_scenes + 1} entries"
+    n_entities, n_pairs = arrays.entity_offsets[-1], arrays.scene_offsets[-1]
+    if any(len(c) != n_entities for c in (arrays.entity_ids, arrays.entity_classes,
+                                          arrays.entity_features)):
+        return f"entity columns must have {n_entities} rows"
+    subj, obj = arrays.subject_row, arrays.object_row
+    if any(len(c) != n_pairs for c in (subj, obj, arrays.observed, arrays.hidden)):
+        return f"pair columns must have {n_pairs} rows"
+    if len(np.unique(arrays.scene_ids)) != n_scenes:
+        return "a scene id repeats"
+    first = arrays.entity_offsets[arrays.pair_scene]
+    last = arrays.entity_offsets[arrays.pair_scene + 1]
+    if ((subj < first) | (subj >= last) | (obj < first) | (obj >= last)).any():
+        return "a pair names an entity outside its scene"
+    if (subj == obj).any():
+        return "a pair's subject and object are one entity"
+    if (arrays.hidden < 0).any():
+        return "a hidden label is negative"
+    if ((arrays.observed != BG_INDEX) & (arrays.observed != arrays.hidden)).any():
+        return "an observed label differs from its hidden label"
+    if not np.isfinite(arrays.entity_features).all():
+        return "an entity feature is not finite"
+    return None

@@ -1,9 +1,11 @@
-"""Bit-exact tensor archives for checkpoints.
+"""Bit-exact tensor archives for checkpoints and dataset splits.
 
 Layout: 8-byte magic, 8-byte little-endian header length, a UTF-8 JSON
 header (metadata plus a tensor index), then the raw tensor payloads
 concatenated in index order.  Saving the same tensors and metadata twice
 yields byte-identical files, and a load/save round trip is bit-exact.
+``pack_tensors`` and ``unpack_tensors`` are the same format as bytes, for a
+caller that opens the file itself, as ``labels`` does for split files.
 """
 
 from __future__ import annotations
@@ -19,29 +21,29 @@ from .errors import ValidationError
 MAGIC = b"TNSRCHK1"
 
 
-def save_tensors(path, tensors: Mapping[str, np.ndarray], meta: Mapping | None = None) -> None:
+def pack_tensors(tensors: Mapping[str, np.ndarray], meta: Mapping | None = None) -> bytes:
+    """The archive of ``tensors`` and ``meta``, as bytes."""
     names = sorted(tensors)
-    index = []
-    for name in names:
-        arr = np.ascontiguousarray(tensors[name])
-        index.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)})
+    arrays = [np.ascontiguousarray(tensors[name]) for name in names]
+    index = [
+        {"name": name, "dtype": str(a.dtype), "shape": list(a.shape)} for name, a in zip(names, arrays)
+    ]
     header = json.dumps(
         {"meta": dict(meta or {}), "tensors": index},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
+    return b"".join([MAGIC, struct.pack("<Q", len(header)), header, *(a.tobytes() for a in arrays)])
+
+
+def save_tensors(path, tensors: Mapping[str, np.ndarray], meta: Mapping | None = None) -> None:
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for name in names:
-            fh.write(np.ascontiguousarray(tensors[name]).tobytes())
+        fh.write(pack_tensors(tensors, meta))
 
 
-def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of :func:`save_tensors`; a damaged archive is a ValidationError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def unpack_tensors(data: bytes, path) -> tuple[dict[str, np.ndarray], dict]:
+    """Inverse of :func:`pack_tensors`; a damaged archive is a ValidationError
+    naming ``path``."""
     if data[: len(MAGIC)] != MAGIC or len(data) < len(MAGIC) + 8:
         raise ValidationError(f"not a tensor archive: {path}")
     start = len(MAGIC) + 8
@@ -62,3 +64,9 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         raise
     except (ValueError, KeyError, TypeError) as exc:  # bad header JSON or fields
         raise ValidationError(f"corrupt tensor archive header: {path}: {exc}") from exc
+
+
+def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Inverse of :func:`save_tensors`; a damaged archive is a ValidationError."""
+    with open(path, "rb") as fh:
+        return unpack_tensors(fh.read(), path)

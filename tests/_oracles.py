@@ -3,19 +3,25 @@
 Everything here recomputes expected values through a different path than the
 library: central finite differences for gradients, and plain per-item loops,
 dicts and sets for pseudo-label selection, the ranking metrics and message
-passing, where the library works on whole arrays; and the dataset pipeline
-in object form, one scene record per scene.
+passing, where the library works on whole arrays; the dataset pipeline
+in object form, one scene record per scene; and the JSONL scene file that
+``strel gen`` wrote before the split archives, with the record path from
+scene records to columns.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
-from typing import NamedTuple
+from array import array
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from strel.classifier import ModelParams
+from strel.errors import ValidationError
+from strel.labels import Entity, Scene, SplitArrays, make_scene
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:
@@ -267,7 +273,7 @@ def object_annotated_counts(scenes, n_foreground: int) -> list[int]:
 
 
 def _object_relabel(scene_groups, counts, names):
-    from strel.labels import PredicateCatalog, Scene
+    from strel.labels import PredicateCatalog
 
     order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
     mapping = {0: 0}
@@ -293,7 +299,6 @@ def _object_relabel(scene_groups, counts, names):
 
 def object_generate(config) -> ObjectDataset:
     """``synthgen.generate``, one pair at a time."""
-    from strel.labels import Entity, make_scene
     from strel.synthgen import _prototypes, zipf_shares
 
     config.validate()
@@ -333,8 +338,6 @@ def object_generate(config) -> ObjectDataset:
 
 def object_mask_annotations(dataset: ObjectDataset, fraction: float, seed: int) -> ObjectDataset:
     """``synthgen.mask_annotations`` over a set of (scene, pair) keys."""
-    from strel.labels import Scene
-
     refs = [
         (i, j)
         for i, scene in enumerate(dataset.scenes)
@@ -377,3 +380,100 @@ def object_split(dataset: ObjectDataset, fractions, seed: int) -> tuple[ObjectDa
     return tuple(
         ObjectDataset(tuple(g), catalog, tag) for g, tag in zip(groups, ("train", "val", "test"))
     )
+
+
+# --- the JSONL scene file and the record path ---------------------------------
+#
+# One scene per line; entity features carry 9 significant digits, and pair
+# features are rebuilt from the endpoints on read.
+
+
+def compile_split(scenes: Iterable[Scene]) -> SplitArrays:
+    """The columns of a sequence of scene records."""
+    scene_ids, n_entities, n_pairs = array("q"), array("q"), array("q")
+    entity_ids, entity_classes, features = array("q"), array("q"), []
+    # four int32 columns per pair: subject row, object row, observed, hidden
+    columns = array("i")
+    base = 0
+    for scene in scenes:
+        row = {}
+        for k, e in enumerate(scene.entities):
+            row[e.id] = base + k
+            entity_ids.append(e.id)
+            entity_classes.append(e.entity_class)
+            features.append(e.features)
+        for t in scene.triplets:
+            columns.extend((row[t.subject_id], row[t.object_id], t.observed_label, t.hidden_label))
+        scene_ids.append(scene.scene_id)
+        n_entities.append(len(scene.entities))
+        n_pairs.append(len(scene.triplets))
+        base += len(scene.entities)
+    if len({f.shape for f in features}) > 1:
+        raise ValidationError("entity features differ in length across the split")
+    subj, obj, observed, hidden = np.frombuffer(columns, dtype=np.int32).reshape(-1, 4).T.copy()
+    return SplitArrays(
+        scene_ids=np.array(scene_ids, dtype=np.intp),
+        scene_offsets=np.concatenate(([0], np.cumsum(n_pairs, dtype=np.intp))),
+        entity_offsets=np.concatenate(([0], np.cumsum(n_entities, dtype=np.intp))),
+        entity_ids=np.array(entity_ids, dtype=np.intp),
+        entity_classes=np.array(entity_classes, dtype=np.intp),
+        entity_features=(
+            np.concatenate(features).reshape(len(features), -1) if features else np.zeros((0, 0))
+        ),
+        subject_row=subj,
+        object_row=obj,
+        observed=observed,
+        hidden=hidden,
+    )
+
+
+def scene_lines(arrays: SplitArrays) -> Iterator[str]:
+    """One JSON line per scene, written from the columns."""
+    features = ",".join(["%.9g"] * arrays.entity_features.shape[1])
+    entity = '{"id":%d,"class":%d,"features":[' + features + "]}"
+    ids, classes, values = (a.tolist() for a in (arrays.entity_ids, arrays.entity_classes,
+                                                  arrays.entity_features))
+    entities = [entity % (i, c, *f) for i, c, f in zip(ids, classes, values)]
+    pair = '{"subj":%d,"obj":%d,"observed":%d,"hidden":%d}'
+    pairs = [pair % p for p in zip(*arrays.pair_columns())]
+    ents, rows = arrays.entity_offsets.tolist(), arrays.scene_offsets.tolist()
+    for s, scene_id in enumerate(arrays.scene_ids.tolist()):
+        yield '{"scene_id":%d,"entities":[%s],"triplets":[%s]}' % (
+            scene_id,
+            ",".join(entities[ents[s] : ents[s + 1]]),
+            ",".join(pairs[rows[s] : rows[s + 1]]),
+        )
+
+
+def scene_from_line(line: str) -> Scene:
+    try:
+        raw = json.loads(line)
+        entities = [
+            Entity(
+                id=int(e["id"]),
+                entity_class=int(e["class"]),
+                features=np.asarray(e["features"], dtype=np.float64),
+            )
+            for e in raw["entities"]
+        ]
+        pairs = [
+            (int(t["subj"]), int(t["obj"]), int(t["observed"]), int(t["hidden"]))
+            for t in raw["triplets"]
+        ]
+        return make_scene(int(raw["scene_id"]), entities, pairs)
+    except ValidationError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"malformed scene line: {type(exc).__name__}: {exc}") from exc
+
+
+def write_jsonl(path, arrays: SplitArrays) -> None:
+    """The scene file of a split."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in scene_lines(arrays))
+
+
+def read_jsonl(path) -> SplitArrays:
+    """The columns of a scene file, parsed line by line as scene records."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return compile_split(scene_from_line(line) for line in fh if line.strip())

@@ -23,10 +23,10 @@ from strel.classifier import (
     zero_grads,
 )
 from strel.errors import ConfigError, RuntimeAbort, ValidationError
-from strel.labels import Dataset, build_catalog, compile_split
+from strel.labels import Dataset, build_catalog
 from strel.rngs import stream
 
-from _oracles import gradient_relative_error
+from _oracles import compile_split, gradient_relative_error
 from conftest import build_scene
 
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from strel import cli, tensorio
+from strel.classifier import load_model
 from strel.edges import load_edge_learner
 from strel.errors import RuntimeAbort
-from strel.selftrain import load_checkpoint
-from strel.tables import read_table
+from strel.metrics import AssignmentLog, AssignmentRecord
+from strel.selftrain import load_checkpoint, run
+from strel.tables import read_columns, read_table
 
 
 def tiny_args(root, **extra):
@@ -71,14 +73,14 @@ class TestGen:
     def test_writes_datasets_and_manifest(self, tmp_path):
         root = str(tmp_path)
         assert cli.main(["gen"] + tiny_args(root)) == 0
-        for name in ("train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"):
+        for name in ("train.tns", "val.tns", "test.tns", "manifest.json"):
             assert os.path.exists(os.path.join(root, "data", name))
 
     def test_repeated_seed_gives_identical_files(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert cli.main(["gen"] + tiny_args(a, **{"gen-seed": 99})) == 0
         assert cli.main(["gen"] + tiny_args(b, **{"gen-seed": 99})) == 0
-        for name in ("train.jsonl", "val.jsonl", "test.jsonl"):
+        for name in ("train.tns", "val.tns", "test.tns"):
             assert file_hash(os.path.join(a, "data", name)) == file_hash(
                 os.path.join(b, "data", name)
             )
@@ -161,6 +163,39 @@ class TestPipeline:
         pretrained = read_table(os.path.join(str(tmp_path / "l1"), "eval_val.csv"))[1]
         assert zero_iter == pretrained
 
+    def test_selftrain_equals_the_library_run(self, pipeline_dir):
+        """``strel selftrain`` logs and saves what ``selftrain.run`` returns for
+        the splits ``load_split`` reads and ``strel pretrain``'s checkpoint."""
+        args = cli.build_parser().parse_args(["selftrain"] + tiny_args(pipeline_dir))
+        rc = cli._load_run_config(args)
+        params, _ = load_model(os.path.join(pipeline_dir, "ckpt", "pretrain.ckpt"))
+        result = run(params, cli.load_split(rc, "train"), cli.load_split(rc, "val"),
+                     cli.selftrain_config(rc), metric_ks=rc.metric_ks)
+        columns = read_columns(os.path.join(pipeline_dir, "logs", "assignments.csv"),
+                               AssignmentRecord._fields, [np.int64] * 4 + [np.float64])
+        assert len(result.assignments) > 0
+        assert result.assignments == AssignmentLog(*columns)
+        saved = load_checkpoint(os.path.join(pipeline_dir, "ckpt", "selftrain.ckpt"))[0]
+        assert saved.arch == result.params.arch
+        for got, want in zip(result.params.layers, saved.layers, strict=True):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+    def test_gsl_eval_reads_the_learner_beside_the_checkpoint(self, run_dir, tmp_path):
+        """A catm + edge learner checkpoint moved out of --checkpoint-dir
+        evaluates as it does in place."""
+        def eval_rows(ckpt, log):
+            args = tiny_args(run_dir, **{"use-gsl": "true", "log-dir": str(log)})
+            assert cli.main(["eval", "--checkpoint", ckpt] + args) == 0
+            return read_table(os.path.join(log, "eval_test.csv"))[1]
+
+        in_place = gsl_selftrain(run_dir, 10, log=tmp_path / "l")
+        want = eval_rows(in_place, tmp_path / "e1")
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        shutil.move(in_place, moved / "selftrain.ckpt")
+        shutil.move(os.path.join(run_dir, "ckpt", "edge_learner.ckpt"), moved / "edge_learner.ckpt")
+        assert eval_rows(str(moved / "selftrain.ckpt"), tmp_path / "e2") == want
+
     def test_missing_checkpoint_names_path(self, tmp_path, capsys):
         root = str(tmp_path)
         assert cli.main(["gen"] + tiny_args(root)) == 0
@@ -205,6 +240,7 @@ class TestCorruptInputs:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
 
     @pytest.mark.parametrize("keep", [0.5, 0.999])  # cut in the header, cut in a tensor
     def test_truncated_checkpoint(self, run_dir, keep, capsys):
@@ -251,6 +287,22 @@ class TestCorruptInputs:
         self._fails_with_one_line(argv, capsys)
         self._fails_with_one_line(["eval"] + tiny_args(run_dir, **{"use-gsl": "true"}), capsys)
 
+    def test_eval_gsl_checkpoint_without_gsl(self, run_dir, tmp_path, capsys):
+        ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
+        self._fails_with_one_line(["eval", "--checkpoint", ckpt] + tiny_args(run_dir), capsys)
+
+    def test_eval_plain_checkpoint_with_gsl(self, run_dir, capsys):
+        argv = ["eval"] + tiny_args(run_dir, **{"use-gsl": "true"})  # catm without the learner
+        self._fails_with_one_line(argv, capsys)
+
+    def test_eval_gsl_without_its_edge_learner(self, run_dir, tmp_path, capsys):
+        """The learner in --checkpoint-dir is not the one of a checkpoint
+        kept elsewhere."""
+        moved = str(tmp_path / "moved.ckpt")
+        shutil.copy(gsl_selftrain(run_dir, 5, log=tmp_path / "l"), moved)
+        argv = ["eval", "--checkpoint", moved] + tiny_args(run_dir, **{"use-gsl": "true"})
+        self._fails_with_one_line(argv, capsys)
+
     def test_resume_gsl_with_a_learner_of_another_iteration(self, run_dir, tmp_path, capsys):
         half = str(tmp_path / "half.ckpt")
         shutil.copy(gsl_selftrain(run_dir, 5, log=tmp_path / "l5"), half)
@@ -285,11 +337,38 @@ class TestCorruptInputs:
         open(path, "w").write(edit(text))
         self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
 
-    @pytest.mark.parametrize("line", ['{"scene_id": 7, "entities": [', '{"scene_id": 7}'])
-    def test_malformed_scene_line(self, run_dir, line, capsys):
-        with open(os.path.join(run_dir, "data", "test.jsonl"), "a") as fh:
-            fh.write(line + "\n")
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "magic", "hidden-outside-catalog", "observed-not-hidden",
+                   "offsets", "endpoint-outside-scene"],
+    )
+    def test_damaged_split_archive(self, run_dir, damage, capsys):
+        path = os.path.join(run_dir, "data", "test.tns")
+        data = open(path, "rb").read()
+        columns, meta = tensorio.load_tensors(path)
+        fg = np.flatnonzero(columns["hidden"] > 0)[0]  # a foreground pair of the first scenes
+        if damage == "truncated":
+            data = data[: len(data) - 100]
+        elif damage == "magic":
+            data = b"JSONL" + data[5:]
+        else:
+            if damage == "hidden-outside-catalog":
+                columns["hidden"][fg] = 5  # the catalog has 4 foreground classes
+            elif damage == "observed-not-hidden":
+                columns["observed"][fg] = columns["hidden"][fg] % 4 + 1
+            elif damage == "offsets":
+                columns["scene_offsets"][1:3] = columns["scene_offsets"][2:0:-1]
+            else:
+                columns["object_row"][0] = columns["entity_offsets"][1]  # scene 1's first entity
+            data = tensorio.pack_tensors(columns, meta)
+        open(path, "wb").write(data)
         self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
+
+    def test_data_dir_without_archives(self, run_dir, capsys):
+        """A data directory of scene JSONL files asks for `strel gen`."""
+        path = os.path.join(run_dir, "data", "test.tns")
+        os.replace(path, path[: -len(".tns")] + ".jsonl")
+        err = self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
+        assert "test.tns (run `strel gen` first)" in err
 
     @pytest.mark.parametrize("row", [
         "0,1", "0,1,x,1,0.5", "0,1,99999999999999999999,1,0.5",

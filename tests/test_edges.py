@@ -16,10 +16,10 @@ from strel.edges import (
     sample_edges,
 )
 from strel.errors import ConfigError, ValidationError
-from strel.labels import Entity, compile_split, make_scene
+from strel.labels import Entity, make_scene
 from strel.rngs import stream
 
-from _oracles import dict_message_pass, gradient_relative_error
+from _oracles import compile_split, dict_message_pass, gradient_relative_error
 from conftest import build_shared_scene
 
 

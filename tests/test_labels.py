@@ -3,29 +3,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strel import tensorio
 from strel.errors import ConfigError, ValidationError
 from strel.labels import (
     BG_INDEX,
+    SPLIT_COLUMNS,
     Dataset,
     Entity,
     PredicateCatalog,
     Scene,
     TripletInstance,
     build_catalog,
-    compile_split,
     make_scene,
     read_scenes,
     relation_features,
-    scene_from_line,
-    scene_lines,
     write_scenes,
 )
 
+from _oracles import compile_split
 from conftest import assert_records_equal, build_shared_scene
-
-
-def line_of(scene):
-    return next(scene_lines(compile_split([scene])))
 
 
 class TestBuildCatalog:
@@ -130,7 +126,7 @@ class TestSerialization:
 
     def test_round_trip_preserves_structure(self, tmp_path):
         scenes = self._sample_scenes()
-        path = tmp_path / "scenes.jsonl"
+        path = tmp_path / "scenes.tns"
         write_scenes(path, compile_split(scenes))
         back = read_scenes(path).to_scenes()
         assert len(back) == len(scenes)
@@ -142,34 +138,52 @@ class TestSerialization:
                 np.testing.assert_allclose(ea.features, eb.features, rtol=1e-8)
 
     def test_second_round_trip_is_byte_stable(self, tmp_path):
-        scenes = self._sample_scenes()
-        first = list(scene_lines(compile_split(scenes)))
-        second = list(scene_lines(compile_split(scene_from_line(line) for line in first)))
-        assert first == second
+        first, second = tmp_path / "first.tns", tmp_path / "second.tns"
+        write_scenes(first, compile_split(self._sample_scenes()))
+        write_scenes(second, read_scenes(first))
+        assert first.read_bytes() == second.read_bytes()
 
-    def test_nine_significant_digits(self):
+    def test_nine_significant_digits(self, tmp_path):
         scene = make_scene(
             0,
             [Entity(0, 0, np.array([1.23456789123456])), Entity(1, 0, np.array([2.0]))],
             [(0, 1, 0, 0)],
         )
-        line = line_of(scene)
-        assert "1.23456789" in line and "1.234567891" not in line
+        write_scenes(tmp_path / "s.tns", compile_split([scene]))
+        assert read_scenes(tmp_path / "s.tns").entity_features.ravel().tolist() == [1.23456789, 2.0]
 
-    def test_line_has_exactly_the_specified_fields(self):
-        import json
+    def test_archive_holds_exactly_the_split_columns(self, tmp_path):
+        arrays = compile_split(self._sample_scenes())
+        write_scenes(tmp_path / "s.tns", arrays)
+        columns, meta = tensorio.load_tensors(tmp_path / "s.tns")
+        assert meta == {}
+        assert {name: c.dtype for name, c in columns.items()} == {
+            name: np.dtype(dtype) for name, dtype in SPLIT_COLUMNS.items()
+        }
+        for name in SPLIT_COLUMNS:
+            if name != "entity_features":
+                np.testing.assert_array_equal(columns[name], getattr(arrays, name))
 
-        scene = self._sample_scenes()[0]
-        raw = json.loads(line_of(scene))
-        assert set(raw) == {"scene_id", "entities", "triplets"}
-        assert set(raw["entities"][0]) == {"id", "class", "features"}
-        assert set(raw["triplets"][0]) == {"subj", "obj", "observed", "hidden"}
-
-    def test_malformed_line_is_a_validation_error(self):
-        line = line_of(self._sample_scenes()[0])
-        for bad in (line[:-5], '{"scene_id": 1}', '{"scene_id": 1, "entities": 3, "triplets": []}'):
-            with pytest.raises(ValidationError, match="malformed scene line"):
-                scene_from_line(bad)
+    @pytest.mark.parametrize("damage", ["truncated", "magic", "no-column", "wrong-dtype", "wrong-rank"])
+    def test_damaged_archive_is_a_validation_error(self, tmp_path, damage):
+        path = tmp_path / "s.tns"
+        write_scenes(path, compile_split(self._sample_scenes()))
+        data = path.read_bytes()
+        columns, _ = tensorio.load_tensors(path)
+        if damage == "truncated":
+            path.write_bytes(data[:-3])
+        elif damage == "magic":
+            path.write_bytes(b"X" + data[1:])
+        elif damage == "no-column":
+            del columns["hidden"]
+        elif damage == "wrong-dtype":
+            columns["observed"] = columns["observed"].astype(np.int64)
+        else:
+            columns["entity_features"] = columns["entity_features"].ravel()
+        if damage not in ("truncated", "magic"):
+            tensorio.save_tensors(path, columns)
+        with pytest.raises(ValidationError, match="s.tns"):
+            read_scenes(path)
 
 
 class TestSplitArrays:

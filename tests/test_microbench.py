@@ -6,7 +6,8 @@ self-training iteration: batch gather, forward, selection, loss, backward,
 threshold update and parameter step.  ``test_write_assignments`` and
 ``test_read_assignments`` write and parse an assignment table of the size
 catm logs on the default benchmark (85,120 rows).  ``test_setup`` generates,
-masks and splits the default 2,000-scene benchmark.  Each benchmark runs a
+masks and splits the default 2,000-scene benchmark, and ``test_load_split``
+loads its three split archives as every CLI command does.  Each benchmark runs a
 fixed number of rounds (``benchmark.pedantic``) so the suite stays fast;
 compare the timings across changes with ``pytest tests/test_microbench.py
 --benchmark-only``.
@@ -14,10 +15,13 @@ compare the timings across changes with ``pytest tests/test_microbench.py
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
-from strel import synthgen
+from strel import cli, synthgen
 from strel.classifier import class_weights, forward_probs, init_params, predict_probs, sgd_step
 from strel.cli import RunConfig, generator_config
 from strel.edges import gumbel_noise, message_pass, sample_edges
@@ -162,3 +166,15 @@ def test_setup(benchmark):
 
     train, val, test = _run(benchmark, setup, rounds=SETUP_ROUNDS)
     assert sum(len(d.arrays.scene_ids) for d in (train, val, test)) == rc.n_scenes
+
+
+def test_load_split(benchmark, tmp_path):
+    rc = RunConfig(data_dir=str(tmp_path))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--data-dir", rc.data_dir]) == 0
+
+    def load():
+        return [cli.load_split(rc, split) for split in ("train", "val", "test")]
+
+    splits = _run(benchmark, load, rounds=SETUP_ROUNDS)
+    assert sum(len(d.arrays.scene_ids) for d in splits) == rc.n_scenes

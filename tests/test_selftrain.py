@@ -15,7 +15,7 @@ from strel.classifier import (
     weighted_ce_loss_grad,
 )
 from strel.errors import ConfigError, ValidationError
-from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog, compile_split
+from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
 from strel.metrics import AssignmentRecord
 from strel.rngs import stream
 from strel.selftrain import (
@@ -30,7 +30,7 @@ from strel.selftrain import (
 )
 from strel.thresholds import Thresholds
 
-from _oracles import brute_force_selection, gradient_relative_error
+from _oracles import brute_force_selection, compile_split, gradient_relative_error
 from conftest import build_scene
 
 

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from strel.cli import RunConfig, generator_config
 from strel.errors import ConfigError
-from strel.labels import BG_INDEX, annotated_counts, scene_lines
+from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
 from strel.synthgen import GeneratorConfig, generate, mask_annotations, split, zipf_shares
 
-from _oracles import object_generate, object_mask_annotations, object_split
+from _oracles import compile_split, object_generate, object_mask_annotations, object_split, scene_lines
 from conftest import assert_records_equal, build_scene, iter_triplets
-from strel.labels import Dataset, build_catalog, compile_split
 
 
 def small_config(**overrides):
