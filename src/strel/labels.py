@@ -319,10 +319,13 @@ def write_scenes(path, arrays: SplitArrays) -> None:
     printed with 9 significant digits and parsed back, the values of the JSONL
     scene file the archive replaced, so a dataset keeps its numbers."""
     columns = {name: np.asarray(getattr(arrays, name), t) for name, t in SPLIT_COLUMNS.items()}
-    flat = arrays.entity_features.ravel().tolist()
-    text = ",".join(["%.9g"] * len(flat)) % tuple(flat)
-    features = np.fromiter(map(float, text.split(",")), np.float64, len(flat))
-    columns["entity_features"] = features.reshape(arrays.entity_features.shape)
+    features = columns["entity_features"]
+    flat, rounded = features.ravel(), np.empty(features.size)
+    for start in range(0, features.size, 16384):  # blocks bound the Python floats alive at once
+        part = flat[start : start + 16384].tolist()
+        text = ",".join(["%.9g"] * len(part)) % tuple(part)
+        rounded[start : start + len(part)] = np.fromiter(map(float, text.split(",")), float, len(part))
+    columns["entity_features"] = rounded.reshape(features.shape)
     with open(path, "wb") as fh:
         fh.write(pack_tensors(columns))
 
