@@ -276,9 +276,10 @@ def load_split(rc: RunConfig, split: str) -> Dataset:
     missing = [k for k in ("class_names", "train_counts") if not isinstance(info, dict) or k not in info]
     if missing:
         raise ValidationError(f"{manifest}: missing {' and '.join(missing)}")
-    catalog = PredicateCatalog(
-        class_names=tuple(info["class_names"]), counts=tuple(info["train_counts"])
-    )
+    try:
+        catalog = PredicateCatalog(tuple(info["class_names"]), tuple(info["train_counts"]))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{manifest}: bad catalog: {exc}") from exc
     arrays = read_scenes(path)
     if arrays.hidden.max(initial=0) > catalog.n_foreground:
         raise ValidationError(f"{path}: a hidden label lies outside the {manifest} catalog")
@@ -295,14 +296,15 @@ def _echoed(meta: dict, key: str):
     return config.get(key) if isinstance(config, dict) else None
 
 
-def _edge_learner_beside(path: str, meta: dict, iteration, use_gsl: bool):
+def _edge_learner_beside(path: str, meta: dict, iteration: int | None, use_gsl: bool):
     """The edge learner of the checkpoint at ``path`` (metadata ``meta``, saved
-    at ``iteration``): the one saved beside it at that iteration, or None for a
-    run without one.  Resuming and evaluating a checkpoint both go through here."""
-    saved = bool(_echoed(meta, "use_gsl"))
+    at self-train ``iteration``, None for a pretrained model): the one saved
+    beside it at that iteration, or None for a run without one.  Resuming and
+    evaluating a checkpoint both go through here."""
+    saved = iteration is not None and bool(_echoed(meta, "use_gsl"))
     if saved != use_gsl:
-        flag = str(saved).lower()
-        raise ConfigError(f"{path} was saved with use_gsl={flag}; use it with --use-gsl {flag}")
+        raise ConfigError(f"{path} was saved {'with' if saved else 'without'} an edge learner; "
+                          f"use it with --use-gsl {str(saved).lower()}")
     if not use_gsl:
         return None
     gsl_path = os.path.join(os.path.dirname(path), "edge_learner.ckpt")

@@ -196,6 +196,16 @@ class TestPipeline:
         shutil.move(os.path.join(run_dir, "ckpt", "edge_learner.ckpt"), moved / "edge_learner.ckpt")
         assert eval_rows(str(moved / "selftrain.ckpt"), tmp_path / "e2") == want
 
+    def test_eval_pretrain_checkpoint_of_a_gsl_run(self, run_dir, tmp_path, capsys):
+        """A pretrained model has no edge learner, whatever its config echo says."""
+        args = tiny_args(run_dir, **{"use-gsl": "true", "log-dir": str(tmp_path)})
+        assert cli.main(["pretrain"] + args) == 0
+        ckpt = os.path.join(run_dir, "ckpt", "pretrain.ckpt")
+        assert cli.main(["eval", "--checkpoint", ckpt] + tiny_args(run_dir)) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", ckpt] + args) == 1
+        assert "saved without an edge learner" in capsys.readouterr().err
+
     def test_missing_checkpoint_names_path(self, tmp_path, capsys):
         root = str(tmp_path)
         assert cli.main(["gen"] + tiny_args(root)) == 0
@@ -328,8 +338,10 @@ class TestCorruptInputs:
             lambda text: text.replace('"class_names"', '"names"'),
             lambda text: text.replace('"train_counts"', '"counts"'),
             lambda text: "[]",
+            lambda text: text.replace('"train_counts": [', '"train_counts": ["many", '),
         ],
-        ids=["truncated", "no-class-names", "no-train-counts", "not-an-object"],
+        ids=["truncated", "no-class-names", "no-train-counts", "not-an-object",
+             "count-not-a-number"],
     )
     def test_bad_manifest(self, run_dir, edit, capsys):
         path = os.path.join(run_dir, "data", "manifest.json")
