@@ -250,22 +250,15 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 # --- dataset and artifact plumbing -------------------------------------------
 
 
-def _dataset_paths(rc: RunConfig) -> dict[str, str]:
-    return {
-        split: os.path.join(rc.data_dir, f"{split}.tns")
-        for split in ("train", "val", "test")
-    }
-
-
-def _manifest_path(rc: RunConfig) -> str:
-    return os.path.join(rc.data_dir, "manifest.json")
+def _data_path(rc: RunConfig, name: str) -> str:
+    return os.path.join(rc.data_dir, name)
 
 
 def load_split(rc: RunConfig, split: str) -> Dataset:
-    path = _dataset_paths(rc)[split]
+    path = _data_path(rc, f"{split}.tns")
     if not os.path.exists(path):
         raise ConfigError(f"missing dataset file: {path} (run `strel gen` first)")
-    manifest = _manifest_path(rc)
+    manifest = _data_path(rc, "manifest.json")
     if not os.path.exists(manifest):
         raise ConfigError(f"missing manifest: {manifest}")
     with open(manifest, "r", encoding="utf-8") as fh:
@@ -327,10 +320,9 @@ def cmd_gen(rc: RunConfig) -> int:
     train, val, test = synthgen.split(
         masked, (rc.train_fraction, rc.val_fraction, rc.test_fraction), rc.split_seed
     )
-    paths = _dataset_paths(rc)
     splits = {"train": train.arrays, "val": val.arrays, "test": test.arrays}
     for split, arrays in splits.items():
-        write_scenes(paths[split], arrays)
+        write_scenes(_data_path(rc, f"{split}.tns"), arrays)
     n_fg = train.catalog.n_foreground
     manifest = {
         "config": rc.echo(),
@@ -341,7 +333,7 @@ def cmd_gen(rc: RunConfig) -> int:
             s: int(annotated_counts(a.observed, n_fg).sum()) for s, a in splits.items()
         },
     }
-    with open(_manifest_path(rc), "w", encoding="utf-8") as fh:
+    with open(_data_path(rc, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print("class,train_count")

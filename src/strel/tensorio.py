@@ -4,8 +4,9 @@ Layout: 8-byte magic, 8-byte little-endian header length, a UTF-8 JSON
 header (metadata plus a tensor index), then the raw tensor payloads
 concatenated in index order.  Saving the same tensors and metadata twice
 yields byte-identical files, and a load/save round trip is bit-exact.
-``pack_tensors`` and ``unpack_tensors`` are the same format as bytes, for a
-caller that opens the file itself, as ``labels`` does for split files.
+``pack_tensors`` and ``unpack_tensors`` are the same format as bytes;
+``labels`` reads and writes split files through them, so that a split file
+is one I/O call, not two nested ones, in ``perfbench``'s traced byte counts.
 """
 
 from __future__ import annotations
