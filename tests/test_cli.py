@@ -357,7 +357,7 @@ class TestCorruptInputs:
         path = os.path.join(run_dir, "data", "test.tns")
         data = open(path, "rb").read()
         columns, meta = tensorio.load_tensors(path)
-        fg = np.flatnonzero(columns["hidden"] > 0)[0]  # a foreground pair of the first scenes
+        fg = np.flatnonzero(columns["hidden"] > 0)[0]  # the first pair with a relation
         if damage == "truncated":
             data = data[: len(data) - 100]
         elif damage == "magic":

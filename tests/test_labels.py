@@ -164,7 +164,9 @@ class TestSerialization:
             if name != "entity_features":
                 np.testing.assert_array_equal(columns[name], getattr(arrays, name))
 
-    @pytest.mark.parametrize("damage", ["truncated", "magic", "no-column", "wrong-dtype", "wrong-rank"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "magic", "no-column", "wrong-dtype", "wrong-rank"]
+    )
     def test_damaged_archive_is_a_validation_error(self, tmp_path, damage):
         path = tmp_path / "s.tns"
         write_scenes(path, compile_split(self._sample_scenes()))
