@@ -63,7 +63,9 @@ def unpack_tensors(data: bytes, path) -> tuple[dict[str, np.ndarray], dict]:
         return tensors, header["meta"]
     except ValidationError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:  # bad header JSON or fields
+    # bad header JSON or fields; numpy parses a dtype string such as ",nt64"
+    # with ast.literal_eval, which raises SyntaxError
+    except (ValueError, KeyError, TypeError, SyntaxError) as exc:
         raise ValidationError(f"corrupt tensor archive header: {path}: {exc}") from exc
 
 

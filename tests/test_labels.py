@@ -165,7 +165,7 @@ class TestSerialization:
                 np.testing.assert_array_equal(columns[name], getattr(arrays, name))
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "magic", "no-column", "wrong-dtype", "wrong-rank"]
+        "damage", ["truncated", "magic", "dtype-string", "no-column", "wrong-dtype", "wrong-rank"]
     )
     def test_damaged_archive_is_a_validation_error(self, tmp_path, damage):
         path = tmp_path / "s.tns"
@@ -176,13 +176,15 @@ class TestSerialization:
             path.write_bytes(data[:-3])
         elif damage == "magic":
             path.write_bytes(b"X" + data[1:])
+        elif damage == "dtype-string":
+            path.write_bytes(data.replace(b'"int64"', b'",nt64"', 1))
         elif damage == "no-column":
             del columns["hidden"]
         elif damage == "wrong-dtype":
             columns["observed"] = columns["observed"].astype(np.int64)
         else:
             columns["entity_features"] = columns["entity_features"].ravel()
-        if damage not in ("truncated", "magic"):
+        if damage in ("no-column", "wrong-dtype", "wrong-rank"):
             tensorio.save_tensors(path, columns)
         with pytest.raises(ValidationError, match="s.tns"):
             read_scenes(path)
