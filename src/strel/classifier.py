@@ -17,7 +17,7 @@ import numpy as np
 from . import tensorio
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import BG_INDEX, Dataset, PredicateCatalog
-from .rngs import stream
+from .rngs import stream, streams
 
 PROB_FLOOR = 1e-12
 MAX_CLASS_WEIGHT = 100.0
@@ -317,12 +317,13 @@ def pretrain(
     log: list[PretrainEpoch] = []
     for epoch in range(cfg.n_epochs):
         order = stream(cfg.seed, "epoch-order", epoch).permutation(n_scenes)
+        starts = range(0, len(order), cfg.batch_size)
+        batch_rngs = streams(cfg.seed, "batch", epoch, keys=range(len(starts)))
         losses = []
-        for b, start in enumerate(range(0, len(order), cfg.batch_size)):
+        for b, (start, rng) in enumerate(zip(starts, batch_rngs)):
             rows = arrays.rows_of(order[start : start + cfg.batch_size])
             observed = arrays.observed[rows]
             annotated, background = rows[observed != BG_INDEX], rows[observed == BG_INDEX]
-            rng = stream(cfg.seed, "batch", epoch, b)
             if cfg.oversample and len(annotated):
                 annotated = balanced_resample(annotated, arrays.observed[annotated], rng)
             background = downsample_background(background, cfg.bg_downsample, rng)

@@ -35,7 +35,7 @@ from .classifier import (
     zero_grads,
 )
 from .errors import ConfigError, ValidationError
-from .rngs import stream
+from .rngs import stream, streams
 
 SCORE_FLOOR = 1e-12
 
@@ -122,14 +122,22 @@ class EdgeSamples:
         return EdgeSamples(self.score[i], self.relaxed[i], self.hard[i], self.noise[i])
 
 
-def gumbel_noise(rng: np.random.Generator, n: int) -> np.ndarray:
-    u = rng.random(n)
+def gumbel_noise(u) -> np.ndarray:
+    """Gumbel(0, 1) noise from uniforms ``u`` in [0, 1)."""
     return -np.log(-np.log(np.maximum(u, SCORE_FLOOR)))
+
+
+def batch_gumbel_noise(seed: int, iteration: int, scene_ids, sizes) -> np.ndarray:
+    """The Gumbel noise of a batch's edges, scene by scene: scene
+    ``scene_ids[i]``'s ``sizes[i]`` edges draw from the stream keyed by
+    ``(seed, "gumbel", iteration, scene_ids[i])``."""
+    rngs = streams(seed, "gumbel", iteration, keys=scene_ids)
+    return gumbel_noise(np.concatenate([rng.random(n) for rng, n in zip(rngs, sizes)]))
 
 
 def sample_edges(scores, temperature: float, noise) -> EdgeSamples:
     """Relaxed and hard samples of every edge under the given Gumbel noise
-    (draw it with ``gumbel_noise``; logged noise replays a sample)."""
+    (``gumbel_noise`` of uniform draws; logged noise replays a sample)."""
     if temperature <= 0.0:
         raise ConfigError("Gumbel temperature must be positive")
     s = np.clip(np.asarray(scores, dtype=np.float64), SCORE_FLOOR, 1.0 - SCORE_FLOOR)

@@ -51,9 +51,9 @@ from .classifier import (
 )
 from .edges import (
     EdgeLearnerParams,
+    batch_gumbel_noise,
     edge_scores,
     focal_loss_grad,
-    gumbel_noise,
     init_edge_learner,
     message_pass,
     sample_edges,
@@ -61,7 +61,7 @@ from .edges import (
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import BG_INDEX, Dataset
 from .metrics import AssignmentLog, ColumnLog, evaluate
-from .rngs import stream
+from .rngs import stream, streams
 from .thresholds import (
     POLICIES,
     Thresholds,
@@ -405,6 +405,8 @@ def run(
     accepted_log: list[tuple[np.ndarray, ...]] = []
     edge_log: list[tuple[np.ndarray, ...]] = []
 
+    # one stream per iteration, taken in step with ``it``
+    bg_rngs = streams(cfg.seed, "bg-downsample", keys=range(start_iteration, cfg.max_iterations))
     it = start_iteration
     epoch = start_iteration // batches_per_epoch
     while it < cfg.max_iterations:
@@ -423,16 +425,14 @@ def run(
             if cfg.use_gsl:
                 ents, subj, obj = arrays.entity_table(rows)
                 xs, xo = ents[subj], ents[obj]
-                sizes = np.diff(arrays.scene_offsets)[positions]
-                noise = [
-                    gumbel_noise(stream(cfg.seed, "gumbel", it, int(arrays.scene_ids[p])), int(n))
-                    for p, n in zip(positions, sizes)
-                    if n
-                ]
+                noise = batch_gumbel_noise(
+                    cfg.seed,
+                    it,
+                    arrays.scene_ids[positions].tolist(),
+                    np.diff(arrays.scene_offsets)[positions].tolist(),
+                )
                 samples = sample_edges(
-                    edge_scores(edge_learner, xs, xo),
-                    edge_learner.temperature,
-                    np.concatenate(noise) if noise else np.zeros(0),
+                    edge_scores(edge_learner, xs, xo), edge_learner.temperature, noise
                 )
                 X = message_pass(ents, subj, obj, samples.hard)
                 gates = samples.hard[un] == 1
@@ -455,8 +455,7 @@ def run(
             unaccepted[accepted] = False
             background = un[unaccepted]
             if cfg.bg_downsample < 1.0:
-                rng = stream(cfg.seed, "bg-downsample", it)
-                background = downsample_background(background, cfg.bg_downsample, rng)
+                background = downsample_background(background, cfg.bg_downsample, next(bg_rngs))
             total, grads, breakdown = three_term_loss(
                 params,
                 forward,

@@ -51,6 +51,8 @@ def unpack_tensors(data: bytes, path) -> tuple[dict[str, np.ndarray], dict]:
     (hlen,) = struct.unpack("<Q", data[len(MAGIC) : start])
     try:
         header = json.loads(data[start : start + hlen].decode("utf-8"))
+        if not isinstance(header, dict) or not isinstance(header["meta"], dict):
+            raise ValidationError(f"corrupt tensor archive header: {path}: not a JSON object")
         offset = start + hlen
         tensors = {}
         for entry in header["tensors"]:

@@ -198,7 +198,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
                 xs, xo = ents[subj], ents[obj]
                 sizes = np.diff(arrays.scene_offsets)[positions]
                 noise = [
-                    edges.gumbel_noise(stream(cfg.seed, "gumbel", it, int(arrays.scene_ids[p])), int(n))
+                    edges.gumbel_noise(stream(cfg.seed, "gumbel", it, int(arrays.scene_ids[p])).random(n))
                     for p, n in zip(positions, sizes) if n
                 ]
                 samples = edges.sample_edges(

@@ -331,6 +331,19 @@ class TestCorruptInputs:
         tensorio.save_tensors(path, tensors, meta)
         self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
 
+    def test_checkpoint_metadata_not_an_object(self, run_dir, capsys):
+        path = os.path.join(run_dir, "ckpt", "selftrain.ckpt")
+        data = open(path, "rb").read()
+        start = len(tensorio.MAGIC) + 8
+        end = start + int.from_bytes(data[len(tensorio.MAGIC) : start], "little")
+        header = data[start:end].replace(b'{"meta":{', b'{"meta":[{', 1)
+        header = header.replace(b'},"tensors"', b'}],"tensors"', 1)
+        assert header.startswith(b'{"meta":[{') and b'}],"tensors"' in header
+        with open(path, "wb") as fh:
+            fh.write(tensorio.MAGIC + len(header).to_bytes(8, "little") + header + data[end:])
+        argv = ["eval", "--checkpoint", path] + tiny_args(run_dir)
+        assert "not a JSON object" in self._fails_with_one_line(argv, capsys)
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -76,7 +76,7 @@ class TestGumbelSample:
 
     def test_hard_decision_invariant_to_temperature(self):
         rng = stream(3, "eps")
-        noises = gumbel_noise(rng, 500)
+        noises = gumbel_noise(rng.random(500))
         scores = stream(4, "s").uniform(0.05, 0.95, size=500)
         low = sample_edges(scores, 0.5, noises)
         high = sample_edges(scores, 5.0, noises)
@@ -87,16 +87,16 @@ class TestGumbelSample:
         # oracle: P(hard=1) = P(eps > -log s) = 1 - exp(-s) under Gumbel(0,1)
         s = 0.8
         rng = stream(12345, "gumbel-stat")
-        noise = gumbel_noise(rng, 100_000)
+        noise = gumbel_noise(rng.random(100_000))
         hard = (np.log(s) + noise) > 0.0
         expected = 1.0 - math.exp(-s)
         assert abs(hard.mean() - expected) < 0.01
-        samples = sample_edges(np.full(1000, s), 0.5, gumbel_noise(stream(6, "x"), 1000))
+        samples = sample_edges(np.full(1000, s), 0.5, gumbel_noise(stream(6, "x").random(1000)))
         assert 0.4 < np.mean([smp.hard for smp in samples]) < 0.7
 
     def test_replay_determinism(self):
         scores = np.array([0.2, 0.5, 0.9])
-        original = sample_edges(scores, 0.5, gumbel_noise(stream(9, "replay"), 3))
+        original = sample_edges(scores, 0.5, gumbel_noise(stream(9, "replay").random(3)))
         replayed = [gumbel_sample(o.score, 0.5, noise=o.noise) for o in original]
         assert [o.hard for o in original] == [r.hard for r in replayed]
         assert [o.relaxed for o in original] == [r.relaxed for r in replayed]
@@ -135,7 +135,7 @@ class TestGate:
 
     def test_gate_equals_hard_bit(self):
         rng = stream(2, "gate")
-        samples = sample_edges(rng.uniform(0.1, 0.9, size=50), 0.5, gumbel_noise(rng, 50))
+        samples = sample_edges(rng.uniform(0.1, 0.9, size=50), 0.5, gumbel_noise(rng.random(50)))
         np.testing.assert_array_equal(samples.hard, samples.relaxed > 0.5)
         assert [smp.hard for smp in samples] == samples.hard.tolist()
 

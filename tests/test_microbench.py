@@ -3,7 +3,8 @@
 One batch of the default benchmark is 20 scenes of about 8 pairs each; the
 test split is 400 such scenes.  ``test_selftrain_step`` times one whole
 self-training iteration: batch gather, forward, selection, loss, backward,
-threshold update and parameter step.  ``test_write_assignments`` and
+threshold update and parameter step; ``test_gumbel_batch`` draws one batch's
+edge noise, one stream per scene.  ``test_write_assignments`` and
 ``test_read_assignments`` write and parse an assignment table of the size
 catm logs on the default benchmark (85,120 rows).  ``test_setup`` generates,
 masks and splits the default 2,000-scene benchmark, and ``test_load_split``
@@ -24,7 +25,7 @@ import pytest
 from strel import cli, synthgen
 from strel.classifier import class_weights, forward_probs, init_params, predict_probs, sgd_step
 from strel.cli import RunConfig, generator_config
-from strel.edges import gumbel_noise, message_pass, sample_edges
+from strel.edges import batch_gumbel_noise, gumbel_noise, message_pass, sample_edges
 from strel.metrics import AssignmentLog, AssignmentRecord, evaluate
 from strel.rngs import stream
 from strel.selftrain import (
@@ -103,8 +104,16 @@ def test_evaluate(benchmark, split):
 
 def test_sample_edges(benchmark, batch):
     scores = stream(0, "scores").random(len(batch[0]))
-    noise = gumbel_noise(stream(0, "noise"), len(scores))
+    noise = gumbel_noise(stream(0, "noise").random(len(scores)))
     assert len(_run(benchmark, sample_edges, scores, 0.5, noise)) == len(scores)
+
+
+def test_gumbel_batch(benchmark, split):
+    """The edge learner's noise for one batch: 20 scenes, one stream each."""
+    scene_ids = split.arrays.scene_ids[:20].tolist()
+    sizes = np.diff(split.arrays.scene_offsets)[:20].tolist()
+    noise = _run(benchmark, batch_gumbel_noise, 0, 0, scene_ids, sizes)
+    assert len(noise) == sum(sizes)
 
 
 def test_message_pass(benchmark, split, batch):
