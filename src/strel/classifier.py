@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
+from .config import RunConfig
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import BG_INDEX, Dataset, PredicateCatalog
 from .rngs import stream, streams
@@ -50,33 +51,6 @@ class ModelParams:
     @property
     def n_classes(self) -> int:
         return self.layers[-1][0].shape[1]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.5
-    n_epochs: int = 30
-    batch_size: int = 20  # scenes per batch
-    reweight: str = "none"  # none | inverse-frequency
-    oversample: bool = False
-    bg_downsample: float = 1.0  # kept share of observed-bg triplets per batch
-    arch: str = "linear"
-    hidden_dim: int = 16
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
-        if self.n_epochs < 0 or self.batch_size < 1:
-            raise ConfigError("n_epochs must be >= 0 and batch_size >= 1")
-        if self.reweight not in ("none", "inverse-frequency"):
-            raise ConfigError(f"unknown reweight scheme {self.reweight!r}")
-        if self.arch not in ("linear", "mlp"):
-            raise ConfigError(f"unknown architecture {self.arch!r}")
-        if not 0.0 < self.bg_downsample <= 1.0:
-            raise ConfigError("bg_downsample must lie in (0, 1]")
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be positive")
 
 
 def init_params(
@@ -292,7 +266,7 @@ class PretrainEpoch:
 
 def pretrain(
     train: Dataset,
-    cfg: TrainConfig,
+    cfg: RunConfig,
     val: Dataset | None = None,
     metric_k: int = 5,
 ) -> tuple[ModelParams, list[PretrainEpoch]]:
@@ -303,22 +277,21 @@ def pretrain(
     pairs; this is the conventional baseline the self-training loop later
     extends with a pseudo-label term.
     """
-    cfg.validate()
     arrays = train.arrays
     n_scenes = len(arrays.scene_ids)
     if not n_scenes:
         raise ConfigError("training split is empty")
     catalog = train.catalog
     params = init_params(
-        cfg.arch, arrays.features.shape[1], catalog.n_classes, cfg.hidden_dim, cfg.seed
+        cfg.arch, arrays.features.shape[1], catalog.n_classes, cfg.hidden_dim, cfg.pretrain_seed
     )
     w = class_weights(catalog, cfg.reweight)
 
     log: list[PretrainEpoch] = []
-    for epoch in range(cfg.n_epochs):
-        order = stream(cfg.seed, "epoch-order", epoch).permutation(n_scenes)
+    for epoch in range(cfg.pretrain_epochs):
+        order = stream(cfg.pretrain_seed, "epoch-order", epoch).permutation(n_scenes)
         starts = range(0, len(order), cfg.batch_size)
-        batch_rngs = streams(cfg.seed, "batch", epoch, keys=range(len(starts)))
+        batch_rngs = streams(cfg.pretrain_seed, "batch", epoch, keys=range(len(starts)))
         losses = []
         for b, (start, rng) in enumerate(zip(starts, batch_rngs)):
             rows = arrays.rows_of(order[start : start + cfg.batch_size])
@@ -334,7 +307,7 @@ def pretrain(
             loss = loss_a + loss_b
             if not math.isfinite(loss):
                 raise RuntimeAbort(f"pretraining diverged at epoch {epoch}, batch {b}")
-            params = sgd_step(params, add_grads(g_a, g_b), cfg.learning_rate)
+            params = sgd_step(params, add_grads(g_a, g_b), cfg.pretrain_learning_rate)
             losses.append(loss)
         val_mr = float("nan")
         if val is not None:

@@ -17,153 +17,26 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import synthgen, tables
-from .classifier import TrainConfig, load_model, pretrain, save_model
+from .classifier import load_model, pretrain, save_model
+from .config import RunConfig
 from .edges import load_edge_learner, save_edge_learner
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import Dataset, PredicateCatalog, annotated_counts, read_scenes, write_scenes
 from .metrics import AssignmentLog, AssignmentRecord, audit_pseudo_labels, evaluate
-from .selftrain import EdgeTraceRow, SelfTrainConfig, load_checkpoint, run, save_checkpoint
+from .selftrain import EdgeTraceRow, load_checkpoint, run, save_checkpoint
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat union of every pipeline knob; defaults are the desk benchmark."""
-
-    # generator
-    n_scenes: int = 2000
-    entities_min: int = 12
-    entities_max: int = 20
-    n_fg_classes: int = 10
-    zipf_exponent: float = 1.5
-    feature_dim: int = 16
-    class_separation: float = 4.0
-    noise_sigma: float = 0.7
-    bg_noise_sigma: float = 2.0
-    annotated_fraction: float = 0.045
-    true_bg_fraction: float = 0.15
-    sibling_groups: int = 2
-    sibling_scale: float = 0.35
-    sibling_pairs: str = ""
-    n_entity_classes: int = 16
-    gen_seed: int = 20240817
-    # masking and splitting
-    mask_seed: int = 5
-    train_fraction: float = 0.7
-    val_fraction: float = 0.1
-    test_fraction: float = 0.2
-    split_seed: int = 11
-    # pretraining
-    pretrain_learning_rate: float = 0.5
-    pretrain_epochs: int = 30
-    batch_size: int = 20
-    reweight: str = "none"
-    oversample: bool = False
-    bg_downsample: float = 0.05
-    arch: str = "linear"
-    hidden_dim: int = 16
-    pretrain_seed: int = 3
-    # self-training
-    beta: float = 1.0
-    alpha_inc: float = 0.4
-    alpha_dec: float = 0.4
-    per_class_per_scene_cap: int = 3
-    max_iterations: int = 1500
-    policy: str = "catm"
-    use_gsl: bool = False
-    selftrain_learning_rate: float = 0.5
-    selftrain_seed: int = 4
-    initial_tau: float = 0.0
-    uniform_momentum: bool = False
-    strict_eligible_mean: bool = False
-    policy_quantile: float = 0.01
-    policy_mix: float = 0.5
-    dash_growth: float = 1.1
-    dash_interval: int = 100
-    valid_recompute_interval: int = 100
-    gumbel_temperature: float = 0.5
-    focal_gamma: float = 2.0
-    gsl_hidden_dim: int = 16
-    # evaluation and paths
-    metric_ks: tuple[int, ...] = (2, 5, 10)
-    data_dir: str = "data"
-    checkpoint_dir: str = "checkpoints"
-    log_dir: str = "logs"
-
-    def echo(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["metric_ks"] = ",".join(str(k) for k in self.metric_ks)
-        return out
+# The benchmark harness (``perfbench``, ``scripts/run_benchmark.py``) still
+# calls these; every stage takes the run config itself.
+def _same(rc: RunConfig) -> RunConfig:
+    return rc
 
 
-def generator_config(rc: RunConfig) -> synthgen.GeneratorConfig:
-    return synthgen.GeneratorConfig(
-        n_scenes=rc.n_scenes,
-        entities_min=rc.entities_min,
-        entities_max=rc.entities_max,
-        n_fg_classes=rc.n_fg_classes,
-        zipf_exponent=rc.zipf_exponent,
-        feature_dim=rc.feature_dim,
-        class_separation=rc.class_separation,
-        noise_sigma=rc.noise_sigma,
-        bg_noise_sigma=rc.bg_noise_sigma,
-        annotated_fraction=rc.annotated_fraction,
-        true_bg_fraction=rc.true_bg_fraction,
-        sibling_groups=rc.sibling_groups,
-        sibling_scale=rc.sibling_scale,
-        sibling_pairs=rc.sibling_pairs,
-        n_entity_classes=rc.n_entity_classes,
-        seed=rc.gen_seed,
-    )
-
-
-def train_config(rc: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=rc.pretrain_learning_rate,
-        n_epochs=rc.pretrain_epochs,
-        batch_size=rc.batch_size,
-        reweight=rc.reweight,
-        oversample=rc.oversample,
-        bg_downsample=rc.bg_downsample,
-        arch=rc.arch,
-        hidden_dim=rc.hidden_dim,
-        seed=rc.pretrain_seed,
-    )
-
-
-def selftrain_config(rc: RunConfig) -> SelfTrainConfig:
-    beta = rc.beta
-    if rc.reweight == "inverse-frequency" and rc.beta == 1.0:
-        beta = 0.1  # reweighting shifts the pseudo-label weight down
-    return SelfTrainConfig(
-        beta=beta,
-        alpha_inc=rc.alpha_inc,
-        alpha_dec=rc.alpha_dec,
-        per_class_per_scene_cap=rc.per_class_per_scene_cap,
-        max_iterations=rc.max_iterations,
-        policy=rc.policy,
-        use_gsl=rc.use_gsl,
-        learning_rate=rc.selftrain_learning_rate,
-        batch_size=rc.batch_size,
-        seed=rc.selftrain_seed,
-        reweight=rc.reweight,
-        bg_downsample=rc.bg_downsample,
-        initial_tau=rc.initial_tau,
-        uniform_momentum=rc.uniform_momentum,
-        strict_eligible_mean=rc.strict_eligible_mean,
-        policy_quantile=rc.policy_quantile,
-        policy_mix=rc.policy_mix,
-        dash_growth=rc.dash_growth,
-        dash_interval=rc.dash_interval,
-        valid_recompute_interval=rc.valid_recompute_interval,
-        gumbel_temperature=rc.gumbel_temperature,
-        focal_gamma=rc.focal_gamma,
-        gsl_hidden_dim=rc.gsl_hidden_dim,
-    )
+generator_config = train_config = selftrain_config = _same
 
 
 # --- configuration parsing ---------------------------------------------------
@@ -315,7 +188,7 @@ def _edge_learner_beside(path: str, meta: dict, iteration: int | None, use_gsl: 
 
 def cmd_gen(rc: RunConfig) -> int:
     os.makedirs(rc.data_dir, exist_ok=True)
-    full = synthgen.generate(generator_config(rc))
+    full = synthgen.generate(rc)
     masked = synthgen.mask_annotations(full, rc.annotated_fraction, rc.mask_seed)
     train, val, test = synthgen.split(
         masked, (rc.train_fraction, rc.val_fraction, rc.test_fraction), rc.split_seed
@@ -345,7 +218,7 @@ def cmd_gen(rc: RunConfig) -> int:
 def cmd_pretrain(rc: RunConfig) -> int:
     train = load_split(rc, "train")
     val = load_split(rc, "val")
-    params, log = pretrain(train, train_config(rc), val, metric_k=rc.metric_ks[-1])
+    params, log = pretrain(train, rc, val, metric_k=rc.metric_ks[-1])
     os.makedirs(rc.checkpoint_dir, exist_ok=True)
     os.makedirs(rc.log_dir, exist_ok=True)
     save_model(_checkpoint_path(rc, "pretrain.ckpt"), params, {"config": rc.echo()})
@@ -368,7 +241,6 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     if not os.path.exists(pre_path):
         raise ConfigError(f"missing pretraining checkpoint: {pre_path} (run `strel pretrain`)")
     params, _ = load_model(pre_path)
-    cfg = selftrain_config(rc)
 
     kwargs = {}
     if resume:
@@ -380,9 +252,9 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
             "thresholds": thresholds,
             "cumulative_counts": counts,
         }
-        kwargs["edge_learner"] = _edge_learner_beside(resume, meta, iteration, cfg.use_gsl)
+        kwargs["edge_learner"] = _edge_learner_beside(resume, meta, iteration, rc.use_gsl)
 
-    result = run(params, train, val, cfg, metric_ks=rc.metric_ks,
+    result = run(params, train, val, rc, metric_ks=rc.metric_ks,
                  keep_edge_trace=edge_trace, **kwargs)
 
     log = result.log.iterations
@@ -396,9 +268,9 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
         _checkpoint_path(rc, "selftrain.ckpt"),
         result.params,
         result.thresholds,
-        cfg.max_iterations,
+        rc.max_iterations,
         counts,
-        cfg.seed,
+        rc.selftrain_seed,
         {"config": rc.echo()},
     )
     if result.edge_learner is not None:
@@ -446,7 +318,7 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
             result.edge_trace,
             echo=echo,
         )
-    print(f"self-trained {len(log)} iterations with policy {cfg.policy}; "
+    print(f"self-trained {len(log)} iterations with policy {rc.policy}; "
           f"{len(result.assignments)} pseudo-labels assigned")
     return 0
 
@@ -539,9 +411,7 @@ def cmd_sweep(rc: RunConfig, grid: str) -> int:
     rows = []
     for a_inc in values:
         for a_dec in values:
-            cfg = dataclasses.replace(
-                selftrain_config(rc), alpha_inc=a_inc, alpha_dec=a_dec, policy="catm"
-            )
+            cfg = dataclasses.replace(rc, alpha_inc=a_inc, alpha_dec=a_dec, policy="catm")
             result = run(params, train, val, cfg, metric_ks=(k,))
             r, mr, f = result.log.epochs[-1].metrics[k]
             rows.append((a_inc, a_dec, r, mr, f))

@@ -1,0 +1,180 @@
+"""The run config: every knob of the pipeline, declared once."""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+
+from .errors import ConfigError
+from .thresholds import POLICIES
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The one run config; ``synthgen.generate``, ``classifier.pretrain`` and
+    ``selftrain.run`` take it.  Defaults are the desk benchmark, and every
+    field is checked on construction (``validate``)."""
+
+    # generator
+    n_scenes: int = 2000
+    entities_min: int = 12
+    entities_max: int = 20
+    n_fg_classes: int = 10
+    zipf_exponent: float = 1.5
+    feature_dim: int = 16  # pair feature dimension; entities carry half each
+    class_separation: float = 4.0
+    noise_sigma: float = 0.7
+    bg_noise_sigma: float = 2.0
+    annotated_fraction: float = 0.045
+    true_bg_fraction: float = 0.15
+    sibling_groups: int = 2
+    sibling_scale: float = 0.35
+    sibling_pairs: str = ""  # explicit "anchor:partner" rank pairs, overrides sibling_groups
+    n_entity_classes: int = 16
+    gen_seed: int = 20240817
+    # masking and splitting
+    mask_seed: int = 5
+    train_fraction: float = 0.7
+    val_fraction: float = 0.1
+    test_fraction: float = 0.2
+    split_seed: int = 11
+    # pretraining
+    pretrain_learning_rate: float = 0.5
+    pretrain_epochs: int = 30
+    batch_size: int = 20  # scenes per batch, in pretraining and self-training
+    reweight: str = "none"  # none | inverse-frequency
+    oversample: bool = False
+    bg_downsample: float = 0.05  # kept share of observed-bg pairs per batch
+    arch: str = "linear"
+    hidden_dim: int = 16
+    pretrain_seed: int = 3
+    # self-training
+    beta: float = 1.0  # pseudo-label loss weight
+    alpha_inc: float = 0.4
+    alpha_dec: float = 0.4
+    per_class_per_scene_cap: int = 3
+    max_iterations: int = 1500
+    policy: str = "catm"
+    use_gsl: bool = False
+    selftrain_learning_rate: float = 0.5
+    selftrain_seed: int = 4
+    initial_tau: float = 0.0
+    uniform_momentum: bool = False  # ablation: lambda = 0.5 for every class
+    strict_eligible_mean: bool = False
+    policy_quantile: float = 0.01
+    policy_mix: float = 0.5
+    dash_growth: float = 1.1
+    dash_interval: int = 100
+    valid_recompute_interval: int = 100
+    gumbel_temperature: float = 0.5
+    focal_gamma: float = 2.0
+    gsl_hidden_dim: int = 16
+    # evaluation and paths
+    metric_ks: tuple[int, ...] = (2, 5, 10)
+    data_dir: str = "data"
+    checkpoint_dir: str = "checkpoints"
+    log_dir: str = "logs"
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise a ``ConfigError`` that names the first unusable field."""
+        # generator
+        if self.n_scenes < 1:
+            raise ConfigError("n_scenes must be positive")
+        if self.n_fg_classes < 2:
+            raise ConfigError("need at least 2 foreground classes")
+        if self.feature_dim < 2 or self.feature_dim % 2 != 0:
+            raise ConfigError("feature_dim must be an even integer >= 2")
+        if self.entities_min < 2 or self.entities_max < self.entities_min:
+            raise ConfigError("entities_per_scene range must satisfy 2 <= min <= max")
+        if self.zipf_exponent < 0.0:
+            raise ConfigError("zipf_exponent must be non-negative")
+        if not 0.0 < self.annotated_fraction <= 1.0:
+            raise ConfigError("annotated_fraction must lie in (0, 1]")
+        if not 0.0 <= self.true_bg_fraction < 1.0:
+            raise ConfigError("true_bg_fraction must lie in [0, 1)")
+        if self.noise_sigma < 0.0 or self.class_separation < 0.0:
+            raise ConfigError("noise_sigma and class_separation must be non-negative")
+        if self.bg_noise_sigma < 0.0:
+            raise ConfigError("bg_noise_sigma must be non-negative")
+        if self.sibling_groups < 0 or self.sibling_groups > (self.n_fg_classes - 1) // 2:
+            raise ConfigError("sibling_groups must fit disjoint head/tail pairs")
+        if self.sibling_scale < 0.0:
+            raise ConfigError("sibling_scale must be non-negative")
+        self.parsed_sibling_pairs()
+        if self.n_entity_classes < 1:
+            raise ConfigError("n_entity_classes must be positive")
+        # pretraining
+        if self.pretrain_learning_rate <= 0.0:
+            raise ConfigError("learning_rate must be positive")
+        if self.pretrain_epochs < 0 or self.batch_size < 1:
+            raise ConfigError("n_epochs must be >= 0 and batch_size >= 1")
+        if self.reweight not in ("none", "inverse-frequency"):
+            raise ConfigError(f"unknown reweight scheme {self.reweight!r}")
+        if self.arch not in ("linear", "mlp"):
+            raise ConfigError(f"unknown architecture {self.arch!r}")
+        if not 0.0 < self.bg_downsample <= 1.0:
+            raise ConfigError("bg_downsample must lie in (0, 1]")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim must be positive")
+        # self-training
+        if self.beta < 0.0:
+            raise ConfigError("beta must be non-negative")
+        if self.per_class_per_scene_cap < 1:
+            raise ConfigError("per-class per-scene cap must be >= 1")
+        if self.max_iterations < 0:
+            raise ConfigError("max_iterations must be non-negative")
+        if self.policy not in POLICIES:
+            raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+        if self.selftrain_learning_rate <= 0.0:
+            raise ConfigError("learning_rate must be positive and batch_size >= 1")
+        if not 0.0 <= self.alpha_inc <= 1.0 or not 0.0 <= self.alpha_dec <= 1.0:
+            raise ConfigError("momentum exponents must lie in [0, 1]")
+        if self.dash_interval < 1 or self.valid_recompute_interval < 1:
+            raise ConfigError("policy intervals must be >= 1")
+        if self.policy == "dash-adaptive" and self.dash_growth <= 1.0:
+            raise ConfigError("dash growth factor must exceed 1")
+        if self.policy == "catm" and not 0.0 <= self.initial_tau <= 1.0:
+            raise ConfigError("initial threshold must lie in [0, 1]")
+        if self.gsl_hidden_dim < 1:
+            raise ConfigError("gsl_hidden_dim must be positive")
+        # evaluation
+        if not self.metric_ks:
+            raise ConfigError("metric_ks must list at least one K")
+
+    def parsed_sibling_pairs(self) -> list[tuple[int, int]]:
+        """Sibling (anchor, partner) class ranks.
+
+        ``sibling_pairs`` like "1:5,2:4" wins over the default pairing of the
+        g-th head with the g-th-from-last class; every class may appear once.
+        """
+        if self.sibling_pairs:
+            pairs = []
+            for chunk in self.sibling_pairs.replace(" ", "").split(","):
+                if not chunk:
+                    continue
+                try:
+                    anchor, partner = (int(x) for x in chunk.split(":"))
+                except ValueError as exc:
+                    raise ConfigError(f"bad sibling pair {chunk!r}") from exc
+                pairs.append((anchor, partner))
+        else:
+            pairs = [
+                (g + 1, self.n_fg_classes - g) for g in range(self.sibling_groups)
+            ]
+        seen: set[int] = set()
+        for anchor, partner in pairs:
+            for rank in (anchor, partner):
+                if not 1 <= rank <= self.n_fg_classes:
+                    raise ConfigError(f"sibling rank {rank} outside 1..{self.n_fg_classes}")
+                if rank in seen:
+                    raise ConfigError(f"class rank {rank} used in more than one sibling pair")
+                seen.add(rank)
+        return pairs
+
+    def echo(self) -> dict:
+        out = dataclasses.asdict(self)
+        out["metric_ks"] = ",".join(str(k) for k in self.metric_ks)
+        return out

@@ -49,6 +49,7 @@ from .classifier import (
     sgd_step,
     weighted_ce_grads,
 )
+from .config import RunConfig
 from .edges import (
     EdgeLearnerParams,
     batch_gumbel_noise,
@@ -63,7 +64,7 @@ from .labels import BG_INDEX, Dataset
 from .metrics import AssignmentLog, ColumnLog, evaluate
 from .rngs import stream, streams
 from .thresholds import (
-    POLICIES,
+    POLICIES,  # re-exported: callers iterate selftrain.POLICIES
     Thresholds,
     constant_threshold,
     dash_adaptive_update,
@@ -73,57 +74,6 @@ from .thresholds import (
     momentum_coefficients,
     uniform_coefficients,
 )
-
-
-@dataclass(frozen=True)
-class SelfTrainConfig:
-    beta: float = 1.0  # pseudo-label loss weight
-    alpha_inc: float = 0.4
-    alpha_dec: float = 0.4
-    per_class_per_scene_cap: int = 3
-    max_iterations: int = 1500
-    policy: str = "catm"
-    use_gsl: bool = False
-    learning_rate: float = 0.5
-    batch_size: int = 20  # scenes per batch
-    seed: int = 0
-    reweight: str = "none"
-    bg_downsample: float = 1.0
-    initial_tau: float = 0.0
-    uniform_momentum: bool = False  # ablation: lambda = 0.5 for every class
-    strict_eligible_mean: bool = False
-    policy_quantile: float = 0.01
-    policy_mix: float = 0.5
-    dash_growth: float = 1.1
-    dash_interval: int = 100
-    valid_recompute_interval: int = 100
-    gumbel_temperature: float = 0.5
-    focal_gamma: float = 2.0
-    gsl_hidden_dim: int = 16
-
-    def validate(self) -> None:
-        if self.beta < 0.0:
-            raise ConfigError("beta must be non-negative")
-        if self.per_class_per_scene_cap < 1:
-            raise ConfigError("per-class per-scene cap must be >= 1")
-        if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be non-negative")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
-        if self.learning_rate <= 0.0 or self.batch_size < 1:
-            raise ConfigError("learning_rate must be positive and batch_size >= 1")
-        if self.reweight not in ("none", "inverse-frequency"):
-            raise ConfigError(f"unknown reweight scheme {self.reweight!r}")
-        if not 0.0 < self.bg_downsample <= 1.0:
-            raise ConfigError("bg_downsample must lie in (0, 1]")
-        if not 0.0 <= self.alpha_inc <= 1.0 or not 0.0 <= self.alpha_dec <= 1.0:
-            raise ConfigError("momentum exponents must lie in [0, 1]")
-        if self.dash_interval < 1 or self.valid_recompute_interval < 1:
-            raise ConfigError("policy intervals must be >= 1")
-        if self.policy == "dash-adaptive" and self.dash_growth <= 1.0:
-            raise ConfigError("dash growth factor must exceed 1")
-        if self.policy == "catm" and not 0.0 <= self.initial_tau <= 1.0:
-            raise ConfigError("initial threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -287,7 +237,7 @@ def three_term_loss(
 
 
 def _quantile_policy_from_val(
-    cfg: SelfTrainConfig, params: ModelParams, val: Dataset, n_fg: int
+    cfg: RunConfig, params: ModelParams, val: Dataset, n_fg: int
 ) -> Thresholds:
     if len(val.arrays.features) == 0:
         raise ValidationError("validation split has no triplets")
@@ -309,7 +259,7 @@ def _quantile_policy_from_val(
 
 
 def build_thresholds(
-    cfg: SelfTrainConfig,
+    cfg: RunConfig,
     catalog,
     params: ModelParams,
     val: Dataset | None,
@@ -329,7 +279,7 @@ def build_thresholds(
     return _quantile_policy_from_val(cfg, params, val, n_fg)
 
 
-def update_thresholds(state: Thresholds, cfg: SelfTrainConfig, iteration: int, pred_classes,
+def update_thresholds(state: Thresholds, cfg: RunConfig, iteration: int, pred_classes,
                       confidences, params: ModelParams, val: Dataset | None) -> Thresholds:
     """The thresholds after ``iteration``, by ``state.policy``.
 
@@ -352,7 +302,7 @@ def run(
     pretrained: ModelParams,
     train: Dataset,
     val: Dataset | None,
-    cfg: SelfTrainConfig,
+    cfg: RunConfig,
     metric_ks: Sequence[int] = (2, 5, 10),
     edge_learner: EdgeLearnerParams | None = None,
     start_iteration: int = 0,
@@ -362,12 +312,11 @@ def run(
 ) -> SelfTrainResult:
     """Fine-tune a pretrained classifier with pseudo-labeled batches.
 
-    Deterministic given the config seed; the ``start_iteration`` /
+    Deterministic given ``cfg.selftrain_seed``; the ``start_iteration`` /
     ``thresholds`` / ``cumulative_counts`` triple resumes a checkpointed run
     at iteration granularity and continues the exact same stream of batches;
     resumed thresholds must belong to ``cfg.policy``.
     """
-    cfg.validate()
     if thresholds is not None and thresholds.policy != cfg.policy:
         raise ValidationError(
             f"the thresholds to resume are policy {thresholds.policy!r}, not {cfg.policy!r}"
@@ -388,7 +337,7 @@ def run(
         edge_learner = init_edge_learner(
             arrays.features.shape[1] // 2,
             hidden_dim=cfg.gsl_hidden_dim,
-            seed=cfg.seed,
+            seed=cfg.selftrain_seed,
             temperature=cfg.gumbel_temperature,
             focal_gamma=cfg.focal_gamma,
         )
@@ -406,11 +355,13 @@ def run(
     edge_log: list[tuple[np.ndarray, ...]] = []
 
     # one stream per iteration, taken in step with ``it``
-    bg_rngs = streams(cfg.seed, "bg-downsample", keys=range(start_iteration, cfg.max_iterations))
+    bg_rngs = streams(
+        cfg.selftrain_seed, "bg-downsample", keys=range(start_iteration, cfg.max_iterations)
+    )
     it = start_iteration
     epoch = start_iteration // batches_per_epoch
     while it < cfg.max_iterations:
-        order = stream(cfg.seed, "epoch-order", epoch).permutation(n_scenes)
+        order = stream(cfg.selftrain_seed, "epoch-order", epoch).permutation(n_scenes)
         batch_in_epoch = it % batches_per_epoch
         for b in range(batch_in_epoch, batches_per_epoch):
             if it >= cfg.max_iterations:
@@ -426,7 +377,7 @@ def run(
                 ents, subj, obj = arrays.entity_table(rows)
                 xs, xo = ents[subj], ents[obj]
                 noise = batch_gumbel_noise(
-                    cfg.seed,
+                    cfg.selftrain_seed,
                     it,
                     arrays.scene_ids[positions].tolist(),
                     np.diff(arrays.scene_offsets)[positions].tolist(),
@@ -474,14 +425,14 @@ def run(
                     raise RuntimeAbort("non-finite edge-learner loss")
                 edge_learner = replace(
                     edge_learner,
-                    net=sgd_step(edge_learner.net, gsl_grads, cfg.learning_rate),
+                    net=sgd_step(edge_learner.net, gsl_grads, cfg.selftrain_learning_rate),
                 )
 
             # threshold update first; it only reads pre-step confidences, so
             # ordering against the parameter step is observationally free
             state = update_thresholds(state, cfg, it, pred_classes, confidences, params, val)
 
-            params = sgd_step(params, grads, cfg.learning_rate)
+            params = sgd_step(params, grads, cfg.selftrain_learning_rate)
 
             if len(pseudo):
                 counts += np.bincount(pseudo_classes - 1, minlength=n_fg)

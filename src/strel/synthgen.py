@@ -25,91 +25,14 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError
 from .labels import BG_INDEX, Dataset, PredicateCatalog, SplitArrays, annotated_counts
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    n_scenes: int = 2000
-    entities_min: int = 12
-    entities_max: int = 20
-    n_fg_classes: int = 10
-    zipf_exponent: float = 1.5
-    feature_dim: int = 16  # pair feature dimension; entities carry half each
-    class_separation: float = 4.0
-    noise_sigma: float = 0.7
-    bg_noise_sigma: float = 2.0
-    annotated_fraction: float = 0.045
-    true_bg_fraction: float = 0.15
-    sibling_groups: int = 2
-    sibling_scale: float = 0.35
-    sibling_pairs: str = ""  # explicit "anchor:partner" rank pairs, overrides sibling_groups
-    n_entity_classes: int = 16
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.n_scenes < 1:
-            raise ConfigError("n_scenes must be positive")
-        if self.n_fg_classes < 2:
-            raise ConfigError("need at least 2 foreground classes")
-        if self.feature_dim < 2 or self.feature_dim % 2 != 0:
-            raise ConfigError("feature_dim must be an even integer >= 2")
-        if self.entities_min < 2 or self.entities_max < self.entities_min:
-            raise ConfigError("entities_per_scene range must satisfy 2 <= min <= max")
-        if self.zipf_exponent < 0.0:
-            raise ConfigError("zipf_exponent must be non-negative")
-        if not 0.0 < self.annotated_fraction <= 1.0:
-            raise ConfigError("annotated_fraction must lie in (0, 1]")
-        if not 0.0 <= self.true_bg_fraction < 1.0:
-            raise ConfigError("true_bg_fraction must lie in [0, 1)")
-        if self.noise_sigma < 0.0 or self.class_separation < 0.0:
-            raise ConfigError("noise_sigma and class_separation must be non-negative")
-        if self.bg_noise_sigma < 0.0:
-            raise ConfigError("bg_noise_sigma must be non-negative")
-        if self.sibling_groups < 0 or self.sibling_groups > (self.n_fg_classes - 1) // 2:
-            raise ConfigError("sibling_groups must fit disjoint head/tail pairs")
-        if self.sibling_scale < 0.0:
-            raise ConfigError("sibling_scale must be non-negative")
-        self.parsed_sibling_pairs()
-
-    def parsed_sibling_pairs(self) -> list[tuple[int, int]]:
-        """Sibling (anchor, partner) class ranks.
-
-        ``sibling_pairs`` like "1:5,2:4" wins over the default pairing of the
-        g-th head with the g-th-from-last class; every class may appear once.
-        """
-        if self.sibling_pairs:
-            pairs = []
-            for chunk in self.sibling_pairs.replace(" ", "").split(","):
-                if not chunk:
-                    continue
-                try:
-                    anchor, partner = (int(x) for x in chunk.split(":"))
-                except ValueError as exc:
-                    raise ConfigError(f"bad sibling pair {chunk!r}") from exc
-                pairs.append((anchor, partner))
-        else:
-            pairs = [
-                (g + 1, self.n_fg_classes - g) for g in range(self.sibling_groups)
-            ]
-        seen: set[int] = set()
-        for anchor, partner in pairs:
-            for rank in (anchor, partner):
-                if not 1 <= rank <= self.n_fg_classes:
-                    raise ConfigError(f"sibling rank {rank} outside 1..{self.n_fg_classes}")
-                if rank in seen:
-                    raise ConfigError(f"class rank {rank} used in more than one sibling pair")
-                seen.add(rank)
-        return pairs
-
-    def echo(self) -> dict:
-        return asdict(self)
 
 
 def zipf_shares(n_classes: int, exponent: float) -> np.ndarray:
@@ -119,7 +42,7 @@ def zipf_shares(n_classes: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _prototypes(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
+def _prototypes(config: RunConfig, rng: np.random.Generator) -> np.ndarray:
     """Class-mean pair features: row 0 background, row c foreground class c.
 
     Foreground prototypes sit on random orthonormal-ish directions scaled so
@@ -169,7 +92,7 @@ def _canonical_relabel(
     return lut, catalog
 
 
-def generate(config: GeneratorConfig) -> Dataset:
+def generate(config: RunConfig) -> Dataset:
     """Generate a fully annotated dataset (observed == hidden everywhere).
 
     Every scene draws from its own stream: its pair count, then per pair the
@@ -177,8 +100,7 @@ def generate(config: GeneratorConfig) -> Dataset:
     ``Generator.choice`` draws it), the pair's noise and its two entity
     classes.  Identical configs produce bit-identical datasets.
     """
-    config.validate()
-    root = np.random.SeedSequence(config.seed)
+    root = np.random.SeedSequence(config.gen_seed)
     proto_seq, scene_root = root.spawn(2)
     protos = _prototypes(config, np.random.default_rng(proto_seq))
     # Generator.choice(p=shares) draws one uniform and bisects this CDF

@@ -169,7 +169,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
     edge = None
     if cfg.use_gsl:
         edge = edges.init_edge_learner(
-            arrays.features.shape[1] // 2, hidden_dim=cfg.gsl_hidden_dim, seed=cfg.seed,
+            arrays.features.shape[1] // 2, hidden_dim=cfg.gsl_hidden_dim, seed=cfg.selftrain_seed,
             temperature=cfg.gumbel_temperature, focal_gamma=cfg.focal_gamma,
         )
 
@@ -184,7 +184,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
     keys, confs, taus, epochs = [], [], [], []
     it, epoch = 0, 0
     while it < cfg.max_iterations:
-        order = stream(cfg.seed, "epoch-order", epoch).permutation(n_scenes)
+        order = stream(cfg.selftrain_seed, "epoch-order", epoch).permutation(n_scenes)
         for b in range(per_epoch):
             if it >= cfg.max_iterations:
                 break
@@ -198,7 +198,9 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
                 xs, xo = ents[subj], ents[obj]
                 sizes = np.diff(arrays.scene_offsets)[positions]
                 noise = [
-                    edges.gumbel_noise(stream(cfg.seed, "gumbel", it, int(arrays.scene_ids[p])).random(n))
+                    edges.gumbel_noise(
+                        stream(cfg.selftrain_seed, "gumbel", it, int(arrays.scene_ids[p])).random(n)
+                    )
                     for p, n in zip(positions, sizes) if n
                 ]
                 samples = edges.sample_edges(
@@ -216,7 +218,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
             pseudo = un[accepted]
             background = np.delete(un, accepted)
             if cfg.bg_downsample < 1.0:
-                rng = stream(cfg.seed, "bg-downsample", it)
+                rng = stream(cfg.selftrain_seed, "bg-downsample", it)
                 background = np.asarray(
                     downsample_background(background, cfg.bg_downsample, rng), dtype=np.intp
                 )
@@ -225,9 +227,10 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
             _, g_p = term(X, pseudo, pred[accepted])
             if cfg.use_gsl:
                 _, g_e = edges.focal_loss_grad(edge, xs, xo, (observed != 0).astype(np.float64))
-                edge = replace(edge, net=sgd_step(edge.net, g_e, cfg.learning_rate))
+                edge = replace(edge, net=sgd_step(edge.net, g_e, cfg.selftrain_learning_rate))
             state = selftrain.update_thresholds(state, cfg, it, pred, conf, params, val)
-            params = sgd_step(params, add_grads(add_grads(g_a, g_b), g_p, scale=cfg.beta), cfg.learning_rate)
+            grads = add_grads(add_grads(g_a, g_b), g_p, scale=cfg.beta)
+            params = sgd_step(params, grads, cfg.selftrain_learning_rate)
             keys += [
                 (it, int(arrays.scene_ids[arrays.pair_scene[r]]), int(arrays.pair_index[r]), int(c))
                 for r, c in zip(rows[pseudo], pred[accepted])
@@ -301,8 +304,7 @@ def object_generate(config) -> ObjectDataset:
     """``synthgen.generate``, one pair at a time."""
     from strel.synthgen import _prototypes, zipf_shares
 
-    config.validate()
-    root = np.random.SeedSequence(config.seed)
+    root = np.random.SeedSequence(config.gen_seed)
     proto_seq, scene_root = root.spawn(2)
     protos = _prototypes(config, np.random.default_rng(proto_seq))
     shares = zipf_shares(config.n_fg_classes, config.zipf_exponent)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from strel.classifier import (
     ModelParams,
-    TrainConfig,
     balanced_resample,
     class_weights,
     downsample_background,
@@ -22,6 +21,7 @@ from strel.classifier import (
     weighted_ce_loss_grad,
     zero_grads,
 )
+from strel.config import RunConfig
 from strel.errors import ConfigError, RuntimeAbort, ValidationError
 from strel.labels import Dataset, build_catalog
 from strel.rngs import stream
@@ -196,14 +196,15 @@ def separable_dataset(n_scenes=30):
 class TestPretrain:
     def test_separable_set_reaches_full_accuracy(self):
         train = separable_dataset()
-        cfg = TrainConfig(learning_rate=0.5, n_epochs=50, batch_size=10, seed=1)
+        cfg = RunConfig(pretrain_learning_rate=0.5, pretrain_epochs=50, batch_size=10,
+                        bg_downsample=1.0, pretrain_seed=1)
         params, _ = pretrain(train, cfg)
         pred = np.argmax(predict_probs(params, train.arrays.features), axis=1)
         assert np.array_equal(pred, train.arrays.observed)
 
     def test_deterministic_given_seed(self):
         train = separable_dataset(n_scenes=12)
-        cfg = TrainConfig(n_epochs=5, batch_size=4, seed=77)
+        cfg = RunConfig(pretrain_epochs=5, batch_size=4, bg_downsample=1.0, pretrain_seed=77)
         p1, log1 = pretrain(train, cfg)
         p2, log2 = pretrain(train, cfg)
         for (w1, b1), (w2, b2) in zip(p1.layers, p2.layers):
@@ -212,7 +213,8 @@ class TestPretrain:
 
     def test_logs_one_row_per_epoch(self):
         train = separable_dataset(n_scenes=8)
-        _, log = pretrain(train, TrainConfig(n_epochs=3, batch_size=4, seed=0))
+        cfg = RunConfig(pretrain_epochs=3, batch_size=4, bg_downsample=1.0, pretrain_seed=0)
+        _, log = pretrain(train, cfg)
         assert [e.epoch for e in log] == [0, 1, 2]
         assert all(math.isfinite(e.mean_loss) for e in log)
 

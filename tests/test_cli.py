@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -7,6 +8,7 @@ import pytest
 
 from strel import cli, tensorio
 from strel.classifier import load_model
+from strel.config import RunConfig
 from strel.edges import load_edge_learner
 from strel.errors import RuntimeAbort
 from strel.metrics import AssignmentLog, AssignmentRecord
@@ -15,7 +17,8 @@ from strel.tables import read_columns, read_table
 
 
 def tiny_args(root, **extra):
-    """Flag list for a fast end-to-end pipeline."""
+    """Flag list for a fast end-to-end pipeline; an ``extra`` value of None
+    drops that flag."""
     values = {
         "n-scenes": 60,
         "entities-min": 6,
@@ -36,7 +39,8 @@ def tiny_args(root, **extra):
     values.update(extra)
     out = []
     for key, val in values.items():
-        out.extend([f"--{key}", str(val)])
+        if val is not None:
+            out.extend([f"--{key}", str(val)])
     return out
 
 
@@ -90,6 +94,21 @@ class TestGen:
         assert code == 1
         assert "annotated_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags, field",
+        [
+            ("gen", {"n-entity-classes": 0}, "n_entity_classes"),
+            ("selftrain", {"use-gsl": "true", "gsl-hidden-dim": 0}, "gsl_hidden_dim"),
+            ("gen", {"policy": "bogus"}, "policy"),
+        ],
+        ids=["n_entity_classes", "gsl_hidden_dim", "policy"],
+    )
+    def test_invalid_value_names_the_field(self, run_dir, command, flags, field, capsys):
+        """Every command checks every field, not only the fields it reads."""
+        capsys.readouterr()
+        assert cli.main([command] + tiny_args(run_dir, **flags)) == 1
+        assert field in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_values_and_overrides(self, tmp_path):
@@ -115,6 +134,56 @@ class TestConfigFile:
     def test_metric_ks_parsing(self):
         rc = cli.build_run_config({}, {"metric_ks": (1, 3)})
         assert rc.metric_ks == (1, 3)
+
+    @pytest.mark.parametrize("command", ["pretrain", "sweep", "eval", "selftrain", "config-file"])
+    def test_empty_metric_ks_rejected(self, run_dir, tmp_path, command, capsys):
+        if command == "config-file":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("metric_ks =\n")
+            argv = ["eval", "--config", str(cfg)] + tiny_args(run_dir, **{"metric-ks": None})
+        else:
+            argv = [command] + tiny_args(run_dir, **{"metric-ks": ","})
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "metric_ks" in err
+
+    def test_echo_round_trips_through_a_config_file(self, tmp_path):
+        """Every field, each off its default, reads back from its own echo."""
+        rc = RunConfig(
+            n_scenes=2001, entities_min=13, entities_max=21, n_fg_classes=11,
+            zipf_exponent=1.25, feature_dim=18, class_separation=4.5, noise_sigma=0.75,
+            bg_noise_sigma=2.5, annotated_fraction=0.05, true_bg_fraction=0.2,
+            sibling_groups=3, sibling_scale=0.4, sibling_pairs="1:11,2:9",
+            n_entity_classes=17, gen_seed=1, mask_seed=6, train_fraction=0.6,
+            val_fraction=0.15, test_fraction=0.25, split_seed=12,
+            pretrain_learning_rate=0.25, pretrain_epochs=31, batch_size=21,
+            reweight="inverse-frequency", oversample=True, bg_downsample=0.5, arch="mlp",
+            hidden_dim=17, pretrain_seed=5, beta=0.5, alpha_inc=0.3, alpha_dec=0.2,
+            per_class_per_scene_cap=4, max_iterations=1501, policy="dash-adaptive",
+            use_gsl=True, selftrain_learning_rate=0.25, selftrain_seed=6, initial_tau=0.5,
+            uniform_momentum=True, strict_eligible_mean=True, policy_quantile=0.02,
+            policy_mix=0.25, dash_growth=1.2, dash_interval=101, valid_recompute_interval=102,
+            gumbel_temperature=0.25, focal_gamma=1.5, gsl_hidden_dim=17, metric_ks=(1, 3),
+            data_dir="d", checkpoint_dir="c", log_dir="l",
+        )
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(rc, f.name) != f.default, f.name
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in rc.echo().items()))
+        assert cli.build_run_config(cli.parse_config_file(str(path)), {}) == rc
+
+    def test_one_flag_per_field_on_every_command(self):
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        (commands,) = (a for a in cli.build_parser()._actions if a.choices)
+        assert sorted(commands.choices) == [
+            "audit", "eval", "gen", "pretrain", "selftrain", "sweep"
+        ]
+        for command, parser in commands.choices.items():
+            flags = {a.dest: a.option_strings for a in parser._actions if a.dest in names}
+            assert sorted(flags) == sorted(names), command
+            assert all(flags[n] == ["--" + n.replace("_", "-")] for n in names), command
 
 
 class TestPipeline:
@@ -170,7 +239,7 @@ class TestPipeline:
         rc = cli._load_run_config(args)
         params, _ = load_model(os.path.join(pipeline_dir, "ckpt", "pretrain.ckpt"))
         result = run(params, cli.load_split(rc, "train"), cli.load_split(rc, "val"),
-                     cli.selftrain_config(rc), metric_ks=rc.metric_ks)
+                     rc, metric_ks=rc.metric_ks)
         columns = read_columns(os.path.join(pipeline_dir, "logs", "assignments.csv"),
                                AssignmentRecord._fields, [np.int64] * 4 + [np.float64])
         assert len(result.assignments) > 0
@@ -179,6 +248,24 @@ class TestPipeline:
         assert saved.arch == result.params.arch
         for got, want in zip(result.params.layers, saved.layers, strict=True):
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+    def test_loss_total_uses_the_echoed_beta(self, run_dir, tmp_path):
+        """Under inverse-frequency reweighting, each logged total is the
+        annotated and background terms plus the echoed beta times the pseudo
+        term."""
+        args = tiny_args(run_dir, **{"reweight": "inverse-frequency", "log-dir": str(tmp_path)})
+        assert cli.main(["selftrain"] + args) == 0
+        path = os.path.join(str(tmp_path), "selftrain_iterations.csv")
+        with open(path) as fh:
+            echo = dict(line[2:].rstrip("\n").split("=", 1) for line in fh if line.startswith("# "))
+        beta = float(echo["beta"])
+        assert beta == 1.0
+        names = ("loss_annotated", "loss_background", "loss_pseudo", "loss_total")
+        header, rows = read_table(path)
+        terms = [[float(row[header.index(n)]) for n in names] for row in rows]
+        assert len(terms) == 10 and any(pseudo > 0.0 for _, _, pseudo, _ in terms)
+        for annotated, background, pseudo, total in terms:
+            assert total == annotated + background + beta * pseudo
 
     def test_gsl_eval_reads_the_learner_beside_the_checkpoint(self, run_dir, tmp_path):
         """A catm + edge learner checkpoint moved out of --checkpoint-dir

@@ -31,7 +31,7 @@ import pytest
 
 from strel import synthgen
 from strel.classifier import pretrain
-from strel.cli import RunConfig, generator_config, selftrain_config, train_config
+from strel.config import RunConfig
 from strel.selftrain import POLICIES, run
 
 from _oracles import per_term_run
@@ -143,14 +143,14 @@ def trace_hashes(result, n_fg: int) -> dict[str, object]:
 
 
 def _splits():
-    full = synthgen.generate(generator_config(RC))
+    full = synthgen.generate(RC)
     masked = synthgen.mask_annotations(full, RC.annotated_fraction, RC.mask_seed)
     fractions = (RC.train_fraction, RC.val_fraction, RC.test_fraction)
     return synthgen.split(masked, fractions, RC.split_seed)
 
 
 def run_trace(train, val, params, policy: str, use_gsl: bool) -> dict[str, object]:
-    cfg = dataclasses.replace(selftrain_config(RC), policy=policy, use_gsl=use_gsl)
+    cfg = dataclasses.replace(RC, policy=policy, use_gsl=use_gsl)
     result = run(params, train, val, cfg, metric_ks=RC.metric_ks)
     return trace_hashes(result, train.catalog.n_foreground)
 
@@ -158,7 +158,7 @@ def run_trace(train, val, params, policy: str, use_gsl: bool) -> dict[str, objec
 @pytest.fixture(scope="module")
 def pretrained():
     train, val, _ = _splits()
-    params, _ = pretrain(train, train_config(RC), val, metric_k=RC.metric_ks[-1])
+    params, _ = pretrain(train, RC, val, metric_k=RC.metric_ks[-1])
     return train, val, params
 
 
@@ -177,7 +177,7 @@ def _assert_close(actual, expected):
 @pytest.mark.parametrize("policy, use_gsl", RUNS, ids=RUN_IDS)
 def test_run_within_tolerance_of_per_term_reference(pretrained, policy, use_gsl):
     train, val, params = pretrained
-    cfg = dataclasses.replace(selftrain_config(RC), policy=policy, use_gsl=use_gsl)
+    cfg = dataclasses.replace(RC, policy=policy, use_gsl=use_gsl)
     result = run(params, train, val, cfg, metric_ks=RC.metric_ks)
     ref = per_term_run(params, train, val, cfg, RC.metric_ks)
     log = result.assignments
@@ -203,7 +203,7 @@ def test_run_within_tolerance_of_per_term_reference(pretrained, policy, use_gsl)
 
 if __name__ == "__main__":
     train, val, _ = _splits()
-    params, _ = pretrain(train, train_config(RC), val, metric_k=RC.metric_ks[-1])
+    params, _ = pretrain(train, RC, val, metric_k=RC.metric_ks[-1])
     print("GOLDEN = {")
     for policy, use_gsl in RUNS:
         hashes = run_trace(train, val, params, policy, use_gsl)

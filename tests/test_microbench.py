@@ -24,13 +24,11 @@ import pytest
 
 from strel import cli, synthgen
 from strel.classifier import class_weights, forward_probs, init_params, predict_probs, sgd_step
-from strel.cli import RunConfig, generator_config
+from strel.config import RunConfig
 from strel.edges import batch_gumbel_noise, gumbel_noise, message_pass, sample_edges
 from strel.metrics import AssignmentLog, AssignmentRecord, evaluate
 from strel.rngs import stream
-from strel.selftrain import (
-    SelfTrainConfig, assign_pseudo_labels, build_thresholds, partition_batch, three_term_loss,
-)
+from strel.selftrain import assign_pseudo_labels, build_thresholds, partition_batch, three_term_loss
 from strel.tables import read_columns, write_columns
 from strel.thresholds import ema_update
 
@@ -44,7 +42,7 @@ RC = RunConfig(n_scenes=400)
 
 @pytest.fixture(scope="module")
 def split():
-    return synthgen.generate(generator_config(RC))
+    return synthgen.generate(RC)
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +83,14 @@ def _write_assignments(path, log):
 
 def test_selection(benchmark, split, batch):
     _, keys, pred, conf = batch
-    state = build_thresholds(SelfTrainConfig(), split.catalog, None, None)
+    state = build_thresholds(RC, split.catalog, None, None)
     accepted = _run(benchmark, assign_pseudo_labels, keys, pred, conf, state, 3)
     assert 0 < len(accepted) <= len(keys)
 
 
 def test_ema_update(benchmark, split, batch):
     _, _, pred, conf = batch
-    state = build_thresholds(SelfTrainConfig(), split.catalog, None, None)
+    state = build_thresholds(RC, split.catalog, None, None)
     assert _run(benchmark, ema_update, state, pred, conf).step == 1
 
 
@@ -128,7 +126,7 @@ def test_selftrain_step(benchmark, split):
     train = synthgen.mask_annotations(split, RC.annotated_fraction, RC.mask_seed)
     arrays, n_fg = train.arrays, train.catalog.n_foreground
     params = init_params("linear", arrays.features.shape[1], train.catalog.n_classes, seed=1)
-    state = build_thresholds(SelfTrainConfig(), train.catalog, None, None)
+    state = build_thresholds(RC, train.catalog, None, None)
     w = class_weights(train.catalog, "none")
 
     def step():  # the body of one ``selftrain.run`` iteration without the edge learner
@@ -169,7 +167,7 @@ def test_setup(benchmark):
     fractions = (rc.train_fraction, rc.val_fraction, rc.test_fraction)
 
     def setup():
-        full = synthgen.generate(generator_config(rc))
+        full = synthgen.generate(rc)
         masked = synthgen.mask_annotations(full, rc.annotated_fraction, rc.mask_seed)
         return synthgen.split(masked, fractions, rc.split_seed)
 

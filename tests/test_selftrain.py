@@ -14,13 +14,13 @@ from strel.classifier import (
     sgd_step,
     weighted_ce_loss_grad,
 )
+from strel.config import RunConfig
 from strel.errors import ConfigError, ValidationError
 from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
 from strel.metrics import AssignmentRecord
 from strel.rngs import stream
 from strel.selftrain import (
     POLICIES,
-    SelfTrainConfig,
     assign_pseudo_labels,
     load_checkpoint,
     partition_batch,
@@ -255,14 +255,15 @@ def small_selftrain_config(**overrides):
     base = dict(
         max_iterations=12,
         batch_size=4,
-        learning_rate=0.3,
-        seed=5,
+        selftrain_learning_rate=0.3,
+        selftrain_seed=5,
+        bg_downsample=1.0,
         policy="catm",
         alpha_inc=0.4,
         alpha_dec=0.4,
     )
     base.update(overrides)
-    return SelfTrainConfig(**base)
+    return RunConfig(**base)
 
 
 def masked_dataset(n_scenes=16, seed=1, labels=(1, 2, 1, 2)):
@@ -348,7 +349,7 @@ class TestRun:
         it = 0
         epoch = 0
         while it < cfg.max_iterations:
-            order = stream(cfg.seed, "epoch-order", epoch).permutation(n)
+            order = stream(cfg.selftrain_seed, "epoch-order", epoch).permutation(n)
             for b in range(batches_per_epoch):
                 if it >= cfg.max_iterations:
                     break
@@ -361,7 +362,7 @@ class TestRun:
                 )
                 X = np.stack([t.features for t in batch])
                 _, grads = weighted_ce_loss_grad(params, X, y, coeffs)
-                params = sgd_step(params, grads, cfg.learning_rate)
+                params = sgd_step(params, grads, cfg.selftrain_learning_rate)
                 it += 1
             epoch += 1
 
@@ -426,7 +427,7 @@ class TestRun:
         path = tmp_path / "resume.ckpt"
         save_checkpoint(
             path, half.params, half.thresholds, k,
-            half.log.iterations[-1].cumulative_counts, cfg.seed,
+            half.log.iterations[-1].cumulative_counts, cfg.selftrain_seed,
         )
         params, thresholds, iteration, counts, _ = load_checkpoint(path)
         resumed = run(

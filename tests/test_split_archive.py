@@ -32,7 +32,7 @@ FIELDS = [f.name for f in dataclasses.fields(SplitArrays)]
 
 def generated_splits(rc):
     """The three splits as ``strel gen`` builds them in memory."""
-    full = synthgen.generate(cli.generator_config(rc))
+    full = synthgen.generate(rc)
     masked = synthgen.mask_annotations(full, rc.annotated_fraction, rc.mask_seed)
     fractions = (rc.train_fraction, rc.val_fraction, rc.test_fraction)
     return dict(zip(SPLITS, synthgen.split(masked, fractions, rc.split_seed)))

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strel.cli import RunConfig, generator_config
+from strel.config import RunConfig
 from strel.errors import ConfigError
 from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
-from strel.synthgen import GeneratorConfig, generate, mask_annotations, split, zipf_shares
+from strel.synthgen import generate, mask_annotations, split, zipf_shares
 
 from _oracles import compile_split, object_generate, object_mask_annotations, object_split, scene_lines
 from conftest import assert_records_equal, build_scene, iter_triplets
@@ -27,10 +27,10 @@ def small_config(**overrides):
         annotated_fraction=0.2,
         true_bg_fraction=0.1,
         sibling_groups=1,
-        seed=123,
+        gen_seed=123,
     )
     base.update(overrides)
-    return GeneratorConfig(**base)
+    return RunConfig(**base)
 
 
 def hand_dataset(n_scenes=10, labels_per_scene=(1, 2, 3, 1), n_fg=3):
@@ -91,11 +91,11 @@ class TestGenerate:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            generate(small_config(n_fg_classes=1))
+            small_config(n_fg_classes=1)
         with pytest.raises(ConfigError):
-            generate(small_config(feature_dim=7))
+            small_config(feature_dim=7)
         with pytest.raises(ConfigError):
-            generate(small_config(annotated_fraction=0.0))
+            small_config(annotated_fraction=0.0)
 
     def test_pair_features_near_class_prototypes(self):
         # same hidden class => pair features cluster; distinct classes separate
@@ -259,7 +259,7 @@ def generator_configs(draw):
     else:
         sibling = dict(sibling_groups=draw(st.integers(0, (n_fg - 1) // 2)))
     entities_min = draw(st.integers(2, 9))
-    return GeneratorConfig(
+    return RunConfig(
         n_scenes=draw(st.integers(10, 30)),
         entities_min=entities_min,
         entities_max=draw(st.integers(entities_min, 16)),
@@ -268,7 +268,7 @@ def generator_configs(draw):
         feature_dim=2 * draw(st.integers(1, 10)),
         true_bg_fraction=draw(st.sampled_from([0.0, 0.15, 0.6]) | st.floats(0.0, 0.95)),
         n_entity_classes=draw(st.integers(1, 20)),
-        seed=draw(st.integers(0, 2**32 - 1)),
+        gen_seed=draw(st.integers(0, 2**32 - 1)),
         **sibling,
     )
 
@@ -289,6 +289,6 @@ class TestObjectOracle:
     def test_benchmark_default_matches_the_object_pipeline(self):
         rc = RunConfig()
         run_both(
-            generator_config(rc), rc.annotated_fraction, rc.mask_seed,
+            rc, rc.annotated_fraction, rc.mask_seed,
             (rc.train_fraction, rc.val_fraction, rc.test_fraction), rc.split_seed,
         )

@@ -18,7 +18,8 @@ from strel.thresholds import (
     top_quantile,
     uniform_coefficients,
 )
-from strel.selftrain import SelfTrainConfig, assign_pseudo_labels, build_thresholds
+from strel.config import RunConfig
+from strel.selftrain import assign_pseudo_labels, build_thresholds
 
 
 def state_with(tau, lambda_inc, lambda_dec, iteration=0):
@@ -177,7 +178,7 @@ class TestDecide:
         assert decide(state, (0.3, 0.7)) == 1
 
     def test_never_policy(self, tiny_catalog):
-        never = build_thresholds(SelfTrainConfig(policy="never"), tiny_catalog, None, None)
+        never = build_thresholds(RunConfig(policy="never"), tiny_catalog, None, None)
         assert decide(never, (0.0, 0.0, 0.0, 1.0)) is None
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6), st.floats(0.0, 1.0))
@@ -255,4 +256,4 @@ class TestDashAdaptive:
 
     def test_growth_must_exceed_one(self):
         with pytest.raises(ConfigError):
-            SelfTrainConfig(policy="dash-adaptive", dash_growth=1.0).validate()
+            RunConfig(policy="dash-adaptive", dash_growth=1.0)
