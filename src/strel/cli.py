@@ -398,6 +398,8 @@ def cmd_audit(rc: RunConfig, assignments_path: str | None, split: str) -> int:
 
 
 def cmd_sweep(rc: RunConfig, grid: str) -> int:
+    if rc.policy != "catm":
+        raise ConfigError(f"policy must be catm for a sweep of its momentum, not {rc.policy!r}")
     values = [float(v) for v in grid.replace(" ", "").split(",") if v]
     if any(not 0.0 <= v <= 1.0 for v in values):
         raise ConfigError("sweep grid values must lie in [0, 1]")
@@ -411,7 +413,7 @@ def cmd_sweep(rc: RunConfig, grid: str) -> int:
     rows = []
     for a_inc in values:
         for a_dec in values:
-            cfg = dataclasses.replace(rc, alpha_inc=a_inc, alpha_dec=a_dec, policy="catm")
+            cfg = dataclasses.replace(rc, alpha_inc=a_inc, alpha_dec=a_dec)
             result = run(params, train, val, cfg, metric_ks=(k,))
             r, mr, f = result.log.epochs[-1].metrics[k]
             rows.append((a_inc, a_dec, r, mr, f))

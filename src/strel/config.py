@@ -9,6 +9,23 @@ from .errors import ConfigError
 from .thresholds import POLICIES
 
 
+# (fields, test, rule): the fields checked each on its own, in this order
+_RANGES = (
+    (("n_scenes", "n_entity_classes", "batch_size", "hidden_dim", "gsl_hidden_dim",
+      "per_class_per_scene_cap", "dash_interval", "valid_recompute_interval"),
+     lambda v: v >= 1, "must be >= 1"),
+    (("n_fg_classes", "entities_min"), lambda v: v >= 2, "must be >= 2"),
+    (("zipf_exponent", "class_separation", "noise_sigma", "bg_noise_sigma", "sibling_scale",
+      "pretrain_epochs", "beta", "max_iterations", "gen_seed", "mask_seed", "split_seed"),
+     lambda v: v >= 0, "must be non-negative"),
+    (("pretrain_learning_rate", "selftrain_learning_rate"), lambda v: v > 0, "must be positive"),
+    (("annotated_fraction", "bg_downsample"), lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    (("true_bg_fraction",), lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    (("alpha_inc", "alpha_dec"), lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    (("metric_ks",), lambda ks: len(ks) > 0 and min(ks) >= 1, "must list at least one K, each >= 1"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """The one run config; ``synthgen.generate``, ``classifier.pretrain`` and
@@ -80,69 +97,25 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise a ``ConfigError`` that names the first unusable field."""
-        # generator
-        if self.n_scenes < 1:
-            raise ConfigError("n_scenes must be positive")
-        if self.n_fg_classes < 2:
-            raise ConfigError("need at least 2 foreground classes")
+        for names, usable, rule in _RANGES:
+            for name in names:
+                if not usable(getattr(self, name)):
+                    raise ConfigError(f"{name} {rule}")
         if self.feature_dim < 2 or self.feature_dim % 2 != 0:
             raise ConfigError("feature_dim must be an even integer >= 2")
-        if self.entities_min < 2 or self.entities_max < self.entities_min:
-            raise ConfigError("entities_per_scene range must satisfy 2 <= min <= max")
-        if self.zipf_exponent < 0.0:
-            raise ConfigError("zipf_exponent must be non-negative")
-        if not 0.0 < self.annotated_fraction <= 1.0:
-            raise ConfigError("annotated_fraction must lie in (0, 1]")
-        if not 0.0 <= self.true_bg_fraction < 1.0:
-            raise ConfigError("true_bg_fraction must lie in [0, 1)")
-        if self.noise_sigma < 0.0 or self.class_separation < 0.0:
-            raise ConfigError("noise_sigma and class_separation must be non-negative")
-        if self.bg_noise_sigma < 0.0:
-            raise ConfigError("bg_noise_sigma must be non-negative")
+        if self.entities_max < self.entities_min:
+            raise ConfigError("entities_max must be >= entities_min")
         if self.sibling_groups < 0 or self.sibling_groups > (self.n_fg_classes - 1) // 2:
             raise ConfigError("sibling_groups must fit disjoint head/tail pairs")
-        if self.sibling_scale < 0.0:
-            raise ConfigError("sibling_scale must be non-negative")
         self.parsed_sibling_pairs()
-        if self.n_entity_classes < 1:
-            raise ConfigError("n_entity_classes must be positive")
-        # pretraining
-        if self.pretrain_learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
-        if self.pretrain_epochs < 0 or self.batch_size < 1:
-            raise ConfigError("n_epochs must be >= 0 and batch_size >= 1")
-        if self.reweight not in ("none", "inverse-frequency"):
-            raise ConfigError(f"unknown reweight scheme {self.reweight!r}")
-        if self.arch not in ("linear", "mlp"):
-            raise ConfigError(f"unknown architecture {self.arch!r}")
-        if not 0.0 < self.bg_downsample <= 1.0:
-            raise ConfigError("bg_downsample must lie in (0, 1]")
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be positive")
-        # self-training
-        if self.beta < 0.0:
-            raise ConfigError("beta must be non-negative")
-        if self.per_class_per_scene_cap < 1:
-            raise ConfigError("per-class per-scene cap must be >= 1")
-        if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be non-negative")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
-        if self.selftrain_learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive and batch_size >= 1")
-        if not 0.0 <= self.alpha_inc <= 1.0 or not 0.0 <= self.alpha_dec <= 1.0:
-            raise ConfigError("momentum exponents must lie in [0, 1]")
-        if self.dash_interval < 1 or self.valid_recompute_interval < 1:
-            raise ConfigError("policy intervals must be >= 1")
+        for name, choices in (("reweight", ("none", "inverse-frequency")),
+                              ("arch", ("linear", "mlp")), ("policy", POLICIES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, not {getattr(self, name)!r}")
         if self.policy == "dash-adaptive" and self.dash_growth <= 1.0:
-            raise ConfigError("dash growth factor must exceed 1")
+            raise ConfigError("dash_growth must exceed 1")
         if self.policy == "catm" and not 0.0 <= self.initial_tau <= 1.0:
-            raise ConfigError("initial threshold must lie in [0, 1]")
-        if self.gsl_hidden_dim < 1:
-            raise ConfigError("gsl_hidden_dim must be positive")
-        # evaluation
-        if not self.metric_ks:
-            raise ConfigError("metric_ks must list at least one K")
+            raise ConfigError("initial_tau must lie in [0, 1]")
 
     def parsed_sibling_pairs(self) -> list[tuple[int, int]]:
         """Sibling (anchor, partner) class ranks.
@@ -158,7 +131,7 @@ class RunConfig:
                 try:
                     anchor, partner = (int(x) for x in chunk.split(":"))
                 except ValueError as exc:
-                    raise ConfigError(f"bad sibling pair {chunk!r}") from exc
+                    raise ConfigError(f"sibling_pairs: bad pair {chunk!r}") from exc
                 pairs.append((anchor, partner))
         else:
             pairs = [
@@ -168,9 +141,9 @@ class RunConfig:
         for anchor, partner in pairs:
             for rank in (anchor, partner):
                 if not 1 <= rank <= self.n_fg_classes:
-                    raise ConfigError(f"sibling rank {rank} outside 1..{self.n_fg_classes}")
+                    raise ConfigError(f"sibling_pairs: rank {rank} outside 1..{self.n_fg_classes}")
                 if rank in seen:
-                    raise ConfigError(f"class rank {rank} used in more than one sibling pair")
+                    raise ConfigError(f"sibling_pairs: rank {rank} in more than one pair")
                 seen.add(rank)
         return pairs
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .classifier import (
     zero_grads,
 )
 from .errors import ConfigError, ValidationError
-from .rngs import stream, streams
+from .rngs import stream
 
 SCORE_FLOOR = 1e-12
 
@@ -127,12 +128,12 @@ def gumbel_noise(u) -> np.ndarray:
     return -np.log(-np.log(np.maximum(u, SCORE_FLOOR)))
 
 
-def batch_gumbel_noise(seed: int, iteration: int, scene_ids, sizes) -> np.ndarray:
-    """The Gumbel noise of a batch's edges, scene by scene: scene
-    ``scene_ids[i]``'s ``sizes[i]`` edges draw from the stream keyed by
-    ``(seed, "gumbel", iteration, scene_ids[i])``."""
-    rngs = streams(seed, "gumbel", iteration, keys=scene_ids)
-    return gumbel_noise(np.concatenate([rng.random(n) for rng, n in zip(rngs, sizes)]))
+def batch_gumbel_noise(rngs: Iterator[np.random.Generator], sizes) -> np.ndarray:
+    """The Gumbel noise of a batch's edges, scene by scene: the ``i``-th
+    scene's ``sizes[i]`` edges draw from the next generator of ``rngs``,
+    which ``selftrain.run`` keys by ``(seed, "gumbel", iteration, scene id)``.
+    Exactly ``len(sizes)`` generators are consumed."""
+    return gumbel_noise(np.concatenate([rng.random(n) for n, rng in zip(sizes, rngs)]))
 
 
 def sample_edges(scores, temperature: float, noise) -> EdgeSamples:

@@ -363,9 +363,13 @@ def run(
     while it < cfg.max_iterations:
         order = stream(cfg.selftrain_seed, "epoch-order", epoch).permutation(n_scenes)
         batch_in_epoch = it % batches_per_epoch
-        for b in range(batch_in_epoch, batches_per_epoch):
-            if it >= cfg.max_iterations:
-                break
+        batch_end = min(batches_per_epoch, batch_in_epoch + cfg.max_iterations - it)
+        if cfg.use_gsl:  # one Gumbel stream per (iteration, scene id), the epoch's at once
+            positions = order[batch_in_epoch * cfg.batch_size : batch_end * cfg.batch_size]
+            its = it + np.arange(len(positions)) // cfg.batch_size
+            gumbel_keys = np.stack([its, arrays.scene_ids[positions]], axis=1)
+            gumbel_rngs = streams(cfg.selftrain_seed, "gumbel", keys=gumbel_keys)
+        for b in range(batch_in_epoch, batch_end):
             positions = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             rows = arrays.rows_of(positions)
             observed = arrays.observed[rows]
@@ -376,12 +380,7 @@ def run(
             if cfg.use_gsl:
                 ents, subj, obj = arrays.entity_table(rows)
                 xs, xo = ents[subj], ents[obj]
-                noise = batch_gumbel_noise(
-                    cfg.selftrain_seed,
-                    it,
-                    arrays.scene_ids[positions].tolist(),
-                    np.diff(arrays.scene_offsets)[positions].tolist(),
-                )
+                noise = batch_gumbel_noise(gumbel_rngs, np.diff(arrays.scene_offsets)[positions])
                 samples = sample_edges(
                     edge_scores(edge_learner, xs, xo), edge_learner.temperature, noise
                 )

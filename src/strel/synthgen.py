@@ -33,6 +33,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError
 from .labels import BG_INDEX, Dataset, PredicateCatalog, SplitArrays, annotated_counts
+from .rngs import children
 
 
 def zipf_shares(n_classes: int, exponent: float) -> np.ndarray:
@@ -100,8 +101,7 @@ def generate(config: RunConfig) -> Dataset:
     ``Generator.choice`` draws it), the pair's noise and its two entity
     classes.  Identical configs produce bit-identical datasets.
     """
-    root = np.random.SeedSequence(config.gen_seed)
-    proto_seq, scene_root = root.spawn(2)
+    proto_seq = np.random.SeedSequence(config.gen_seed, spawn_key=(0,))  # scenes: spawn key (1, i)
     protos = _prototypes(config, np.random.default_rng(proto_seq))
     # Generator.choice(p=shares) draws one uniform and bisects this CDF
     cdf = zipf_shares(config.n_fg_classes, config.zipf_exponent).cumsum()
@@ -113,8 +113,7 @@ def generate(config: RunConfig) -> Dataset:
     noise = np.empty((config.n_scenes * hi, config.feature_dim))
     labels, classes = array("i"), array("q")
     counts = np.empty(config.n_scenes, dtype=np.intp)
-    for s, seq in enumerate(scene_root.spawn(config.n_scenes)):
-        rng = np.random.default_rng(seq)
+    for s, rng in enumerate(children(config.gen_seed, (1,), config.n_scenes)):
         random, normal, integers = rng.random, rng.standard_normal, rng.integers
         counts[s] = n_pairs = int(integers(lo, hi + 1))
         for _ in range(n_pairs):

@@ -73,6 +73,30 @@ def run_dir(pipeline_dir, tmp_path):
     return root
 
 
+# one bad flag each, and the field its error must name
+REJECTED = [
+    ({"selftrain-learning-rate": 0}, "selftrain_learning_rate"),
+    ({"pretrain-learning-rate": -1}, "pretrain_learning_rate"),
+    ({"pretrain-epochs": -1}, "pretrain_epochs"),
+    ({"batch-size": 0}, "batch_size"),
+    ({"per-class-per-scene-cap": 0}, "per_class_per_scene_cap"),
+    ({"alpha-inc": 2}, "alpha_inc"),
+    ({"alpha-dec": -0.5}, "alpha_dec"),
+    ({"dash-interval": 0}, "dash_interval"),
+    ({"valid-recompute-interval": 0}, "valid_recompute_interval"),
+    ({"entities-min": 1}, "entities_min"),
+    ({"entities-min": 8, "entities-max": 7}, "entities_max"),
+    ({"initial-tau": 1.5}, "initial_tau"),
+    ({"policy": "dash-adaptive", "dash-growth": 1.0}, "dash_growth"),
+    ({"noise-sigma": -1}, "noise_sigma"),
+    ({"class-separation": -1}, "class_separation"),
+    ({"n-fg-classes": 1}, "n_fg_classes"),
+    ({"arch": "cnn"}, "arch"),
+    ({"gen-seed": -1}, "gen_seed"),
+    ({"split-seed": -1}, "split_seed"),
+]
+
+
 class TestGen:
     def test_writes_datasets_and_manifest(self, tmp_path):
         root = str(tmp_path)
@@ -108,6 +132,29 @@ class TestGen:
         capsys.readouterr()
         assert cli.main([command] + tiny_args(run_dir, **flags)) == 1
         assert field in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags, field", REJECTED, ids=[field for _, field in REJECTED])
+    def test_each_rejected_field_is_named(self, tmp_path, flags, field, capsys):
+        capsys.readouterr()
+        assert cli.main(["gen"] + tiny_args(str(tmp_path), **flags)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert field in err
+        assert not os.path.exists(tmp_path / "data")
+
+    @pytest.mark.parametrize("command", ["gen", "selftrain"])
+    def test_metric_ks_below_one_writes_nothing(self, run_dir, command, capsys):
+        before = {p: file_hash(p) for p in _files(run_dir)}
+        capsys.readouterr()
+        assert cli.main([command] + tiny_args(run_dir, **{"metric-ks": "0,5"})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "metric_ks" in err, err
+        assert {p: file_hash(p) for p in _files(run_dir)} == before
+
+
+def _files(root):
+    return sorted(os.path.join(d, f) for d, _, names in os.walk(root) for f in names)
 
 
 class TestConfigFile:
@@ -521,6 +568,16 @@ class TestSweep:
         header, epochs = read_table(os.path.join(str(tmp_path / "s2"), "selftrain_epochs.csv"))
         f_col = header.index("f_at_5")
         assert float(sweep_rows[0][4]) == float(epochs[-1][f_col])
+
+    def test_other_policy_rejected(self, run_dir, tmp_path, capsys):
+        """A sweep runs catm; it does not echo another policy over catm's results."""
+        log = tmp_path / "sweep"
+        capsys.readouterr()
+        args = tiny_args(run_dir, policy="never", **{"log-dir": str(log)})
+        assert cli.main(["sweep", "--grid", "0.4"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "policy" in err, err
+        assert not log.exists()
 
     def test_grid_values_validated(self, pipeline_dir, capsys):
         assert cli.main(["sweep", "--grid", "0.2,1.4"] + tiny_args(pipeline_dir)) == 1

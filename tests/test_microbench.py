@@ -3,8 +3,12 @@
 One batch of the default benchmark is 20 scenes of about 8 pairs each; the
 test split is 400 such scenes.  ``test_selftrain_step`` times one whole
 self-training iteration: batch gather, forward, selection, loss, backward,
-threshold update and parameter step; ``test_gumbel_batch`` draws one batch's
-edge noise, one stream per scene.  ``test_write_assignments`` and
+threshold update and parameter step; ``test_gumbel_batch`` draws one epoch's
+edge noise as ``selftrain.run`` does: one ``rngs.streams`` derivation of the
+epoch's (iteration, scene id) keys, consumed batch by batch, one stream per
+scene (20 batches over the 400 scenes; divide by 20 for one batch).
+``test_scene_streams`` builds the 2,000 per-scene generators of the default
+benchmark as ``synthgen.generate`` does.  ``test_write_assignments`` and
 ``test_read_assignments`` write and parse an assignment table of the size
 catm logs on the default benchmark (85,120 rows).  ``test_setup`` generates,
 masks and splits the default 2,000-scene benchmark, and ``test_load_split``
@@ -27,7 +31,7 @@ from strel.classifier import class_weights, forward_probs, init_params, predict_
 from strel.config import RunConfig
 from strel.edges import batch_gumbel_noise, gumbel_noise, message_pass, sample_edges
 from strel.metrics import AssignmentLog, AssignmentRecord, evaluate
-from strel.rngs import stream
+from strel.rngs import children, stream, streams
 from strel.selftrain import assign_pseudo_labels, build_thresholds, partition_batch, three_term_loss
 from strel.tables import read_columns, write_columns
 from strel.thresholds import ema_update
@@ -107,11 +111,31 @@ def test_sample_edges(benchmark, batch):
 
 
 def test_gumbel_batch(benchmark, split):
-    """The edge learner's noise for one batch: 20 scenes, one stream each."""
-    scene_ids = split.arrays.scene_ids[:20].tolist()
-    sizes = np.diff(split.arrays.scene_offsets)[:20].tolist()
-    noise = _run(benchmark, batch_gumbel_noise, 0, 0, scene_ids, sizes)
-    assert len(noise) == sum(sizes)
+    """The edge learner's noise for one epoch of 20-scene batches, one
+    stream each, derived once for the epoch."""
+    arrays = split.arrays
+    sizes = np.diff(arrays.scene_offsets).tolist()
+    iterations = np.arange(len(sizes)) // 20
+    keys = np.stack([iterations, arrays.scene_ids], axis=1)
+
+    def epoch():
+        rngs = streams(0, "gumbel", keys=keys)
+        return [batch_gumbel_noise(rngs, sizes[b : b + 20]) for b in range(0, len(sizes), 20)]
+
+    noise = _run(benchmark, epoch)
+    assert len(noise) == 20 and sum(map(len, noise)) == sum(sizes)
+    first = gumbel_noise(stream(0, "gumbel", 1, 20).random(sizes[20]))  # batch 1's first scene
+    assert np.array_equal(noise[1][: sizes[20]], first)
+
+
+def test_scene_streams(benchmark):
+    """The default benchmark's 2,000 scene generators, derived at once."""
+    rc = RunConfig()
+
+    def scene_streams():
+        return list(children(rc.gen_seed, (1,), rc.n_scenes))
+
+    assert len(_run(benchmark, scene_streams, rounds=SETUP_ROUNDS)) == rc.n_scenes
 
 
 def test_message_pass(benchmark, split, batch):
