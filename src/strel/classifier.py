@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorio
 from .config import RunConfig
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import BG_INDEX, Dataset, PredicateCatalog
@@ -233,7 +232,7 @@ def balanced_resample(
     are drawn with replacement from their own pools (rows in given order) in
     label order, so the result is deterministic given the rng.
     """
-    classes = np.unique(labels)
+    classes = np.flatnonzero(np.bincount(labels))  # sorted, without np.unique's numpy.ma import
     base, extra = divmod(len(rows), len(classes))
     out = []
     for slot, c in enumerate(classes):
@@ -316,37 +315,3 @@ def pretrain(
             val_mr = evaluate(params, val, ks=(metric_k,)).rows[0].mean_recall
         log.append(PretrainEpoch(epoch, float(np.mean(losses)) if losses else 0.0, val_mr))
     return params, log
-
-
-# --- checkpointing ----------------------------------------------------------
-
-
-def params_to_tensors(params: ModelParams) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (w, b) in enumerate(params.layers):
-        out[f"layer{i}.w"] = w
-        out[f"layer{i}.b"] = b
-    return out
-
-
-def params_from_tensors(tensors: dict[str, np.ndarray], arch: str) -> ModelParams:
-    n_layers = 1 if arch == "linear" else 2
-    layers = tuple(
-        (tensors[f"layer{i}.w"], tensors[f"layer{i}.b"]) for i in range(n_layers)
-    )
-    return ModelParams(arch=arch, layers=layers)
-
-
-def save_model(path, params: ModelParams, meta: dict | None = None) -> None:
-    full_meta = {"arch": params.arch}
-    full_meta.update(meta or {})
-    tensorio.save_tensors(path, params_to_tensors(params), full_meta)
-
-
-def load_model(path) -> tuple[ModelParams, dict]:
-    """The params of a model or self-train checkpoint, and its metadata."""
-    tensors, meta = tensorio.load_tensors(path)
-    try:
-        return params_from_tensors(tensors, meta["arch"]), meta
-    except KeyError as exc:
-        raise ValidationError(f"{path} is not a model checkpoint: no {exc}") from exc

@@ -8,6 +8,14 @@ or configuration error, 2 runtime abort.
 (see ``labels``), beside ``manifest.json``; ``load_split`` reads one and checks it
 against the manifest's catalog.  The file is binary; read it as any archive:
 ``columns, meta = strel.tensorio.load_tensors("data/train.tns")``.
+
+``strel pretrain`` and ``strel selftrain`` each write one checkpoint archive,
+``<checkpoint_dir>/pretrain.ckpt`` and ``selftrain.ckpt``
+(``selftrain.save_checkpoint``): the ``layer*`` tensors and meta ``arch`` and
+``config``; a self-train run adds ``thresholds.*``, ``counts`` and meta
+``iteration`` and ``seed``, and with the edge learner ``edge.layer*`` and meta
+``edge.temperature`` and ``edge.focal_gamma``.  Only a checkpoint with
+``edge.`` entries resumes or evaluates under ``--use-gsl true``.
 """
 
 from __future__ import annotations
@@ -21,13 +29,12 @@ import sys
 import numpy as np
 
 from . import synthgen, tables
-from .classifier import load_model, pretrain, save_model
+from .classifier import pretrain
 from .config import RunConfig
-from .edges import load_edge_learner, save_edge_learner
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import Dataset, PredicateCatalog, annotated_counts, read_scenes, write_scenes
 from .metrics import AssignmentLog, AssignmentRecord, audit_pseudo_labels, evaluate
-from .selftrain import EdgeTraceRow, load_checkpoint, run, save_checkpoint
+from .selftrain import Checkpoint, EdgeTraceRow, load_checkpoint, run, save_checkpoint
 
 
 # The benchmark harness (``perfbench``, ``scripts/run_benchmark.py``) still
@@ -152,35 +159,24 @@ def load_split(rc: RunConfig, split: str) -> Dataset:
     return Dataset(arrays, catalog, split)
 
 
+_PRETRAIN_HINT = " (run `strel pretrain`)"
+
+
 def _checkpoint_path(rc: RunConfig, name: str) -> str:
     return os.path.join(rc.checkpoint_dir, name)
 
 
-def _echoed(meta: dict, key: str):
-    """A run-config value a checkpoint echoes in its metadata, or None."""
-    config = meta.get("config")
-    return config.get(key) if isinstance(config, dict) else None
-
-
-def _edge_learner_beside(path: str, meta: dict, iteration: int | None, use_gsl: bool):
-    """The edge learner of the checkpoint at ``path`` (metadata ``meta``, saved
-    at self-train ``iteration``, None for a pretrained model): the one saved
-    beside it at that iteration, or None for a run without one.  Resuming and
-    evaluating a checkpoint both go through here."""
-    saved = iteration is not None and bool(_echoed(meta, "use_gsl"))
-    if saved != use_gsl:
+def _checkpoint(path: str, use_gsl: bool | None = None, hint: str = "") -> Checkpoint:
+    """The checkpoint at ``path``.  Resuming and evaluating pass ``use_gsl``,
+    and the checkpoint must hold an edge learner exactly when it is set."""
+    if not os.path.exists(path):
+        raise ConfigError(f"missing checkpoint: {path}{hint}")
+    ckpt = load_checkpoint(path)
+    saved = ckpt.edge_learner is not None
+    if use_gsl is not None and saved != use_gsl:
         raise ConfigError(f"{path} was saved {'with' if saved else 'without'} an edge learner; "
                           f"use it with --use-gsl {str(saved).lower()}")
-    if not use_gsl:
-        return None
-    gsl_path = os.path.join(os.path.dirname(path), "edge_learner.ckpt")
-    if not os.path.exists(gsl_path):
-        raise ConfigError(f"missing edge learner beside {path}: {gsl_path}")
-    learner, gsl_meta = load_edge_learner(gsl_path)
-    at = _echoed(gsl_meta, "max_iterations")
-    if at != iteration:
-        raise ValidationError(f"{gsl_path} was saved at iteration {at}, {path} at {iteration}")
-    return learner
+    return ckpt
 
 
 # --- commands -----------------------------------------------------------------
@@ -221,7 +217,7 @@ def cmd_pretrain(rc: RunConfig) -> int:
     params, log = pretrain(train, rc, val, metric_k=rc.metric_ks[-1])
     os.makedirs(rc.checkpoint_dir, exist_ok=True)
     os.makedirs(rc.log_dir, exist_ok=True)
-    save_model(_checkpoint_path(rc, "pretrain.ckpt"), params, {"config": rc.echo()})
+    save_checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), params, {"config": rc.echo()})
     tables.write_table(
         os.path.join(rc.log_dir, "pretrain_log.csv"),
         ("epoch", "mean_loss", "val_mean_recall"),
@@ -237,46 +233,33 @@ def cmd_pretrain(rc: RunConfig) -> int:
 def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = False) -> int:
     train = load_split(rc, "train")
     val = load_split(rc, "val")
-    pre_path = _checkpoint_path(rc, "pretrain.ckpt")
-    if not os.path.exists(pre_path):
-        raise ConfigError(f"missing pretraining checkpoint: {pre_path} (run `strel pretrain`)")
-    params, _ = load_model(pre_path)
-
     kwargs = {}
-    if resume:
-        if not os.path.exists(resume):
-            raise ConfigError(f"missing resume checkpoint: {resume}")
-        params, thresholds, iteration, counts, meta = load_checkpoint(resume)
-        kwargs = {
-            "start_iteration": iteration,
-            "thresholds": thresholds,
-            "cumulative_counts": counts,
-        }
-        kwargs["edge_learner"] = _edge_learner_beside(resume, meta, iteration, rc.use_gsl)
+    if resume:  # the run's checkpoint holds all it needs; pretrain.ckpt is not read
+        ckpt = _checkpoint(resume, rc.use_gsl)
+        if ckpt.thresholds is None:
+            raise ConfigError(f"{resume} holds no thresholds to resume: it is a pretrained model")
+        params = ckpt.params
+        kwargs = dict(start_iteration=ckpt.iteration, thresholds=ckpt.thresholds,
+                      cumulative_counts=ckpt.counts, edge_learner=ckpt.edge_learner)
+    else:
+        params = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), hint=_PRETRAIN_HINT).params
 
     result = run(params, train, val, rc, metric_ks=rc.metric_ks,
                  keep_edge_trace=edge_trace, **kwargs)
 
     log = result.log.iterations
-    if len(log):
-        counts = log.cumulative_counts[-1]
-    else:  # nothing left to run: the resumed counts stand
-        counts = kwargs.get("cumulative_counts", np.zeros(train.catalog.n_foreground, np.int64))
     os.makedirs(rc.checkpoint_dir, exist_ok=True)
     os.makedirs(rc.log_dir, exist_ok=True)
     save_checkpoint(
         _checkpoint_path(rc, "selftrain.ckpt"),
         result.params,
-        result.thresholds,
-        rc.max_iterations,
-        counts,
-        rc.selftrain_seed,
         {"config": rc.echo()},
+        thresholds=result.thresholds,
+        iteration=rc.max_iterations,
+        counts=result.counts,
+        seed=rc.selftrain_seed,
+        edge_learner=result.edge_learner,
     )
-    if result.edge_learner is not None:
-        save_edge_learner(
-            _checkpoint_path(rc, "edge_learner.ckpt"), result.edge_learner, {"config": rc.echo()}
-        )
 
     n_fg = train.catalog.n_foreground
     echo = rc.echo()
@@ -325,12 +308,8 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
 
 def cmd_eval(rc: RunConfig, checkpoint: str | None, split: str) -> int:
     dataset = load_split(rc, split)
-    path = checkpoint or _checkpoint_path(rc, "selftrain.ckpt")
-    if not os.path.exists(path):
-        raise ConfigError(f"missing checkpoint: {path}")
-    params, meta = load_model(path)
-    edge = _edge_learner_beside(path, meta, meta.get("iteration"), rc.use_gsl)
-    report = evaluate(params, dataset, rc.metric_ks, edge)
+    ckpt = _checkpoint(checkpoint or _checkpoint_path(rc, "selftrain.ckpt"), rc.use_gsl)
+    report = evaluate(ckpt.params, dataset, rc.metric_ks, ckpt.edge_learner)
 
     os.makedirs(rc.log_dir, exist_ok=True)
     echo = rc.echo()
@@ -405,10 +384,7 @@ def cmd_sweep(rc: RunConfig, grid: str) -> int:
         raise ConfigError("sweep grid values must lie in [0, 1]")
     train = load_split(rc, "train")
     val = load_split(rc, "val")
-    pre_path = _checkpoint_path(rc, "pretrain.ckpt")
-    if not os.path.exists(pre_path):
-        raise ConfigError(f"missing pretraining checkpoint: {pre_path}")
-    params, _ = load_model(pre_path)
+    params = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), hint=_PRETRAIN_HINT).params
     k = rc.metric_ks[-1]
     rows = []
     for a_inc in values:

@@ -25,14 +25,11 @@ from typing import Iterator
 
 import numpy as np
 
-from . import tensorio
 from .classifier import (
     Grads,
     ModelParams,
     _backprop,
     _forward_cache,
-    params_from_tensors,
-    params_to_tensors,
     zero_grads,
 )
 from .errors import ConfigError, ValidationError
@@ -213,23 +210,3 @@ def message_pass(
     linked = degree > 0
     refined[linked] = 0.5 * entity_features[linked] + 0.5 * (sums[linked] / degree[linked, None])
     return np.concatenate([refined[subject_rows], refined[object_rows]], axis=1)
-
-
-def save_edge_learner(path, params: EdgeLearnerParams, meta: dict | None = None) -> None:
-    full_meta = {
-        "arch": params.net.arch,
-        "temperature": params.temperature,
-        "focal_gamma": params.focal_gamma,
-    }
-    full_meta.update(meta or {})
-    tensorio.save_tensors(path, params_to_tensors(params.net), full_meta)
-
-
-def load_edge_learner(path) -> tuple[EdgeLearnerParams, dict]:
-    tensors, meta = tensorio.load_tensors(path)
-    try:
-        net = params_from_tensors(tensors, meta["arch"])
-        temperature, focal_gamma = float(meta["temperature"]), float(meta["focal_gamma"])
-    except KeyError as exc:
-        raise ValidationError(f"{path} is not an edge-learner checkpoint: no {exc}") from exc
-    return EdgeLearnerParams(net=net, temperature=temperature, focal_gamma=focal_gamma), meta

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
-from .tensorio import pack_tensors, unpack_tensors
+from .errors import ValidationError
+from .tensorio import pack_tensors, unpack_tensors, write_atomic
 
 BG_INDEX = 0
 
@@ -65,27 +65,6 @@ class PredicateCatalog:
     @property
     def n_foreground(self) -> int:
         return len(self.counts)
-
-
-def build_catalog(label_counts: Mapping[str, int], bg_name: str = "bg") -> PredicateCatalog:
-    """Build a catalog from raw per-class counts.
-
-    Foreground classes are sorted by descending count (ties keep the
-    mapping's insertion order) and the background class is prepended at
-    index 0.  Rebuilding from a catalog's own name/count pairs reproduces it
-    exactly.
-    """
-    if len(label_counts) < 2:
-        raise ConfigError("need at least 2 foreground classes")
-    if bg_name in label_counts:
-        raise ConfigError(f"{bg_name!r} is reserved for the background class")
-    for name, count in label_counts.items():
-        if count < 0:
-            raise ConfigError(f"negative count for class {name!r}")
-    ordered = sorted(label_counts.items(), key=lambda item: -item[1])
-    names = (bg_name,) + tuple(name for name, _ in ordered)
-    counts = tuple(count for _, count in ordered)
-    return PredicateCatalog(class_names=names, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -326,8 +305,7 @@ def write_scenes(path, arrays: SplitArrays) -> None:
         text = ",".join(["%.9g"] * len(part)) % tuple(part)
         rounded[start : start + len(part)] = np.fromiter(map(float, text.split(",")), float, len(part))
     columns["entity_features"] = rounded.reshape(features.shape)
-    with open(path, "wb") as fh:
-        fh.write(pack_tensors(columns))
+    write_atomic(path, pack_tensors(columns))
 
 
 def read_scenes(path) -> SplitArrays:
@@ -360,7 +338,8 @@ def _fault(arrays: SplitArrays) -> str | None:
     subj, obj = arrays.subject_row, arrays.object_row
     if any(len(c) != n_pairs for c in (subj, obj, arrays.observed, arrays.hidden)):
         return f"pair columns must have {n_pairs} rows"
-    if len(np.unique(arrays.scene_ids)) != n_scenes:
+    ids = np.sort(arrays.scene_ids)  # not np.unique, which imports numpy.ma
+    if (ids[1:] == ids[:-1]).any():
         return "a scene id repeats"
     first = arrays.entity_offsets[arrays.pair_scene]
     last = arrays.entity_offsets[arrays.pair_scene + 1]

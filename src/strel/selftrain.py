@@ -43,8 +43,6 @@ from .classifier import (
     class_weights,
     downsample_background,
     forward_probs,
-    params_from_tensors,
-    params_to_tensors,
     predict_probs,
     sgd_step,
     weighted_ce_grads,
@@ -143,6 +141,7 @@ class SelfTrainResult:
     log: TrainLog
     assignments: AssignmentLog
     thresholds: Thresholds
+    counts: np.ndarray  # cumulative pseudo-labels per foreground class
     edge_learner: EdgeLearnerParams | None = None
     edge_trace: tuple[EdgeTraceRow, ...] = ()
 
@@ -467,6 +466,7 @@ def run(
         ),
         assignments=AssignmentLog(*_log_columns(arrays, accepted_log, no_values)),
         thresholds=state,
+        counts=counts,
         edge_learner=edge_learner,
         edge_trace=tuple(map(EdgeTraceRow._make, zip(*(c.tolist() for c in edge_columns)))),
     )
@@ -491,31 +491,83 @@ def _log_columns(arrays, log: list[tuple], empty: tuple[np.ndarray, ...]) -> tup
 
 # --- checkpointing ----------------------------------------------------------
 
+_THRESHOLD_ARRAYS = ("tau", "accept", "lambda_inc", "lambda_dec", "base_tau")
 
-def save_checkpoint(path, result_params: ModelParams, thresholds: Thresholds, iteration: int,
-                    cumulative_counts, seed: int, meta: dict | None = None) -> None:
-    """Persist params + threshold state + counters for exact resume.
+
+class Checkpoint(NamedTuple):
+    """What :func:`load_checkpoint` reads; what a checkpoint lacks is None."""
+
+    params: ModelParams
+    thresholds: Thresholds | None
+    iteration: int | None
+    counts: np.ndarray | None
+    meta: dict
+    edge_learner: EdgeLearnerParams | None
+
+
+def _layer_tensors(params: ModelParams, prefix: str = "") -> dict[str, np.ndarray]:
+    return {f"{prefix}layer{i}.{k}": a for i, wb in enumerate(params.layers) for k, a in zip("wb", wb)}
+
+
+def _layers(tensors: dict, arch: str, prefix: str = "") -> ModelParams:
+    n_layers = 1 if arch == "linear" else 2
+    return ModelParams(arch, tuple(
+        (tensors[f"{prefix}layer{i}.w"], tensors[f"{prefix}layer{i}.b"]) for i in range(n_layers)
+    ))
+
+
+def save_checkpoint(path, params: ModelParams, meta: dict | None = None, *,
+                    thresholds: Thresholds | None = None, iteration: int = 0, counts=None,
+                    seed: int = 0, edge_learner: EdgeLearnerParams | None = None) -> None:
+    """Write a pretrained model (``params`` only) or, with ``thresholds``,
+    a self-train run stopped at ``iteration``, as one ``tensorio`` archive:
+
+    - ``layer{i}.w``, ``layer{i}.b`` and meta ``arch``: the classifier;
+    - ``thresholds.tau``, ``thresholds.accept`` and, where the policy has
+      them, ``thresholds.lambda_inc``, ``thresholds.lambda_dec`` and
+      ``thresholds.base_tau``, one entry per foreground class, and meta
+      ``thresholds.policy`` and ``thresholds.step``; the run's int64
+      pseudo-label ``counts`` and meta ``iteration`` and ``seed``;
+    - ``edge.layer{i}.w``, ``edge.layer{i}.b`` and meta ``edge.temperature``
+      and ``edge.focal_gamma``: the edge learner;
+    - the keys of ``meta`` (the CLI's ``config`` is the run-config echo).
 
     All randomness is drawn from counter-based streams, so the seed and the
     iteration number fully determine the remaining RNG state.
     """
-    tensors, threshold_meta = thresholds.to_tensors()
-    tensors.update(params_to_tensors(result_params))
-    tensors["counts"] = np.asarray(cumulative_counts, dtype=np.int64)
-    full_meta = {"arch": result_params.arch, "iteration": int(iteration), "seed": int(seed),
-                 **threshold_meta, **(meta or {})}
-    tensorio.save_tensors(path, tensors, full_meta)
+    tensors, full_meta = _layer_tensors(params), {"arch": params.arch}
+    if thresholds is not None:
+        tensors.update({f"thresholds.{a}": v for a in _THRESHOLD_ARRAYS
+                        if (v := getattr(thresholds, a)) is not None})
+        tensors["counts"] = np.asarray(counts, dtype=np.int64)
+        full_meta.update({"thresholds.policy": thresholds.policy, "thresholds.step": thresholds.step,
+                          "iteration": int(iteration), "seed": int(seed)})
+    if edge_learner is not None:
+        tensors.update(_layer_tensors(edge_learner.net, "edge."))
+        full_meta.update({"edge.temperature": edge_learner.temperature,
+                          "edge.focal_gamma": edge_learner.focal_gamma})
+    tensorio.save_tensors(path, tensors, {**full_meta, **(meta or {})})
 
 
-def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`.
-
-    Returns (params, thresholds, iteration, cumulative_counts, meta).
-    """
+def load_checkpoint(path) -> Checkpoint:
+    """Inverse of :func:`save_checkpoint`.  A checkpoint with meta
+    ``iteration`` is a self-train run, one with any ``edge.`` entry holds the
+    edge learner, and a missing entry of either is a ValidationError."""
     tensors, meta = tensorio.load_tensors(path)
     try:
-        params = params_from_tensors(tensors, meta["arch"])
-        thresholds = Thresholds.from_tensors(tensors, meta)
-        return params, thresholds, int(meta["iteration"]), tensors["counts"], meta
+        params = _layers(tensors, meta["arch"])
+        thresholds = iteration = counts = edge_learner = None
+        if "iteration" in meta:
+            arrays = [tensors["thresholds.tau"], tensors["thresholds.accept"]]
+            arrays += [tensors.get(f"thresholds.{a}") for a in _THRESHOLD_ARRAYS[2:]]
+            thresholds = Thresholds(meta["thresholds.policy"], *arrays, int(meta["thresholds.step"]))
+            iteration, counts = int(meta["iteration"]), tensors["counts"]
+        if any(k.startswith("edge.") for k in [*tensors, *meta]):
+            edge_learner = EdgeLearnerParams(_layers(tensors, "mlp", "edge."),
+                                             float(meta["edge.temperature"]),
+                                             float(meta["edge.focal_gamma"]))
     except KeyError as exc:
-        raise ValidationError(f"{path} is not a self-train checkpoint: no {exc}") from exc
+        raise ValidationError(f"{path} is not a complete checkpoint: no {exc}") from exc
+    except (TypeError, ValueError) as exc:  # an entry of the wrong type or value
+        raise ValidationError(f"{path}: bad checkpoint entry: {exc}") from exc
+    return Checkpoint(params, thresholds, iteration, counts, meta, edge_learner)

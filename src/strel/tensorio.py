@@ -7,11 +7,13 @@ yields byte-identical files, and a load/save round trip is bit-exact.
 ``pack_tensors`` and ``unpack_tensors`` are the same format as bytes;
 ``labels`` reads and writes split files through them, so that a split file
 is one I/O call, not two nested ones, in ``perfbench``'s traced byte counts.
+Both write through ``write_atomic``: a failed write leaves the old file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from typing import Mapping
 
@@ -37,9 +39,23 @@ def pack_tensors(tensors: Mapping[str, np.ndarray], meta: Mapping | None = None)
     return b"".join([MAGIC, struct.pack("<Q", len(header)), header, *(a.tobytes() for a in arrays)])
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a sibling ``<path>.tmp`` and rename it over
+    ``path``; on any failure the temp file goes and ``path`` keeps its old
+    contents."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_tensors(path, tensors: Mapping[str, np.ndarray], meta: Mapping | None = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(pack_tensors(tensors, meta))
+    write_atomic(path, pack_tensors(tensors, meta))
 
 
 def unpack_tensors(data: bytes, path) -> tuple[dict[str, np.ndarray], dict]:

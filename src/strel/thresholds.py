@@ -43,7 +43,6 @@ POLICIES = (
     "valid-interval",
     "never",
 )
-_ARRAYS = ("tau", "accept", "lambda_inc", "lambda_dec", "base_tau")
 
 
 @dataclass(frozen=True)
@@ -68,26 +67,6 @@ class Thresholds:
         for arr in (bar, self.tau, self.accept, self.lambda_inc, self.lambda_dec, self.base_tau):
             if arr is not None:
                 arr.setflags(write=False)
-
-    def to_tensors(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The checkpoint entries: tensors and metadata.
-
-        Tensors ``thresholds.tau`` (float64) and ``thresholds.accept``
-        (bool), one entry per foreground class, always; catm adds
-        ``thresholds.lambda_inc`` and ``thresholds.lambda_dec`` and
-        dash-adaptive ``thresholds.base_tau``, float64 of the same length.
-        Metadata ``thresholds.policy`` (a name from ``POLICIES``) and
-        ``thresholds.step`` (an int).
-        """
-        tensors = {f"thresholds.{a}": v for a in _ARRAYS if (v := getattr(self, a)) is not None}
-        return tensors, {"thresholds.policy": self.policy, "thresholds.step": self.step}
-
-    @classmethod
-    def from_tensors(cls, tensors: Mapping[str, np.ndarray], meta: Mapping) -> Thresholds:
-        """Inverse of :meth:`to_tensors`; a KeyError names a missing entry."""
-        tau, accept = tensors["thresholds.tau"], tensors["thresholds.accept"]
-        optional = (tensors.get(f"thresholds.{a}") for a in _ARRAYS[2:])
-        return cls(meta["thresholds.policy"], tau, accept, *optional, int(meta["thresholds.step"]))
 
 
 def momentum_coefficients(

@@ -6,7 +6,8 @@ dicts and sets for pseudo-label selection, the ranking metrics and message
 passing, where the library works on whole arrays; the dataset pipeline
 in object form, one scene record per scene; and the JSONL scene file that
 ``strel gen`` wrote before the split archives, with the record path from
-scene records to columns.
+scene records to columns.  ``build_catalog`` makes a catalog from raw
+per-class counts, which only tests need.
 """
 
 from __future__ import annotations
@@ -15,13 +16,34 @@ import dataclasses
 import json
 import math
 from array import array
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from strel.classifier import ModelParams
-from strel.errors import ValidationError
-from strel.labels import Entity, Scene, SplitArrays, make_scene
+from strel.errors import ConfigError, ValidationError
+from strel.labels import Entity, PredicateCatalog, Scene, SplitArrays, make_scene
+
+
+def build_catalog(label_counts: Mapping[str, int], bg_name: str = "bg") -> PredicateCatalog:
+    """Build a catalog from raw per-class counts.
+
+    Foreground classes are sorted by descending count (ties keep the
+    mapping's insertion order) and the background class is prepended at
+    index 0.  Rebuilding from a catalog's own name/count pairs reproduces it
+    exactly.
+    """
+    if len(label_counts) < 2:
+        raise ConfigError("need at least 2 foreground classes")
+    if bg_name in label_counts:
+        raise ConfigError(f"{bg_name!r} is reserved for the background class")
+    for name, count in label_counts.items():
+        if count < 0:
+            raise ConfigError(f"negative count for class {name!r}")
+    ordered = sorted(label_counts.items(), key=lambda item: -item[1])
+    names = (bg_name,) + tuple(name for name, _ in ordered)
+    counts = tuple(count for _, count in ordered)
+    return PredicateCatalog(class_names=names, counts=counts)
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:

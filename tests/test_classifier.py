@@ -11,10 +11,8 @@ from strel.classifier import (
     class_weights,
     downsample_background,
     init_params,
-    load_model,
     pretrain,
     predict_probs,
-    save_model,
     sgd_step,
     softmax,
     supervised_loss_grad,
@@ -23,10 +21,11 @@ from strel.classifier import (
 )
 from strel.config import RunConfig
 from strel.errors import ConfigError, RuntimeAbort, ValidationError
-from strel.labels import Dataset, build_catalog
+from strel.labels import Dataset
 from strel.rngs import stream
+from strel.selftrain import load_checkpoint, save_checkpoint
 
-from _oracles import compile_split, gradient_relative_error
+from _oracles import build_catalog, compile_split, gradient_relative_error
 from conftest import build_scene
 
 
@@ -239,15 +238,16 @@ class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = init_params("mlp", 6, 4, hidden_dim=5, seed=3)
         path = tmp_path / "model.ckpt"
-        save_model(path, params, {"note": "x"})
-        loaded, meta = load_model(path)
-        assert meta["arch"] == "mlp" and meta["note"] == "x"
+        save_checkpoint(path, params, {"note": "x"})
+        loaded, thresholds, iteration, counts, meta, edge_learner = load_checkpoint(path)
+        assert meta == {"arch": "mlp", "note": "x"}
+        assert thresholds is iteration is counts is edge_learner is None  # a pretrained model
         for (w1, b1), (w2, b2) in zip(params.layers, loaded.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         params = init_params("linear", 4, 3, seed=1)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_model(a, params, {"k": 1})
-        save_model(b, params, {"k": 1})
+        save_checkpoint(a, params, {"k": 1})
+        save_checkpoint(b, params, {"k": 1})
         assert a.read_bytes() == b.read_bytes()

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from strel import cli, tensorio
-from strel.classifier import load_model
 from strel.config import RunConfig
-from strel.edges import load_edge_learner
 from strel.errors import RuntimeAbort
 from strel.metrics import AssignmentLog, AssignmentRecord
 from strel.selftrain import load_checkpoint, run
@@ -284,7 +282,7 @@ class TestPipeline:
         the splits ``load_split`` reads and ``strel pretrain``'s checkpoint."""
         args = cli.build_parser().parse_args(["selftrain"] + tiny_args(pipeline_dir))
         rc = cli._load_run_config(args)
-        params, _ = load_model(os.path.join(pipeline_dir, "ckpt", "pretrain.ckpt"))
+        params = load_checkpoint(os.path.join(pipeline_dir, "ckpt", "pretrain.ckpt")).params
         result = run(params, cli.load_split(rc, "train"), cli.load_split(rc, "val"),
                      rc, metric_ks=rc.metric_ks)
         columns = read_columns(os.path.join(pipeline_dir, "logs", "assignments.csv"),
@@ -327,8 +325,14 @@ class TestPipeline:
         moved = tmp_path / "moved"
         moved.mkdir()
         shutil.move(in_place, moved / "selftrain.ckpt")
-        shutil.move(os.path.join(run_dir, "ckpt", "edge_learner.ckpt"), moved / "edge_learner.ckpt")
         assert eval_rows(str(moved / "selftrain.ckpt"), tmp_path / "e2") == want
+
+    def test_gsl_selftrain_writes_one_checkpoint(self, run_dir, tmp_path):
+        """The edge learner is saved inside the self-train checkpoint."""
+        gsl_selftrain(run_dir, 5, log=tmp_path / "l")
+        assert sorted(os.listdir(os.path.join(run_dir, "ckpt"))) == [
+            "pretrain.ckpt", "selftrain.ckpt"
+        ]
 
     def test_eval_pretrain_checkpoint_of_a_gsl_run(self, run_dir, tmp_path, capsys):
         """A pretrained model has no edge learner, whatever its config echo says."""
@@ -360,17 +364,17 @@ class TestPipeline:
         assert resumed.tolist() == counts.tolist()
 
     def test_gsl_resume_reads_the_learner_beside_the_checkpoint(self, run_dir, tmp_path):
-        """A catm + edge learner run resumed at 5 from a moved checkpoint
-        ends where the straight 10-iteration run ends."""
-        def final_weights(ckpt):
-            learner = load_edge_learner(os.path.join(run_dir, "ckpt", "edge_learner.ckpt"))[0]
-            return [a for wb in load_checkpoint(ckpt)[0].layers + learner.net.layers for a in wb]
+        """A catm + edge learner run resumed at 5 from a moved checkpoint, with
+        no other checkpoint left, ends where the straight 10-iteration run ends."""
+        def final_weights(path):
+            ckpt = load_checkpoint(path)
+            return [a for wb in ckpt.params.layers + ckpt.edge_learner.net.layers for a in wb]
 
         straight = final_weights(gsl_selftrain(run_dir, 10, log=tmp_path / "l10"))
         moved = tmp_path / "moved"
         moved.mkdir()
         shutil.move(gsl_selftrain(run_dir, 5, log=tmp_path / "l5"), moved / "selftrain.ckpt")
-        shutil.move(os.path.join(run_dir, "ckpt", "edge_learner.ckpt"), moved / "edge_learner.ckpt")
+        os.remove(os.path.join(run_dir, "ckpt", "pretrain.ckpt"))
         resume = str(moved / "selftrain.ckpt")
         resumed = final_weights(gsl_selftrain(run_dir, 10, log=tmp_path / "lr", resume=resume))
         assert all(np.array_equal(a, b) for a, b in zip(straight, resumed, strict=True))
@@ -411,25 +415,51 @@ class TestCorruptInputs:
         argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
         self._fails_with_one_line(argv, capsys)
 
-    def test_resume_gsl_without_its_edge_learner(self, run_dir, tmp_path, capsys):
-        """The learner in --checkpoint-dir is not the one of a checkpoint
-        kept elsewhere."""
-        moved = str(tmp_path / "moved.ckpt")
-        shutil.copy(gsl_selftrain(run_dir, 5, log=tmp_path / "l"), moved)
-        argv = ["selftrain", "--resume", moved] + tiny_args(run_dir, **{"use-gsl": "true"})
-        self._fails_with_one_line(argv, capsys)
+    def _gsl_checkpoint_without_edge_entries(self, run_dir, tmp_path):
+        """A GSL run's checkpoint as it was written when its learner was a
+        file beside it: the config echoes use_gsl, but no entry is ``edge.``."""
+        ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
+        tensors, meta = tensorio.load_tensors(ckpt)
+        assert meta["config"]["use_gsl"] is True
+        tensorio.save_tensors(
+            ckpt,
+            {k: v for k, v in tensors.items() if not k.startswith("edge.")},
+            {k: v for k, v in meta.items() if not k.startswith("edge.")},
+        )
+        return ckpt
 
-    @pytest.mark.parametrize("drop", ["temperature", "layer0.w"])
+    def test_resume_gsl_without_its_edge_learner(self, run_dir, tmp_path, capsys):
+        ckpt = self._gsl_checkpoint_without_edge_entries(run_dir, tmp_path)
+        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
+        assert "saved without an edge learner" in self._fails_with_one_line(argv, capsys)
+
+    @pytest.mark.parametrize("drop", ["edge.focal_gamma", "edge.layer0.w"])
     def test_edge_learner_without_its_fields(self, run_dir, tmp_path, drop, capsys):
         ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
-        path = os.path.join(run_dir, "ckpt", "edge_learner.ckpt")
-        tensors, meta = tensorio.load_tensors(path)
+        tensors, meta = tensorio.load_tensors(ckpt)
         tensors.pop(drop, None)
         meta.pop(drop, None)
-        tensorio.save_tensors(path, tensors, meta)
+        tensorio.save_tensors(ckpt, tensors, meta)
         argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
         self._fails_with_one_line(argv, capsys)
         self._fails_with_one_line(["eval"] + tiny_args(run_dir, **{"use-gsl": "true"}), capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("iteration", "abc"), ("thresholds.step", None), ("edge.temperature", "x"),
+        ("edge.focal_gamma", -1.0),
+    ])
+    def test_checkpoint_meta_of_the_wrong_type(self, run_dir, tmp_path, key, value, capsys):
+        ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
+        tensors, meta = tensorio.load_tensors(ckpt)
+        tensorio.save_tensors(ckpt, tensors, {**meta, key: value})
+        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
+        self._fails_with_one_line(argv, capsys)
+        self._fails_with_one_line(["eval"] + tiny_args(run_dir, **{"use-gsl": "true"}), capsys)
+
+    def test_eval_gsl_without_its_edge_learner(self, run_dir, tmp_path, capsys):
+        ckpt = self._gsl_checkpoint_without_edge_entries(run_dir, tmp_path)
+        argv = ["eval", "--checkpoint", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
+        assert "saved without an edge learner" in self._fails_with_one_line(argv, capsys)
 
     def test_eval_gsl_checkpoint_without_gsl(self, run_dir, tmp_path, capsys):
         ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
@@ -439,22 +469,16 @@ class TestCorruptInputs:
         argv = ["eval"] + tiny_args(run_dir, **{"use-gsl": "true"})  # catm without the learner
         self._fails_with_one_line(argv, capsys)
 
-    def test_eval_gsl_without_its_edge_learner(self, run_dir, tmp_path, capsys):
-        """The learner in --checkpoint-dir is not the one of a checkpoint
-        kept elsewhere."""
-        moved = str(tmp_path / "moved.ckpt")
-        shutil.copy(gsl_selftrain(run_dir, 5, log=tmp_path / "l"), moved)
-        argv = ["eval", "--checkpoint", moved] + tiny_args(run_dir, **{"use-gsl": "true"})
-        self._fails_with_one_line(argv, capsys)
-
-    def test_resume_gsl_with_a_learner_of_another_iteration(self, run_dir, tmp_path, capsys):
-        half = str(tmp_path / "half.ckpt")
-        shutil.copy(gsl_selftrain(run_dir, 5, log=tmp_path / "l5"), half)
-        shutil.copy(half, os.path.join(run_dir, "ckpt", "half.ckpt"))
-        gsl_selftrain(run_dir, 10, log=tmp_path / "l10")  # rewrites the learner beside it
-        ckpt = os.path.join(run_dir, "ckpt", "half.ckpt")
-        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
-        self._fails_with_one_line(argv, capsys)
+    @pytest.mark.parametrize("drop", ["iteration", "thresholds.tau", "counts"])
+    def test_resume_checkpoint_without_its_run_state(self, run_dir, drop, capsys):
+        """Without ``iteration`` a checkpoint reads as a pretrained model,
+        which holds no thresholds to resume."""
+        path = os.path.join(run_dir, "ckpt", "selftrain.ckpt")
+        tensors, meta = tensorio.load_tensors(path)
+        tensors.pop(drop, None)
+        meta.pop(drop, None)
+        tensorio.save_tensors(path, tensors, meta)
+        self._fails_with_one_line(["selftrain", "--resume", path] + tiny_args(run_dir), capsys)
 
     @pytest.mark.parametrize("drop", ["arch", "layer0.w"])
     def test_checkpoint_without_params(self, run_dir, drop, capsys):

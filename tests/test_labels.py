@@ -13,14 +13,13 @@ from strel.labels import (
     PredicateCatalog,
     Scene,
     TripletInstance,
-    build_catalog,
     make_scene,
     read_scenes,
     relation_features,
     write_scenes,
 )
 
-from _oracles import compile_split
+from _oracles import build_catalog, compile_split
 from conftest import assert_records_equal, build_shared_scene
 
 

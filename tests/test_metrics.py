@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strel.errors import ValidationError
-from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
+from strel.labels import BG_INDEX, Dataset, annotated_counts
 from strel.metrics import (
     AssignmentRecord,
     audit_pseudo_labels,
@@ -20,6 +20,7 @@ from strel.metrics import (
 
 from _oracles import (
     brute_force_per_class_recall,
+    build_catalog,
     compile_split,
     brute_force_recall_at_k,
     dict_message_pass,

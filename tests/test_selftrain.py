@@ -16,7 +16,7 @@ from strel.classifier import (
 )
 from strel.config import RunConfig
 from strel.errors import ConfigError, ValidationError
-from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
+from strel.labels import BG_INDEX, Dataset, annotated_counts
 from strel.metrics import AssignmentRecord
 from strel.rngs import stream
 from strel.selftrain import (
@@ -30,7 +30,7 @@ from strel.selftrain import (
 )
 from strel.thresholds import Thresholds
 
-from _oracles import brute_force_selection, compile_split, gradient_relative_error
+from _oracles import brute_force_selection, build_catalog, compile_split, gradient_relative_error
 from conftest import build_scene
 
 
@@ -426,15 +426,20 @@ class TestRun:
         half = run(start, train, val, dataclasses.replace(cfg, max_iterations=k))
         path = tmp_path / "resume.ckpt"
         save_checkpoint(
-            path, half.params, half.thresholds, k,
-            half.log.iterations[-1].cumulative_counts, cfg.selftrain_seed,
+            path, half.params, thresholds=half.thresholds, iteration=k,
+            counts=half.log.iterations[-1].cumulative_counts, seed=cfg.selftrain_seed,
+            edge_learner=half.edge_learner,
         )
-        params, thresholds, iteration, counts, _ = load_checkpoint(path)
+        params, thresholds, iteration, counts, _, edge_learner = load_checkpoint(path)
+        assert (edge_learner is not None) == use_gsl
         resumed = run(
-            params, train, val, cfg, edge_learner=half.edge_learner,
+            params, train, val, cfg, edge_learner=edge_learner,
             start_iteration=iteration, thresholds=thresholds, cumulative_counts=counts,
         )
-        for (w1, b1), (w2, b2) in zip(full.params.layers, resumed.params.layers):
+        layers = [full.params.layers, resumed.params.layers]
+        if use_gsl:
+            layers = [ls + r.edge_learner.net.layers for ls, r in zip(layers, (full, resumed))]
+        for (w1, b1), (w2, b2) in zip(*layers, strict=True):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
         assert full.log.iterations[k:] == resumed.log.iterations
         later = accepted_at >= k
@@ -446,11 +451,58 @@ class TestRun:
         start = init_params("linear", 8, 3, seed=4)
         half = run(start, train, val, small_selftrain_config(max_iterations=5))
         path = tmp_path / "catm.ckpt"
-        save_checkpoint(path, half.params, half.thresholds, 5, np.zeros(2, dtype=np.int64), 5)
-        params, thresholds, iteration, counts, _ = load_checkpoint(path)
+        save_checkpoint(path, half.params, thresholds=half.thresholds, iteration=5,
+                        counts=np.zeros(2, dtype=np.int64), seed=5)
+        params, thresholds, iteration, counts, *_ = load_checkpoint(path)
         assert thresholds.policy == "catm"
         with pytest.raises(ValidationError, match="catm"):
             run(
                 params, train, val, small_selftrain_config(policy="never"),
                 start_iteration=iteration, thresholds=thresholds, cumulative_counts=counts,
             )
+
+
+def same_array(a, b):
+    """Equal dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_layers(a, b):
+    return all(same_array(x, y) for wb_a, wb_b in zip(a, b, strict=True)
+               for x, y in zip(wb_a, wb_b, strict=True))
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("use_gsl", [False, True], ids=["plain", "gsl"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_self_train_run_round_trips_exactly(self, tmp_path, policy, use_gsl):
+        train, val, _ = masked_dataset(n_scenes=15, labels=(1, 1, 1, 1, 2, 2, 3, 0))
+        cfg = small_selftrain_config(
+            max_iterations=7, policy=policy, use_gsl=use_gsl, dash_interval=3,
+            valid_recompute_interval=3, gumbel_temperature=0.25, focal_gamma=1.5,
+        )
+        result = run(init_params("mlp", 8, 4, hidden_dim=5, seed=4), train, val, cfg)
+        save_checkpoint(
+            tmp_path / "run.ckpt", result.params, {"config": {"policy": policy}},
+            thresholds=result.thresholds, iteration=7, counts=result.counts, seed=5,
+            edge_learner=result.edge_learner,
+        )
+        ckpt = load_checkpoint(tmp_path / "run.ckpt")
+
+        assert same_layers(ckpt.params.layers, result.params.layers)
+        got, want = ckpt.thresholds, result.thresholds
+        assert (got.policy, got.step) == (want.policy, want.step)
+        for name in ("tau", "accept", "lambda_inc", "lambda_dec", "base_tau"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or same_array(a, b), name
+        assert ckpt.iteration == 7 and same_array(ckpt.counts, result.counts)
+        meta = {"arch": "mlp", "iteration": 7, "seed": 5, "thresholds.policy": policy,
+                "thresholds.step": want.step, "config": {"policy": policy}}
+        if use_gsl:
+            meta.update({"edge.temperature": 0.25, "edge.focal_gamma": 1.5})
+            learner = ckpt.edge_learner
+            assert (learner.temperature, learner.focal_gamma) == (0.25, 1.5)
+            assert same_layers(learner.net.layers, result.edge_learner.net.layers)
+        else:
+            assert ckpt.edge_learner is None
+        assert ckpt.meta == meta

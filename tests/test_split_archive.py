@@ -5,6 +5,8 @@ the JSONL scene file ``strel gen`` wrote before the split archives: entity
 features rounded to 9 significant digits and parsed back, and every integer
 column in the dtype that parse gives.  A damaged archive either fails to
 load with a ``ValidationError`` or loads a split that keeps every invariant.
+A write that fails part-way leaves the earlier file as it was, and loading a
+split does not import ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -14,15 +16,18 @@ import dataclasses
 import io
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strel import cli, synthgen
+import strel
+from strel import cli, synthgen, tensorio
 from strel.errors import ValidationError
-from strel.labels import SPLIT_COLUMNS, SplitArrays
+from strel.labels import SPLIT_COLUMNS, SplitArrays, write_scenes
 
 from _oracles import read_jsonl, write_jsonl
 
@@ -113,3 +118,69 @@ def test_damaged_archive_fails_or_loads_a_valid_split(small_split, data):
     except ValidationError:
         return
     assert_split_invariants(dataset.arrays, dataset.catalog.n_foreground)
+
+
+class HalfWrite:
+    """A file opened for writing whose ``write`` stores half its data, then
+    fails as a full disk does."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+WRITERS = {  # each writes a file that grows with n
+    "save_tensors": lambda path, n: tensorio.save_tensors(path, {"x": np.arange(n * 100.0)}, {"n": n}),
+    "write_scenes": lambda path, n: write_scenes(
+        path, generated_splits(cli.RunConfig(n_scenes=20 * n))["train"].arrays
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out.tns"
+    WRITERS[writer](path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(tensorio, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        WRITERS[writer](path, 2)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.tns"]  # no <path>.tmp left
+    monkeypatch.undo()
+    WRITERS[writer](path, 2)
+    assert len(path.read_bytes()) > len(before) and os.listdir(tmp_path) == ["out.tns"]
+
+
+def test_loading_a_split_does_not_import_numpy_ma(tmp_path):
+    """``numpy.ma`` costs about 12 ms and 1 MB to import; the plain
+    ``np.unique`` imports it, so neither reading a split nor oversampling
+    may call it."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--n-scenes", "60", "--data-dir", str(tmp_path)]) == 0
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from strel import cli\n"
+        "from strel.classifier import balanced_resample\n"
+        "from strel.rngs import stream\n"
+        f"arrays = cli.load_split(cli.RunConfig(data_dir={str(tmp_path)!r}), 'train').arrays\n"
+        "rows = np.flatnonzero(arrays.observed)\n"
+        "assert len(balanced_resample(rows, arrays.observed[rows], stream(0, 'o'))) == len(rows) > 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(strel.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from strel.config import RunConfig
 from strel.errors import ConfigError
-from strel.labels import BG_INDEX, Dataset, annotated_counts, build_catalog
+from strel.labels import BG_INDEX, Dataset, annotated_counts
 from strel.synthgen import generate, mask_annotations, split, zipf_shares
 
-from _oracles import compile_split, object_generate, object_mask_annotations, object_split, scene_lines
+from _oracles import build_catalog, compile_split, object_generate, object_mask_annotations, object_split, scene_lines
 from conftest import assert_records_equal, build_scene, iter_triplets
 
 

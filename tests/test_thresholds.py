@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strel.errors import ConfigError, ValidationError
-from strel.labels import build_catalog
 from strel.thresholds import (
     Thresholds,
     constant_threshold,
@@ -20,6 +19,8 @@ from strel.thresholds import (
 )
 from strel.config import RunConfig
 from strel.selftrain import assign_pseudo_labels, build_thresholds
+
+from _oracles import build_catalog
 
 
 def state_with(tau, lambda_inc, lambda_dec, iteration=0):
