@@ -14,8 +14,9 @@ against the manifest's catalog.  The file is binary; read it as any archive:
 (``selftrain.save_checkpoint``): the ``layer*`` tensors and meta ``arch`` and
 ``config``; a self-train run adds ``thresholds.*``, ``counts`` and meta
 ``iteration`` and ``seed``, and with the edge learner ``edge.layer*`` and meta
-``edge.temperature`` and ``edge.focal_gamma``.  Only a checkpoint with
-``edge.`` entries resumes or evaluates under ``--use-gsl true``.
+``edge.focal_gamma``.  Only a checkpoint with ``edge.`` entries resumes or
+evaluates under ``--use-gsl true``, and only with a split whose pairs have the
+width its networks were trained on.
 """
 
 from __future__ import annotations
@@ -166,9 +167,11 @@ def _checkpoint_path(rc: RunConfig, name: str) -> str:
     return os.path.join(rc.checkpoint_dir, name)
 
 
-def _checkpoint(path: str, use_gsl: bool | None = None, hint: str = "") -> Checkpoint:
-    """The checkpoint at ``path``.  Resuming and evaluating pass ``use_gsl``,
-    and the checkpoint must hold an edge learner exactly when it is set."""
+def _checkpoint(path: str, dataset: Dataset, use_gsl: bool | None = None,
+                hint: str = "") -> Checkpoint:
+    """The checkpoint at ``path``, whose networks must read pairs as wide as
+    ``dataset``'s.  Resuming and evaluating pass ``use_gsl``, and the
+    checkpoint must hold an edge learner exactly when it is set."""
     if not os.path.exists(path):
         raise ConfigError(f"missing checkpoint: {path}{hint}")
     ckpt = load_checkpoint(path)
@@ -176,6 +179,14 @@ def _checkpoint(path: str, use_gsl: bool | None = None, hint: str = "") -> Check
     if use_gsl is not None and saved != use_gsl:
         raise ConfigError(f"{path} was saved {'with' if saved else 'without'} an edge learner; "
                           f"use it with --use-gsl {str(saved).lower()}")
+    width = dataset.arrays.features.shape[1]
+    nets = {"classifier": ckpt.params}
+    if saved:
+        nets["edge learner"] = ckpt.edge_learner.net
+    for name, net in nets.items():
+        if net.feature_dim != width:
+            raise ValidationError(f"{path}: its {name} reads {net.feature_dim} pair features, "
+                                  f"the {dataset.split} split has {width}")
     return ckpt
 
 
@@ -235,14 +246,15 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     val = load_split(rc, "val")
     kwargs = {}
     if resume:  # the run's checkpoint holds all it needs; pretrain.ckpt is not read
-        ckpt = _checkpoint(resume, rc.use_gsl)
+        ckpt = _checkpoint(resume, train, rc.use_gsl)
         if ckpt.thresholds is None:
             raise ConfigError(f"{resume} holds no thresholds to resume: it is a pretrained model")
         params = ckpt.params
         kwargs = dict(start_iteration=ckpt.iteration, thresholds=ckpt.thresholds,
                       cumulative_counts=ckpt.counts, edge_learner=ckpt.edge_learner)
     else:
-        params = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), hint=_PRETRAIN_HINT).params
+        params = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), train,
+                             hint=_PRETRAIN_HINT).params
 
     result = run(params, train, val, rc, metric_ks=rc.metric_ks,
                  keep_edge_trace=edge_trace, **kwargs)
@@ -308,7 +320,7 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
 
 def cmd_eval(rc: RunConfig, checkpoint: str | None, split: str) -> int:
     dataset = load_split(rc, split)
-    ckpt = _checkpoint(checkpoint or _checkpoint_path(rc, "selftrain.ckpt"), rc.use_gsl)
+    ckpt = _checkpoint(checkpoint or _checkpoint_path(rc, "selftrain.ckpt"), dataset, rc.use_gsl)
     report = evaluate(ckpt.params, dataset, rc.metric_ks, ckpt.edge_learner)
 
     os.makedirs(rc.log_dir, exist_ok=True)
@@ -384,7 +396,7 @@ def cmd_sweep(rc: RunConfig, grid: str) -> int:
         raise ConfigError("sweep grid values must lie in [0, 1]")
     train = load_split(rc, "train")
     val = load_split(rc, "val")
-    params = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), hint=_PRETRAIN_HINT).params
+    params = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), train, hint=_PRETRAIN_HINT).params
     k = rc.metric_ks[-1]
     rows = []
     for a_inc in values:

@@ -16,12 +16,15 @@ _RANGES = (
      lambda v: v >= 1, "must be >= 1"),
     (("n_fg_classes", "entities_min"), lambda v: v >= 2, "must be >= 2"),
     (("zipf_exponent", "class_separation", "noise_sigma", "bg_noise_sigma", "sibling_scale",
-      "pretrain_epochs", "beta", "max_iterations", "gen_seed", "mask_seed", "split_seed"),
+      "pretrain_epochs", "beta", "max_iterations", "gen_seed", "mask_seed", "split_seed",
+      "focal_gamma"),
      lambda v: v >= 0, "must be non-negative"),
     (("pretrain_learning_rate", "selftrain_learning_rate"), lambda v: v > 0, "must be positive"),
-    (("annotated_fraction", "bg_downsample"), lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    (("annotated_fraction", "bg_downsample", "policy_quantile"), lambda v: 0 < v <= 1,
+     "must lie in (0, 1]"),
     (("true_bg_fraction",), lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    (("alpha_inc", "alpha_dec"), lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    (("alpha_inc", "alpha_dec", "policy_mix"), lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    (("train_fraction", "val_fraction", "test_fraction"), lambda v: v > 0, "must be positive"),
     (("metric_ks",), lambda ks: len(ks) > 0 and min(ks) >= 1, "must list at least one K, each >= 1"),
 )
 
@@ -83,7 +86,6 @@ class RunConfig:
     dash_growth: float = 1.1
     dash_interval: int = 100
     valid_recompute_interval: int = 100
-    gumbel_temperature: float = 0.5
     focal_gamma: float = 2.0
     gsl_hidden_dim: int = 16
     # evaluation and paths
@@ -103,6 +105,8 @@ class RunConfig:
                     raise ConfigError(f"{name} {rule}")
         if self.feature_dim < 2 or self.feature_dim % 2 != 0:
             raise ConfigError("feature_dim must be an even integer >= 2")
+        if abs(self.train_fraction + self.val_fraction + self.test_fraction - 1.0) > 1e-9:
+            raise ConfigError("train_fraction, val_fraction and test_fraction must sum to 1")
         if self.entities_max < self.entities_min:
             raise ConfigError("entities_max must be >= entities_min")
         if self.sibling_groups < 0 or self.sibling_groups > (self.n_fg_classes - 1) // 2:

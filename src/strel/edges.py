@@ -1,20 +1,18 @@
-"""Edge relevance learner: scoring, relaxed Bernoulli sampling, focal loss.
+"""Edge relevance learner: scoring, Gumbel-gated edge samples, focal loss.
 
-A two-layer tanh network maps concatenated endpoint entity features to a
-scalar logit whose sigmoid is the link probability of the pair.  Hard edge
-samples come from a Gumbel-perturbed relaxation: with noise e ~ Gumbel(0,1),
-relaxed = sigmoid((log s + e) / temperature) and hard = [relaxed > 0.5].
-The hard decision depends only on the sign of log s + e, so it is invariant
-to the temperature.  Self-training uses the hard samples only, to gate
-pseudo-labels and to pick the message-passing edges; no gradient flows
-through them, so the scorer learns from its focal loss alone.
+A two-layer tanh network maps a pair's feature row (its subject's entity
+features followed by its object's) to a scalar logit whose sigmoid s is the
+link probability of the pair.  An edge sample is one comparison: with noise
+e ~ Gumbel(0, 1), hard = [log s + e > 0], so P(hard = 1) = 1 - exp(-s), not
+s.  Self-training uses the hard samples only, to gate pseudo-labels and to
+pick the message-passing edges; no gradient flows through them, so the
+scorer learns from its focal loss alone.  Evaluation draws no noise and
+gates on s > 0.5.
 
-Under this single-noise construction P(hard = 1) = 1 - exp(-s), not s.
-
-Training uses a binary focal loss.  The positive term is
--y * (1 - s)**gamma * log(s); by default a symmetric negative term
--(1 - y) * s**gamma * log(1 - s) is added, because without it every-edge-on
-is a trivial minimizer.  ``positive_only=True`` drops the negative term.
+Training uses a binary focal loss: the positive term
+-y * (1 - s)**gamma * log(s) plus the symmetric negative term
+-(1 - y) * s**gamma * log(1 - s), without which every-edge-on is a trivial
+minimizer.
 """
 
 from __future__ import annotations
@@ -25,13 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .classifier import (
-    Grads,
-    ModelParams,
-    _backprop,
-    _forward_cache,
-    zero_grads,
-)
+from .classifier import Grads, ModelParams, _backprop, _forward_cache
 from .errors import ConfigError, ValidationError
 from .rngs import stream
 
@@ -40,15 +32,12 @@ SCORE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EdgeLearnerParams:
-    """Edge scorer network plus its sampling and loss hyperparameters."""
+    """Edge scorer network plus its focal-loss exponent."""
 
     net: ModelParams  # two-layer net with a single output logit
-    temperature: float = 0.5
     focal_gamma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0.0:
-            raise ConfigError("Gumbel temperature must be positive")
         if self.focal_gamma < 0.0:
             raise ConfigError("focal exponent must be non-negative")
         if self.net.n_classes != 1:
@@ -56,35 +45,22 @@ class EdgeLearnerParams:
 
 
 def init_edge_learner(
-    entity_dim: int,
-    hidden_dim: int = 16,
-    seed: int = 0,
-    temperature: float = 0.5,
-    focal_gamma: float = 2.0,
+    pair_dim: int, hidden_dim: int = 16, seed: int = 0, focal_gamma: float = 2.0
 ) -> EdgeLearnerParams:
+    """A fresh scorer of ``pair_dim``-wide pair-feature rows."""
     rng = stream(seed, "edge-init")
-    d = 2 * entity_dim
-    w1 = rng.standard_normal((d, hidden_dim)) / math.sqrt(d)
+    w1 = rng.standard_normal((pair_dim, hidden_dim)) / math.sqrt(pair_dim)
     w2 = rng.standard_normal((hidden_dim, 1)) / math.sqrt(hidden_dim)
     net = ModelParams(arch="mlp", layers=((w1, np.zeros(hidden_dim)), (w2, np.zeros(1))))
-    return EdgeLearnerParams(net=net, temperature=temperature, focal_gamma=focal_gamma)
+    return EdgeLearnerParams(net=net, focal_gamma=focal_gamma)
 
 
-def _pair_matrix(x_subject: np.ndarray, x_object: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(x_subject, dtype=np.float64))
-    xo = np.atleast_2d(np.asarray(x_object, dtype=np.float64))
-    if xs.shape != xo.shape:
-        raise ValidationError("subject and object feature blocks must match in shape")
-    return np.concatenate([xs, xo], axis=1)
-
-
-def edge_scores(params: EdgeLearnerParams, x_subject, x_object) -> np.ndarray:
-    """Link probabilities of ordered pairs; order matters (no symmetry)."""
-    X = _pair_matrix(x_subject, x_object)
+def edge_scores(params: EdgeLearnerParams, X) -> np.ndarray:
+    """Link probabilities of ordered pairs, one per row of the pair-feature
+    matrix ``X``; order matters (no symmetry)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != params.net.feature_dim:
-        raise ValidationError(
-            f"expected concatenated dimension {params.net.feature_dim}, got {X.shape[1]}"
-        )
+        raise ValidationError(f"expected pair dimension {params.net.feature_dim}, got {X.shape[1]}")
     logits, _ = _forward_cache(params.net, X)
     return _sigmoid(logits[:, 0])
 
@@ -100,16 +76,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EdgeSamples:
-    """Relaxed Bernoulli draws, one entry per edge; indexing gives one
-    edge's draw.
-
-    ``hard`` is 1 iff ``relaxed`` > 0.5, which holds iff log(score) + noise
-    > 0 -- a condition independent of the temperature.  ``noise`` is logged
-    so samples can be replayed exactly.
-    """
+    """Gated edge samples, one entry per edge; indexing gives one edge's
+    sample.  ``hard`` is 1 iff log(score) + noise > 0; ``noise`` is logged
+    so samples can be replayed exactly."""
 
     score: np.ndarray
-    relaxed: np.ndarray
     hard: np.ndarray
     noise: np.ndarray
 
@@ -117,7 +88,7 @@ class EdgeSamples:
         return len(self.hard)
 
     def __getitem__(self, i) -> EdgeSamples:
-        return EdgeSamples(self.score[i], self.relaxed[i], self.hard[i], self.noise[i])
+        return EdgeSamples(self.score[i], self.hard[i], self.noise[i])
 
 
 def gumbel_noise(u) -> np.ndarray:
@@ -133,51 +104,34 @@ def batch_gumbel_noise(rngs: Iterator[np.random.Generator], sizes) -> np.ndarray
     return gumbel_noise(np.concatenate([rng.random(n) for n, rng in zip(sizes, rngs)]))
 
 
-def sample_edges(scores, temperature: float, noise) -> EdgeSamples:
-    """Relaxed and hard samples of every edge under the given Gumbel noise
+def sample_edges(scores, noise) -> EdgeSamples:
+    """Hard samples of every edge under the given Gumbel noise
     (``gumbel_noise`` of uniform draws; logged noise replays a sample)."""
-    if temperature <= 0.0:
-        raise ConfigError("Gumbel temperature must be positive")
     s = np.clip(np.asarray(scores, dtype=np.float64), SCORE_FLOOR, 1.0 - SCORE_FLOOR)
     e = np.asarray(noise, dtype=np.float64)
     if s.shape != e.shape:
         raise ValidationError("need one noise value per edge score")
-    relaxed = _sigmoid((np.log(s) + e) / temperature)
-    return EdgeSamples(score=s, relaxed=relaxed, hard=(relaxed > 0.5).astype(np.intp), noise=e)
+    return EdgeSamples(score=s, hard=(np.log(s) + e > 0.0).astype(np.intp), noise=e)
 
 
-def focal_loss_grad(
-    params: EdgeLearnerParams,
-    x_subject: np.ndarray,
-    x_object: np.ndarray,
-    labels: np.ndarray,
-    positive_only: bool = False,
-) -> tuple[float, Grads]:
-    """Binary focal loss summed over pairs, with exact gradients.
+def focal_loss_grad(params: EdgeLearnerParams, X, labels) -> tuple[float, Grads]:
+    """Binary focal loss summed over the pair-feature rows ``X``, with exact
+    gradients.
 
     ``labels`` are 1 where a relation is annotated and 0 otherwise.
     """
     y = np.asarray(labels, dtype=np.float64)
-    if y.size == 0:
-        return 0.0, zero_grads(params.net)
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValidationError("edge labels must be binary")
-    X = _pair_matrix(x_subject, x_object)
     logits, cache = _forward_cache(params.net, X)
-    z = logits[:, 0]
-    s = _sigmoid(z)
-    sc = np.clip(s, SCORE_FLOOR, 1.0 - SCORE_FLOOR)
+    sc = np.clip(_sigmoid(logits[:, 0]), SCORE_FLOOR, 1.0 - SCORE_FLOOR)
     g = params.focal_gamma
-
-    log_s = np.log(sc)
-    loss_pos = -y * (1.0 - sc) ** g * log_s
-    # d/dz of the positive term, with s' = s * (1 - s)
-    dz = y * (g * sc * (1.0 - sc) ** g * log_s - (1.0 - sc) ** (g + 1.0))
-    loss = loss_pos
-    if not positive_only:
-        log_1ms = np.log(1.0 - sc)
-        loss = loss - (1.0 - y) * sc**g * log_1ms
-        dz = dz + (1.0 - y) * (-g * sc**g * (1.0 - sc) * log_1ms + sc ** (g + 1.0))
+    log_s, log_1ms = np.log(sc), np.log(1.0 - sc)
+    loss = -y * (1.0 - sc) ** g * log_s - (1.0 - y) * sc**g * log_1ms
+    # d/dz of each term, with s' = s * (1 - s)
+    dz = y * (g * sc * (1.0 - sc) ** g * log_s - (1.0 - sc) ** (g + 1.0)) + (1.0 - y) * (
+        -g * sc**g * (1.0 - sc) * log_1ms + sc ** (g + 1.0)
+    )
     return float(loss.sum()), _backprop(params.net, cache, dz[:, None])
 
 

@@ -40,13 +40,10 @@ class PredicateCatalog:
 
     class_names: tuple[str, ...]
     counts: tuple[int, ...]
-    bg_index: int = BG_INDEX
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if self.bg_index != BG_INDEX:
-            raise ValidationError("background class must sit at index 0")
         if len(self.class_names) != len(self.counts) + 1:
             raise ValidationError(
                 "need exactly one class name per foreground count plus background"

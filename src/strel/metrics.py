@@ -17,6 +17,7 @@ from typing import ClassVar, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .classifier import ModelParams, predict_probs
+from .edges import edge_scores, message_pass
 from .errors import ValidationError
 from .labels import BG_INDEX, Dataset
 
@@ -141,10 +142,7 @@ def evaluate(
         rows = np.arange(offsets[first], offsets[min(first + EVAL_BLOCK_SCENES, len(offsets) - 1)])
         X = arrays.features[rows]
         if edge_learner is not None:
-            from .edges import edge_scores, message_pass  # cycle-free local import
-
-            ents, subj, obj = arrays.entity_table(rows)
-            X = message_pass(ents, subj, obj, edge_scores(edge_learner, ents[subj], ents[obj]) > 0.5)
+            X = message_pass(*arrays.entity_table(rows), edge_scores(edge_learner, X) > 0.5)
         fg = predict_probs(params, X)[:, 1:]
         pred[rows] = 1 + np.argmax(fg, axis=1)
         scores[rows] = fg.max(axis=1)

@@ -266,7 +266,7 @@ def build_thresholds(
     n_fg = catalog.n_foreground
     if cfg.policy == "catm":
         if cfg.uniform_momentum:
-            coeff = uniform_coefficients(n_fg, 0.5)
+            coeff = uniform_coefficients(n_fg)
         else:
             coeff = momentum_coefficients(catalog, cfg.alpha_inc, cfg.alpha_dec)
         tau = np.full(n_fg, float(cfg.initial_tau))
@@ -333,13 +333,8 @@ def run(
         counts[:] = np.asarray(cumulative_counts, dtype=np.int64)
 
     if cfg.use_gsl and edge_learner is None:
-        edge_learner = init_edge_learner(
-            arrays.features.shape[1] // 2,
-            hidden_dim=cfg.gsl_hidden_dim,
-            seed=cfg.selftrain_seed,
-            temperature=cfg.gumbel_temperature,
-            focal_gamma=cfg.focal_gamma,
-        )
+        edge_learner = init_edge_learner(arrays.features.shape[1], cfg.gsl_hidden_dim,
+                                         cfg.selftrain_seed, cfg.focal_gamma)
 
     keys = np.stack([arrays.pair_scene, arrays.pair_index], axis=1).astype(np.int64)
     batches_per_epoch = math.ceil(n_scenes / cfg.batch_size)
@@ -376,14 +371,15 @@ def run(
 
             X = arrays.features[rows]
             gates = None
-            if cfg.use_gsl:
-                ents, subj, obj = arrays.entity_table(rows)
-                xs, xo = ents[subj], ents[obj]
+            if cfg.use_gsl:  # the edge learner reads the pair rows before message passing
                 noise = batch_gumbel_noise(gumbel_rngs, np.diff(arrays.scene_offsets)[positions])
-                samples = sample_edges(
-                    edge_scores(edge_learner, xs, xo), edge_learner.temperature, noise
-                )
-                X = message_pass(ents, subj, obj, samples.hard)
+                samples = sample_edges(edge_scores(edge_learner, X), noise)
+                gsl_loss, gsl_grads = focal_loss_grad(edge_learner, X, observed != BG_INDEX)
+                if not math.isfinite(gsl_loss):
+                    raise RuntimeAbort("non-finite edge-learner loss")
+                edge_net = sgd_step(edge_learner.net, gsl_grads, cfg.selftrain_learning_rate)
+                edge_learner = replace(edge_learner, net=edge_net)
+                X = message_pass(*arrays.entity_table(rows), samples.hard)
                 gates = samples.hard[un] == 1
                 if keep_edge_trace:
                     edge_log.append((it, rows, samples.score, samples.noise, samples.hard))
@@ -414,17 +410,6 @@ def run(
                 w,
                 cfg.beta,
             )
-
-            if cfg.use_gsl:
-                gsl_loss, gsl_grads = focal_loss_grad(
-                    edge_learner, xs, xo, (observed != BG_INDEX).astype(np.float64)
-                )
-                if not math.isfinite(gsl_loss):
-                    raise RuntimeAbort("non-finite edge-learner loss")
-                edge_learner = replace(
-                    edge_learner,
-                    net=sgd_step(edge_learner.net, gsl_grads, cfg.selftrain_learning_rate),
-                )
 
             # threshold update first; it only reads pre-step confidences, so
             # ordering against the parameter step is observationally free
@@ -509,11 +494,20 @@ def _layer_tensors(params: ModelParams, prefix: str = "") -> dict[str, np.ndarra
     return {f"{prefix}layer{i}.{k}": a for i, wb in enumerate(params.layers) for k, a in zip("wb", wb)}
 
 
-def _layers(tensors: dict, arch: str, prefix: str = "") -> ModelParams:
-    n_layers = 1 if arch == "linear" else 2
-    return ModelParams(arch, tuple(
-        (tensors[f"{prefix}layer{i}.w"], tensors[f"{prefix}layer{i}.b"]) for i in range(n_layers)
-    ))
+def _layers(tensors: dict, arch, prefix: str = "") -> ModelParams:
+    """The ``arch`` network stored under ``prefix``; a ValueError names a
+    layer whose shapes do not chain."""
+    if arch not in ("linear", "mlp"):
+        raise ValueError(f"arch must be 'linear' or 'mlp', not {arch!r}")
+    layers = tuple((tensors[f"{prefix}layer{i}.w"], tensors[f"{prefix}layer{i}.b"])
+                   for i in range(1 if arch == "linear" else 2))
+    width = "n"
+    for i, (w, b) in enumerate(layers):
+        if w.ndim != 2 or (i and w.shape[0] != width) or b.shape != w.shape[1:]:
+            raise ValueError(f"{prefix}layer{i} has shapes {w.shape} and {b.shape}, "
+                             f"not ({width}, m) and (m,)")
+        width = w.shape[1]
+    return ModelParams(arch, layers)
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict | None = None, *,
@@ -528,8 +522,8 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None, *,
       ``thresholds.base_tau``, one entry per foreground class, and meta
       ``thresholds.policy`` and ``thresholds.step``; the run's int64
       pseudo-label ``counts`` and meta ``iteration`` and ``seed``;
-    - ``edge.layer{i}.w``, ``edge.layer{i}.b`` and meta ``edge.temperature``
-      and ``edge.focal_gamma``: the edge learner;
+    - ``edge.layer{i}.w``, ``edge.layer{i}.b`` and meta ``edge.focal_gamma``:
+      the edge learner;
     - the keys of ``meta`` (the CLI's ``config`` is the run-config echo).
 
     All randomness is drawn from counter-based streams, so the seed and the
@@ -544,15 +538,18 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None, *,
                           "iteration": int(iteration), "seed": int(seed)})
     if edge_learner is not None:
         tensors.update(_layer_tensors(edge_learner.net, "edge."))
-        full_meta.update({"edge.temperature": edge_learner.temperature,
-                          "edge.focal_gamma": edge_learner.focal_gamma})
+        full_meta["edge.focal_gamma"] = edge_learner.focal_gamma
     tensorio.save_tensors(path, tensors, {**full_meta, **(meta or {})})
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of :func:`save_checkpoint`.  A checkpoint with meta
     ``iteration`` is a self-train run, one with any ``edge.`` entry holds the
-    edge learner, and a missing entry of either is a ValidationError."""
+    edge learner, and a missing entry of either, an unknown ``arch``, layers
+    whose shapes do not chain, an edge net with more than one output or
+    threshold arrays and ``counts`` of another length than the classifier's
+    foreground classes is a ValidationError.  A meta ``edge.temperature``
+    (written by earlier versions) is ignored."""
     tensors, meta = tensorio.load_tensors(path)
     try:
         params = _layers(tensors, meta["arch"])
@@ -560,11 +557,14 @@ def load_checkpoint(path) -> Checkpoint:
         if "iteration" in meta:
             arrays = [tensors["thresholds.tau"], tensors["thresholds.accept"]]
             arrays += [tensors.get(f"thresholds.{a}") for a in _THRESHOLD_ARRAYS[2:]]
-            thresholds = Thresholds(meta["thresholds.policy"], *arrays, int(meta["thresholds.step"]))
             iteration, counts = int(meta["iteration"]), tensors["counts"]
+            shapes = {a.shape for a in (*arrays, counts) if a is not None}
+            if shapes != {(params.n_classes - 1,)}:
+                raise ValueError(f"thresholds and counts have shapes {sorted(shapes)}, "
+                                 f"not ({params.n_classes - 1},) for the classifier's classes")
+            thresholds = Thresholds(meta["thresholds.policy"], *arrays, int(meta["thresholds.step"]))
         if any(k.startswith("edge.") for k in [*tensors, *meta]):
             edge_learner = EdgeLearnerParams(_layers(tensors, "mlp", "edge."),
-                                             float(meta["edge.temperature"]),
                                              float(meta["edge.focal_gamma"]))
     except KeyError as exc:
         raise ValidationError(f"{path} is not a complete checkpoint: no {exc}") from exc

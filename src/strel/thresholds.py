@@ -89,11 +89,9 @@ def momentum_coefficients(
     return ratio**alpha_inc, ratio[::-1] ** alpha_dec
 
 
-def uniform_coefficients(n_foreground: int, value: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """Class-agnostic momentum, used by the no-class-specific-momentum ablation."""
-    if not 0.0 < value <= 1.0:
-        raise ConfigError("uniform momentum must lie in (0, 1]")
-    lam = np.full(n_foreground, value)
+def uniform_coefficients(n_foreground: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class-agnostic momentum 0.5, used by the no-class-specific-momentum ablation."""
+    lam = np.full(n_foreground, 0.5)
     return lam, lam
 
 

@@ -191,8 +191,8 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
     edge = None
     if cfg.use_gsl:
         edge = edges.init_edge_learner(
-            arrays.features.shape[1] // 2, hidden_dim=cfg.gsl_hidden_dim, seed=cfg.selftrain_seed,
-            temperature=cfg.gumbel_temperature, focal_gamma=cfg.focal_gamma,
+            arrays.features.shape[1], hidden_dim=cfg.gsl_hidden_dim, seed=cfg.selftrain_seed,
+            focal_gamma=cfg.focal_gamma,
         )
 
     def term(X, rows, targets):
@@ -217,7 +217,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
             X, gates = arrays.features[rows], None
             if cfg.use_gsl:
                 ents, subj, obj = arrays.entity_table(rows)
-                xs, xo = ents[subj], ents[obj]
+                pairs = np.concatenate([ents[subj], ents[obj]], axis=1)
                 sizes = np.diff(arrays.scene_offsets)[positions]
                 noise = [
                     edges.gumbel_noise(
@@ -226,8 +226,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
                     for p, n in zip(positions, sizes) if n
                 ]
                 samples = edges.sample_edges(
-                    edges.edge_scores(edge, xs, xo), edge.temperature,
-                    np.concatenate(noise) if noise else np.zeros(0),
+                    edges.edge_scores(edge, pairs), np.concatenate(noise) if noise else np.zeros(0)
                 )
                 X = edges.message_pass(ents, subj, obj, samples.hard)
                 gates = samples.hard[un] == 1
@@ -248,7 +247,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
             _, g_b = term(X, background, np.zeros(len(background), dtype=np.intp))
             _, g_p = term(X, pseudo, pred[accepted])
             if cfg.use_gsl:
-                _, g_e = edges.focal_loss_grad(edge, xs, xo, (observed != 0).astype(np.float64))
+                _, g_e = edges.focal_loss_grad(edge, pairs, (observed != 0).astype(np.float64))
                 edge = replace(edge, net=sgd_step(edge.net, g_e, cfg.selftrain_learning_rate))
             state = selftrain.update_thresholds(state, cfg, it, pred, conf, params, val)
             grads = add_grads(add_grads(g_a, g_b), g_p, scale=cfg.beta)

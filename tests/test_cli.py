@@ -92,6 +92,11 @@ REJECTED = [
     ({"arch": "cnn"}, "arch"),
     ({"gen-seed": -1}, "gen_seed"),
     ({"split-seed": -1}, "split_seed"),
+    ({"policy-quantile": 2}, "policy_quantile"),
+    ({"policy-mix": 1.5}, "policy_mix"),
+    ({"focal-gamma": -1}, "focal_gamma"),
+    ({"train-fraction": 0, "val-fraction": 0.3, "test-fraction": 0.7}, "train_fraction"),
+    ({"val-fraction": 0.2}, "val_fraction"),
 ]
 
 
@@ -170,6 +175,17 @@ class TestConfigFile:
         assert cli.main(["gen", "--config", str(cfg)]) == 1
         assert "not_a_field" in capsys.readouterr().err
 
+    def test_removed_gumbel_temperature_is_unknown(self, tmp_path, capsys):
+        """The edge gate has no temperature; naming one writes nothing."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gumbel_temperature = 0.5\n")
+        capsys.readouterr()
+        assert cli.main(["gen", "--config", str(cfg)]) == 1
+        assert "unknown field 'gumbel_temperature'" in capsys.readouterr().err
+        assert cli.main(["gen", "--gumbel-temperature", "0.5"] + tiny_args(str(tmp_path))) == 1
+        assert "--gumbel-temperature" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "data")
+
     def test_bad_value_names_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_scenes = many\n")
@@ -210,7 +226,7 @@ class TestConfigFile:
             use_gsl=True, selftrain_learning_rate=0.25, selftrain_seed=6, initial_tau=0.5,
             uniform_momentum=True, strict_eligible_mean=True, policy_quantile=0.02,
             policy_mix=0.25, dash_growth=1.2, dash_interval=101, valid_recompute_interval=102,
-            gumbel_temperature=0.25, focal_gamma=1.5, gsl_hidden_dim=17, metric_ks=(1, 3),
+            focal_gamma=1.5, gsl_hidden_dim=17, metric_ks=(1, 3),
             data_dir="d", checkpoint_dir="c", log_dir="l",
         )
         for f in dataclasses.fields(RunConfig):
@@ -326,6 +342,17 @@ class TestPipeline:
         moved.mkdir()
         shutil.move(in_place, moved / "selftrain.ckpt")
         assert eval_rows(str(moved / "selftrain.ckpt"), tmp_path / "e2") == want
+
+    def test_gsl_checkpoint_with_an_edge_temperature_evaluates(self, run_dir, tmp_path):
+        """Earlier versions wrote a meta ``edge.temperature``; it is ignored."""
+        ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
+        args = tiny_args(run_dir, **{"use-gsl": "true", "log-dir": str(tmp_path / "e")})
+        assert cli.main(["eval"] + args) == 0
+        want = read_table(os.path.join(tmp_path, "e", "eval_test.csv"))[1]
+        tensors, meta = tensorio.load_tensors(ckpt)
+        tensorio.save_tensors(ckpt, tensors, {**meta, "edge.temperature": 0.5})
+        assert cli.main(["eval"] + args) == 0
+        assert read_table(os.path.join(tmp_path, "e", "eval_test.csv"))[1] == want
 
     def test_gsl_selftrain_writes_one_checkpoint(self, run_dir, tmp_path):
         """The edge learner is saved inside the self-train checkpoint."""
@@ -445,7 +472,7 @@ class TestCorruptInputs:
         self._fails_with_one_line(["eval"] + tiny_args(run_dir, **{"use-gsl": "true"}), capsys)
 
     @pytest.mark.parametrize("key, value", [
-        ("iteration", "abc"), ("thresholds.step", None), ("edge.temperature", "x"),
+        ("iteration", "abc"), ("thresholds.step", None), ("edge.focal_gamma", "x"),
         ("edge.focal_gamma", -1.0),
     ])
     def test_checkpoint_meta_of_the_wrong_type(self, run_dir, tmp_path, key, value, capsys):
@@ -455,6 +482,33 @@ class TestCorruptInputs:
         argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
         self._fails_with_one_line(argv, capsys)
         self._fails_with_one_line(["eval"] + tiny_args(run_dir, **{"use-gsl": "true"}), capsys)
+
+    CHECKPOINT_EDITS = {
+        "edge-layer0-rows": lambda t, m: t.update({"edge.layer0.w": t["edge.layer0.w"][:3]}),
+        "layer0-rows": lambda t, m: t.update({"layer0.w": t["layer0.w"][:5]}),
+        "arch-list": lambda t, m: m.update({"arch": ["mlp"]}),
+        "short-tau": lambda t, m: t.update({"thresholds.tau": t["thresholds.tau"][:2]}),
+    }
+
+    @pytest.mark.parametrize("edit", CHECKPOINT_EDITS.values(), ids=CHECKPOINT_EDITS)
+    def test_checkpoint_of_the_wrong_shape_is_named(self, run_dir, tmp_path, edit, capsys):
+        ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
+        tensors, meta = tensorio.load_tensors(ckpt)
+        edit(tensors, meta)
+        tensorio.save_tensors(ckpt, tensors, meta)
+        args = tiny_args(run_dir, **{"use-gsl": "true"})
+        for argv in (["selftrain", "--resume", ckpt] + args, ["eval"] + args):
+            assert ckpt in self._fails_with_one_line(argv, capsys)
+
+    def test_checkpoint_of_another_split_width_is_named(self, run_dir, tmp_path, capsys):
+        """A pretrained model of 8-wide pairs cannot score a 6-wide split."""
+        wide = os.path.join(run_dir, "ckpt", "pretrain.ckpt")
+        narrow = tiny_args(str(tmp_path), **{"feature-dim": 6})
+        assert cli.main(["gen"] + narrow) == 0
+        os.makedirs(tmp_path / "ckpt")
+        shutil.copy(wide, tmp_path / "ckpt" / "pretrain.ckpt")
+        err = self._fails_with_one_line(["selftrain"] + narrow, capsys)
+        assert "pretrain.ckpt" in err and "8 pair features" in err
 
     def test_eval_gsl_without_its_edge_learner(self, run_dir, tmp_path, capsys):
         ckpt = self._gsl_checkpoint_without_edge_entries(run_dir, tmp_path)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from strel.classifier import ModelParams, sgd_step
 from strel.edges import (
+    SCORE_FLOOR,
     EdgeLearnerParams,
     edge_scores,
     focal_loss_grad,
@@ -15,7 +16,7 @@ from strel.edges import (
     message_pass,
     sample_edges,
 )
-from strel.errors import ConfigError, ValidationError
+from strel.errors import ValidationError
 from strel.labels import Entity, make_scene
 from strel.rngs import stream
 
@@ -24,20 +25,19 @@ from conftest import build_shared_scene
 
 
 def edge_score(learner, x_subject, x_object):
-    return float(edge_scores(learner, x_subject, x_object)[0])
+    return float(edge_scores(learner, np.concatenate([x_subject, x_object]))[0])
 
 
-def bias_only_learner(logit, temperature=0.5, gamma=2.0, entity_dim=2):
+def bias_only_learner(logit, gamma=2.0, pair_dim=4):
     """Edge scorer that always outputs the given logit."""
-    d = 2 * entity_dim
     net = ModelParams(
         arch="mlp",
         layers=(
-            (np.zeros((d, 3)), np.zeros(3)),
+            (np.zeros((pair_dim, 3)), np.zeros(3)),
             (np.zeros((3, 1)), np.array([float(logit)])),
         ),
     )
-    return EdgeLearnerParams(net=net, temperature=temperature, focal_gamma=gamma)
+    return EdgeLearnerParams(net=net, focal_gamma=gamma)
 
 
 class TestEdgeScore:
@@ -52,36 +52,25 @@ class TestEdgeScore:
         assert s == pytest.approx(0.880797, abs=5e-7)
 
     def test_concatenation_order_matters(self):
-        learner = init_edge_learner(entity_dim=3, seed=11)
+        learner = init_edge_learner(pair_dim=6, seed=11)
         xs, xo = np.arange(3.0), np.arange(3.0)[::-1].copy()
         assert edge_score(learner, xs, xo) != edge_score(learner, xo, xs)
 
     def test_dimension_mismatch(self):
-        learner = init_edge_learner(entity_dim=3, seed=0)
+        learner = init_edge_learner(pair_dim=6, seed=0)
         with pytest.raises(ValidationError):
             edge_score(learner, np.zeros(2), np.zeros(2))
 
 
-def gumbel_sample(score, temperature, noise):
+def gumbel_sample(score, noise):
     """One edge sample through the array entry point."""
-    return sample_edges(np.array([score]), temperature, np.array([noise]))[0]
+    return sample_edges(np.array([score]), np.array([noise]))[0]
 
 
 class TestGumbelSample:
     def test_boundary_noise_gives_hard_zero(self):
         s = 0.3
-        sample = gumbel_sample(s, 0.5, noise=-math.log(s))
-        assert sample.relaxed == pytest.approx(0.5, abs=1e-12)
-        assert sample.hard == 0  # strict > comparison at the boundary
-
-    def test_hard_decision_invariant_to_temperature(self):
-        rng = stream(3, "eps")
-        noises = gumbel_noise(rng.random(500))
-        scores = stream(4, "s").uniform(0.05, 0.95, size=500)
-        low = sample_edges(scores, 0.5, noises)
-        high = sample_edges(scores, 5.0, noises)
-        np.testing.assert_array_equal(low.hard, high.hard)
-        assert np.all((low.relaxed != high.relaxed) | (low.relaxed == 0.5))
+        assert gumbel_sample(s, noise=-math.log(s)).hard == 0  # strict > at the boundary
 
     def test_empirical_on_probability(self):
         # oracle: P(hard=1) = P(eps > -log s) = 1 - exp(-s) under Gumbel(0,1)
@@ -91,123 +80,112 @@ class TestGumbelSample:
         hard = (np.log(s) + noise) > 0.0
         expected = 1.0 - math.exp(-s)
         assert abs(hard.mean() - expected) < 0.01
-        samples = sample_edges(np.full(1000, s), 0.5, gumbel_noise(stream(6, "x").random(1000)))
+        samples = sample_edges(np.full(1000, s), gumbel_noise(stream(6, "x").random(1000)))
         assert 0.4 < np.mean([smp.hard for smp in samples]) < 0.7
 
     def test_replay_determinism(self):
         scores = np.array([0.2, 0.5, 0.9])
-        original = sample_edges(scores, 0.5, gumbel_noise(stream(9, "replay").random(3)))
-        replayed = [gumbel_sample(o.score, 0.5, noise=o.noise) for o in original]
+        original = sample_edges(scores, gumbel_noise(stream(9, "replay").random(3)))
+        replayed = [gumbel_sample(o.score, noise=o.noise) for o in original]
         assert [o.hard for o in original] == [r.hard for r in replayed]
-        assert [o.relaxed for o in original] == [r.relaxed for r in replayed]
 
     def test_score_clipping(self):
-        sample = gumbel_sample(0.0, 0.5, noise=1.0)
+        sample = gumbel_sample(0.0, noise=1.0)
         assert 0.0 < sample.score < 1.0
-
-    def test_bad_temperature(self):
-        with pytest.raises(ConfigError):
-            gumbel_sample(0.5, 0.0, noise=0.1)
-
-    def test_straight_through_matches_relaxation_slope(self):
-        s, eps, temp = 0.37, 0.8, 0.5
-        samples = sample_edges(np.array([s]), temp, np.array([eps]))
-        h = 1e-7
-        hi = gumbel_sample(s + h, temp, noise=eps).relaxed
-        lo = gumbel_sample(s - h, temp, noise=eps).relaxed
-        numeric = (hi - lo) / (2 * h)
-        # d relaxed / d score = relaxed * (1 - relaxed) / (temperature * s)
-        slope = samples.relaxed * (1.0 - samples.relaxed) / (temp * samples.score)
-        assert slope[0] == pytest.approx(numeric, rel=1e-5)
 
     def test_noise_length_checked(self):
         with pytest.raises(ValidationError):
-            sample_edges(np.array([0.5, 0.5]), 0.5, np.array([0.1]))
+            sample_edges(np.array([0.5, 0.5]), np.array([0.1]))
+
+
+def clip(s):
+    return np.clip(s, SCORE_FLOOR, 1.0 - SCORE_FLOOR)
 
 
 class TestGate:
     def test_open_gate(self):
-        assert gumbel_sample(0.9, 0.5, noise=5.0).hard == 1
+        assert gumbel_sample(0.9, noise=5.0).hard == 1
 
     def test_boundary_is_closed(self):
         s = 0.4
-        assert gumbel_sample(s, 0.5, noise=-math.log(s)).hard == 0
+        assert gumbel_sample(s, noise=-math.log(s)).hard == 0
 
     def test_gate_equals_hard_bit(self):
         rng = stream(2, "gate")
-        samples = sample_edges(rng.uniform(0.1, 0.9, size=50), 0.5, gumbel_noise(rng.random(50)))
-        np.testing.assert_array_equal(samples.hard, samples.relaxed > 0.5)
+        scores = rng.uniform(0.1, 0.9, size=50)
+        samples = sample_edges(scores, gumbel_noise(rng.random(50)))
+        np.testing.assert_array_equal(samples.hard, np.log(scores) + samples.noise > 0)
         assert [smp.hard for smp in samples] == samples.hard.tolist()
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+        st.lists(st.floats(-30.0, 30.0), min_size=20, max_size=20),
+    )
+    def test_hard_is_one_comparison(self, scores, noise):
+        """Each edge's gate is log(clip(s)) + e > 0, closed at e = -log(s)."""
+        s = np.array(scores)
+        e = np.array(noise[: len(s)])
+        at_boundary = -np.log(clip(s))
+        hard = sample_edges(s, e).hard
+        np.testing.assert_array_equal(hard, (np.log(clip(s)) + e > 0).astype(np.intp))
+        assert not sample_edges(s, at_boundary).hard.any()
 
 
 class TestFocalLoss:
     def test_positive_term_hand_case(self):
-        # y=1, s=0.5, gamma=2: -0.25 * log(0.5)
+        # y=1, s=0.5, gamma=2: -0.25 * log(0.5); the negative term vanishes at y=1
         learner = bias_only_learner(0.0, gamma=2.0)
-        loss, _ = focal_loss_grad(
-            learner, np.zeros((1, 2)), np.zeros((1, 2)), np.array([1.0]), positive_only=True
-        )
+        loss, _ = focal_loss_grad(learner, np.zeros((1, 4)), np.array([1.0]))
         assert loss == pytest.approx(-0.25 * math.log(0.5), abs=1e-12)
         assert loss == pytest.approx(0.173287, abs=5e-7)
 
     def test_perfect_positive_vanishes(self):
         learner = bias_only_learner(40.0, gamma=2.0)
-        loss, _ = focal_loss_grad(
-            learner, np.zeros((1, 2)), np.zeros((1, 2)), np.array([1.0]), positive_only=True
-        )
+        loss, _ = focal_loss_grad(learner, np.zeros((1, 4)), np.array([1.0]))
         assert loss < 1e-10
 
     def test_gamma_zero_symmetric_is_bce(self):
         rng = stream(8, "bce")
-        learner = init_edge_learner(entity_dim=3, seed=5, focal_gamma=0.0)
-        xs = rng.standard_normal((6, 3))
-        xo = rng.standard_normal((6, 3))
+        learner = init_edge_learner(pair_dim=6, seed=5, focal_gamma=0.0)
+        X = rng.standard_normal((6, 6))
         y = rng.integers(0, 2, size=6).astype(float)
-        loss, _ = focal_loss_grad(learner, xs, xo, y)
-        s = edge_scores(learner, xs, xo)
+        loss, _ = focal_loss_grad(learner, X, y)
+        s = edge_scores(learner, X)
         bce = -np.sum(y * np.log(s) + (1 - y) * np.log(1 - s))
         assert loss == pytest.approx(bce, rel=1e-12)
 
     def test_binary_labels_enforced(self):
-        learner = init_edge_learner(entity_dim=2, seed=0)
+        learner = init_edge_learner(pair_dim=4, seed=0)
         with pytest.raises(ValidationError):
-            focal_loss_grad(learner, np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.5]))
+            focal_loss_grad(learner, np.zeros((1, 4)), np.array([0.5]))
 
-    @pytest.mark.parametrize("positive_only", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 2.0])
-    def test_gradient_matches_finite_differences(self, gamma, positive_only):
-        rng = stream(21, "focal-grad", gamma, int(positive_only))
-        learner = init_edge_learner(entity_dim=3, hidden_dim=4, seed=13, focal_gamma=gamma)
-        xs = rng.standard_normal((5, 3))
-        xo = rng.standard_normal((5, 3))
+    def test_gradient_matches_finite_differences(self, gamma):
+        rng = stream(21, "focal-grad", gamma, 0)
+        learner = init_edge_learner(pair_dim=6, hidden_dim=4, seed=13, focal_gamma=gamma)
+        X = rng.standard_normal((5, 6))
         y = rng.integers(0, 2, size=5).astype(float)
-        if positive_only:
-            y[0] = 1.0  # keep the loss non-constant
-        _, grads = focal_loss_grad(learner, xs, xo, y, positive_only)
+        _, grads = focal_loss_grad(learner, X, y)
 
         def loss_fn(net):
-            swapped = EdgeLearnerParams(net=net, temperature=0.5, focal_gamma=gamma)
-            return focal_loss_grad(swapped, xs, xo, y, positive_only)[0]
+            return focal_loss_grad(EdgeLearnerParams(net=net, focal_gamma=gamma), X, y)[0]
 
         assert gradient_relative_error(grads, loss_fn, learner.net) <= 1e-4
 
     def test_all_positive_training_drives_scores_up(self):
         rng = stream(31, "drive")
-        learner = init_edge_learner(entity_dim=2, hidden_dim=4, seed=17, focal_gamma=0.0)
-        xs = rng.standard_normal((8, 2))
-        xo = rng.standard_normal((8, 2))
+        learner = init_edge_learner(pair_dim=4, hidden_dim=4, seed=17, focal_gamma=0.0)
+        X = rng.standard_normal((8, 4))
         y = np.ones(8)
         losses = []
         for _ in range(60):
-            loss, grads = focal_loss_grad(learner, xs, xo, y)
+            loss, grads = focal_loss_grad(learner, X, y)
             losses.append(loss)
             learner = EdgeLearnerParams(
-                net=sgd_step(learner.net, grads, 0.1),
-                temperature=learner.temperature,
-                focal_gamma=learner.focal_gamma,
+                net=sgd_step(learner.net, grads, 0.1), focal_gamma=learner.focal_gamma
             )
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-        assert np.all(edge_scores(learner, xs, xo) > 0.9)
+        assert np.all(edge_scores(learner, X) > 0.9)
 
 
 def split_message_pass(scenes, flags):

@@ -32,8 +32,8 @@ FLAGS = [
 CHECKPOINTS = ("pretrain.ckpt", "selftrain.ckpt")
 
 GOLDEN = {
-    'pretrain.ckpt': '06add47b45034ccb3593e1102c7782a41360318087be947dc382f2133ad50ed3',
-    'selftrain.ckpt': '2b577fcecfd6d6d7db583870ec9530b77b7a3af2b397e88e312bfeed9f9c70d5',
+    'pretrain.ckpt': '6b55f0b6c9cf32a5e6cedbb460862486e704c90a4b027ef3092eef4fe3ab9880',
+    'selftrain.ckpt': '79c244899eb21a8b17dd1e545a5cb09ea6864fc0a5ec308d33ced0e499de69b6',
 }
 
 

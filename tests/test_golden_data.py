@@ -36,7 +36,7 @@ GOLDEN = {
     'train.tns': 'ccdb02bc92bc5dcb336dcdd1590405cbe95dd9cbaa8c4a36ddffe0dbcb5fbcda',
     'val.tns': '53b1c72ebea199c2ed7e03147f2c61c9500fe8cb4a98d69a1a800bc02101b77e',
     'test.tns': '2750f3c625b0d9cfbb91da787be4112857e0f170053503c580d1b592fa71fb30',
-    'manifest.json': 'c41e5ddce13df882de62e94f26757254c97f49209cc6c7ea6c9abb1aea2951e5',
+    'manifest.json': '1c04a09f5a31e1a4700da091a6e8ccd834f1e2a3f5899def60481169572baad6',
 }
 
 

@@ -28,7 +28,7 @@ class TestBuildCatalog:
         cat = build_catalog({"a": 50, "b": 40, "c": 10})
         assert cat.counts == (50, 40, 10)
         assert cat.class_names == ("bg", "a", "b", "c")
-        assert cat.bg_index == 0
+        assert cat.class_names[BG_INDEX] == "bg"
         assert cat.n_foreground == 3 and cat.n_classes == 4
 
     def test_resorts_unordered_input(self):

@@ -125,14 +125,14 @@ class TestArrayFormsMatchPerSceneOracles:
             return
         catalog = build_catalog({"a": 3, "b": 2, "c": 1})
         params = init_params("linear", 6, 4, seed=seed % 97)
-        edges = init_edge_learner(3, seed=seed % 89) if with_edges else None
+        edges = init_edge_learner(6, seed=seed % 89) if with_edges else None
         report = evaluate(params, Dataset(compile_split(scenes), catalog), (1, 3), edges)
 
         per_scene = []
         for scene in scenes:
             X = np.stack([t.features for t in scene.triplets])
             if edges is not None:
-                flags = edge_scores(edges, X[:, :3], X[:, 3:]) > 0.5
+                flags = edge_scores(edges, X) > 0.5
                 X = dict_message_pass(scene, flags)
             fg = predict_probs(params, X)[:, 1:]
             hidden = [t.hidden_label for t in scene.triplets]

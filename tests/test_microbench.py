@@ -107,7 +107,7 @@ def test_evaluate(benchmark, split):
 def test_sample_edges(benchmark, batch):
     scores = stream(0, "scores").random(len(batch[0]))
     noise = gumbel_noise(stream(0, "noise").random(len(scores)))
-    assert len(_run(benchmark, sample_edges, scores, 0.5, noise)) == len(scores)
+    assert len(_run(benchmark, sample_edges, scores, noise)) == len(scores)
 
 
 def test_gumbel_batch(benchmark, split):

@@ -479,7 +479,7 @@ class TestCheckpoint:
         train, val, _ = masked_dataset(n_scenes=15, labels=(1, 1, 1, 1, 2, 2, 3, 0))
         cfg = small_selftrain_config(
             max_iterations=7, policy=policy, use_gsl=use_gsl, dash_interval=3,
-            valid_recompute_interval=3, gumbel_temperature=0.25, focal_gamma=1.5,
+            valid_recompute_interval=3, focal_gamma=1.5,
         )
         result = run(init_params("mlp", 8, 4, hidden_dim=5, seed=4), train, val, cfg)
         save_checkpoint(
@@ -499,9 +499,9 @@ class TestCheckpoint:
         meta = {"arch": "mlp", "iteration": 7, "seed": 5, "thresholds.policy": policy,
                 "thresholds.step": want.step, "config": {"policy": policy}}
         if use_gsl:
-            meta.update({"edge.temperature": 0.25, "edge.focal_gamma": 1.5})
+            meta["edge.focal_gamma"] = 1.5
             learner = ckpt.edge_learner
-            assert (learner.temperature, learner.focal_gamma) == (0.25, 1.5)
+            assert learner.focal_gamma == 1.5
             assert same_layers(learner.net.layers, result.edge_learner.net.layers)
         else:
             assert ckpt.edge_learner is None

@@ -18,10 +18,11 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strel
@@ -184,3 +185,35 @@ def test_loading_a_split_does_not_import_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def endpoint_rows(arrays, rows):
+    """The pair-feature rows of ``rows`` rebuilt from their endpoints'
+    entity features, as message passing reads them."""
+    ents, subj, obj = arrays.entity_table(rows)
+    return np.concatenate([ents[subj], ents[obj]], axis=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n_scenes=st.integers(10, 30), data=st.data())
+def test_pair_features_are_their_endpoints_concatenated(seed, n_scenes, data):
+    """The edge learner scores a batch's ``features[rows]``; those rows equal
+    the concatenation of the endpoints ``entity_table(rows)`` gives, bit for
+    bit, in generated splits, in ``take``n splits and in loaded splits."""
+    with tempfile.TemporaryDirectory() as root:
+        argv = ["gen", "--n-scenes", str(n_scenes), "--entities-min", "4", "--entities-max", "7",
+                "--gen-seed", str(seed), "--data-dir", root]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        rc = cli.build_run_config({}, {"n_scenes": n_scenes, "entities_min": 4, "entities_max": 7,
+                                       "gen_seed": seed, "data_dir": root})
+        loaded = {split: cli.load_split(rc, split).arrays for split in SPLITS}
+    for split, dataset in generated_splits(rc).items():
+        n = len(dataset.arrays.scene_ids)
+        positions = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+        for arrays in (dataset.arrays, dataset.arrays.take(positions), loaded[split]):
+            rows = arrays.rows_of(np.arange(len(arrays.scene_ids))[::-1])
+            for batch in (np.arange(len(arrays.features)), rows):
+                got, want = arrays.features[batch], endpoint_rows(arrays, batch)
+                assert got.dtype == want.dtype and got.shape == want.shape, split
+                assert got.tobytes() == want.tobytes(), split

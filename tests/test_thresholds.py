@@ -86,7 +86,7 @@ class TestMomentumCoefficients:
         assert np.all(lambda_dec > 0) and np.all(lambda_dec <= 1.0)
 
     def test_uniform_ablation_value(self):
-        lambda_inc, lambda_dec = uniform_coefficients(4, 0.5)
+        lambda_inc, lambda_dec = uniform_coefficients(4)
         assert np.all(lambda_inc == 0.5) and np.all(lambda_dec == 0.5)
 
 
