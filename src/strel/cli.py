@@ -12,24 +12,27 @@ against the manifest's catalog.  The file is binary; read it as any archive:
 ``strel pretrain`` and ``strel selftrain`` each write one checkpoint archive,
 ``<checkpoint_dir>/pretrain.ckpt`` and ``selftrain.ckpt``
 (``selftrain.save_checkpoint``): the ``layer*`` tensors and meta ``arch`` and
-``config``; a self-train run adds ``thresholds.*``, ``counts`` and meta
-``iteration`` and ``seed``, and with the edge learner ``edge.layer*`` and meta
-``edge.focal_gamma``.  Only a checkpoint with ``edge.`` entries resumes or
-evaluates under ``--use-gsl true``, and only with a split whose pairs have the
-width its networks were trained on.
+``config``; a self-train run adds its state, ``thresholds.*``, ``counts`` and
+meta ``iteration``, and with the edge learner ``edge.layer*``.  Only a
+checkpoint with ``edge.`` entries resumes or evaluates under ``--use-gsl
+true``, and only with a split whose pairs have the width its networks were
+trained on.  ``selftrain --resume`` continues a run only under the config its
+checkpoint echoes, except ``metric_ks``, the three directories and
+``max_iterations``, which may not fall below the checkpoint's ``iteration``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import synthgen, tables
+from . import synthgen, tables, tensorio
 from .classifier import pretrain
 from .config import RunConfig
 from .errors import ConfigError, RuntimeAbort, ValidationError
@@ -160,6 +163,12 @@ def load_split(rc: RunConfig, split: str) -> Dataset:
     return Dataset(arrays, catalog, split)
 
 
+def write_manifest(path, manifest: dict) -> None:
+    with tensorio.write_atomic(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 _PRETRAIN_HINT = " (run `strel pretrain`)"
 
 
@@ -170,8 +179,8 @@ def _checkpoint_path(rc: RunConfig, name: str) -> str:
 def _checkpoint(path: str, dataset: Dataset, use_gsl: bool | None = None,
                 hint: str = "") -> Checkpoint:
     """The checkpoint at ``path``, whose networks must read pairs as wide as
-    ``dataset``'s.  Resuming and evaluating pass ``use_gsl``, and the
-    checkpoint must hold an edge learner exactly when it is set."""
+    ``dataset``'s.  Evaluating passes ``use_gsl``, and the checkpoint must
+    hold an edge learner exactly when it is set."""
     if not os.path.exists(path):
         raise ConfigError(f"missing checkpoint: {path}{hint}")
     ckpt = load_checkpoint(path)
@@ -188,6 +197,22 @@ def _checkpoint(path: str, dataset: Dataset, use_gsl: bool | None = None,
             raise ValidationError(f"{path}: its {name} reads {net.feature_dim} pair features, "
                                   f"the {dataset.split} split has {width}")
     return ckpt
+
+
+# the fields a resumed run may change: how far it runs, what it reports and where
+_RESUMABLE = ("max_iterations", "metric_ks", "data_dir", "checkpoint_dir", "log_dir")
+
+
+def _check_same_run(path: str, ckpt: Checkpoint, rc: RunConfig) -> None:
+    """A ConfigError naming the first field outside ``_RESUMABLE`` in which
+    ``rc`` differs from the config ``ckpt`` echoes."""
+    saved = ckpt.meta.get("config")
+    if not isinstance(saved, dict):
+        raise ConfigError(f"{path} echoes no config to resume under")
+    for name, value in rc.echo().items():
+        if name not in _RESUMABLE and saved.get(name) != value:
+            raise ConfigError(f"{path} was saved with {name} {saved.get(name)!r}, "
+                              f"this run has {value!r}")
 
 
 # --- commands -----------------------------------------------------------------
@@ -213,9 +238,7 @@ def cmd_gen(rc: RunConfig) -> int:
             s: int(annotated_counts(a.observed, n_fg).sum()) for s, a in splits.items()
         },
     }
-    with open(_data_path(rc, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(_data_path(rc, "manifest.json"), manifest)
     print("class,train_count")
     for name, count in zip(train.catalog.class_names[1:], train.catalog.counts):
         print(f"{name},{count}")
@@ -244,34 +267,19 @@ def cmd_pretrain(rc: RunConfig) -> int:
 def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = False) -> int:
     train = load_split(rc, "train")
     val = load_split(rc, "val")
-    kwargs = {}
     if resume:  # the run's checkpoint holds all it needs; pretrain.ckpt is not read
-        ckpt = _checkpoint(resume, train, rc.use_gsl)
-        if ckpt.thresholds is None:
-            raise ConfigError(f"{resume} holds no thresholds to resume: it is a pretrained model")
-        params = ckpt.params
-        kwargs = dict(start_iteration=ckpt.iteration, thresholds=ckpt.thresholds,
-                      cumulative_counts=ckpt.counts, edge_learner=ckpt.edge_learner)
+        start = _checkpoint(resume, train)
+        _check_same_run(resume, start, rc)
     else:
-        params = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), train,
-                             hint=_PRETRAIN_HINT).params
+        start = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), train,
+                            hint=_PRETRAIN_HINT).params
 
-    result = run(params, train, val, rc, metric_ks=rc.metric_ks,
-                 keep_edge_trace=edge_trace, **kwargs)
+    result = run(start, train, val, rc, metric_ks=rc.metric_ks, keep_edge_trace=edge_trace)
 
     log = result.log.iterations
     os.makedirs(rc.checkpoint_dir, exist_ok=True)
     os.makedirs(rc.log_dir, exist_ok=True)
-    save_checkpoint(
-        _checkpoint_path(rc, "selftrain.ckpt"),
-        result.params,
-        {"config": rc.echo()},
-        thresholds=result.thresholds,
-        iteration=rc.max_iterations,
-        counts=result.counts,
-        seed=rc.selftrain_seed,
-        edge_learner=result.edge_learner,
-    )
+    save_checkpoint(_checkpoint_path(rc, "selftrain.ckpt"), result, {"config": rc.echo()})
 
     n_fg = train.catalog.n_foreground
     echo = rc.echo()
@@ -419,6 +427,7 @@ def cmd_sweep(rc: RunConfig, grid: str) -> int:
 # --- entry point --------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: each one is a web of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="strel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,8 @@ gates on s > 0.5.
 Training uses a binary focal loss: the positive term
 -y * (1 - s)**gamma * log(s) plus the symmetric negative term
 -(1 - y) * s**gamma * log(1 - s), without which every-edge-on is a trivial
-minimizer.
+minimizer.  The exponent gamma is a setting, not learner state:
+``selftrain.run`` passes ``RunConfig.focal_gamma``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .classifier import Grads, ModelParams, _backprop, _forward_cache
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .rngs import stream
 
 SCORE_FLOOR = 1e-12
@@ -32,27 +33,22 @@ SCORE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EdgeLearnerParams:
-    """Edge scorer network plus its focal-loss exponent."""
+    """Edge scorer network."""
 
     net: ModelParams  # two-layer net with a single output logit
-    focal_gamma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.focal_gamma < 0.0:
-            raise ConfigError("focal exponent must be non-negative")
         if self.net.n_classes != 1:
             raise ValidationError("edge scorer must emit a single logit")
 
 
-def init_edge_learner(
-    pair_dim: int, hidden_dim: int = 16, seed: int = 0, focal_gamma: float = 2.0
-) -> EdgeLearnerParams:
+def init_edge_learner(pair_dim: int, hidden_dim: int = 16, seed: int = 0) -> EdgeLearnerParams:
     """A fresh scorer of ``pair_dim``-wide pair-feature rows."""
     rng = stream(seed, "edge-init")
     w1 = rng.standard_normal((pair_dim, hidden_dim)) / math.sqrt(pair_dim)
     w2 = rng.standard_normal((hidden_dim, 1)) / math.sqrt(hidden_dim)
     net = ModelParams(arch="mlp", layers=((w1, np.zeros(hidden_dim)), (w2, np.zeros(1))))
-    return EdgeLearnerParams(net=net, focal_gamma=focal_gamma)
+    return EdgeLearnerParams(net)
 
 
 def edge_scores(params: EdgeLearnerParams, X) -> np.ndarray:
@@ -114,9 +110,9 @@ def sample_edges(scores, noise) -> EdgeSamples:
     return EdgeSamples(score=s, hard=(np.log(s) + e > 0.0).astype(np.intp), noise=e)
 
 
-def focal_loss_grad(params: EdgeLearnerParams, X, labels) -> tuple[float, Grads]:
-    """Binary focal loss summed over the pair-feature rows ``X``, with exact
-    gradients.
+def focal_loss_grad(params: EdgeLearnerParams, X, labels, gamma: float) -> tuple[float, Grads]:
+    """Binary focal loss with exponent ``gamma`` summed over the pair-feature
+    rows ``X``, with exact gradients.
 
     ``labels`` are 1 where a relation is annotated and 0 otherwise.
     """
@@ -125,13 +121,12 @@ def focal_loss_grad(params: EdgeLearnerParams, X, labels) -> tuple[float, Grads]
         raise ValidationError("edge labels must be binary")
     logits, cache = _forward_cache(params.net, X)
     sc = np.clip(_sigmoid(logits[:, 0]), SCORE_FLOOR, 1.0 - SCORE_FLOOR)
-    g = params.focal_gamma
     log_s, log_1ms = np.log(sc), np.log(1.0 - sc)
-    loss = -y * (1.0 - sc) ** g * log_s - (1.0 - y) * sc**g * log_1ms
+    loss = -y * (1.0 - sc) ** gamma * log_s - (1.0 - y) * sc**gamma * log_1ms
     # d/dz of each term, with s' = s * (1 - s)
-    dz = y * (g * sc * (1.0 - sc) ** g * log_s - (1.0 - sc) ** (g + 1.0)) + (1.0 - y) * (
-        -g * sc**g * (1.0 - sc) * log_1ms + sc ** (g + 1.0)
-    )
+    pos = gamma * sc * (1.0 - sc) ** gamma * log_s - (1.0 - sc) ** (gamma + 1.0)
+    neg = -gamma * sc**gamma * (1.0 - sc) * log_1ms + sc ** (gamma + 1.0)
+    dz = y * pos + (1.0 - y) * neg
     return float(loss.sum()), _backprop(params.net, cache, dz[:, None])
 
 

@@ -302,7 +302,8 @@ def write_scenes(path, arrays: SplitArrays) -> None:
         text = ",".join(["%.9g"] * len(part)) % tuple(part)
         rounded[start : start + len(part)] = np.fromiter(map(float, text.split(",")), float, len(part))
     columns["entity_features"] = rounded.reshape(features.shape)
-    write_atomic(path, pack_tensors(columns))
+    with write_atomic(path) as fh:
+        fh.write(pack_tensors(columns))
 
 
 def read_scenes(path) -> SplitArrays:

@@ -142,6 +142,7 @@ class SelfTrainResult:
     assignments: AssignmentLog
     thresholds: Thresholds
     counts: np.ndarray  # cumulative pseudo-labels per foreground class
+    iteration: int  # where the run stopped; the run state is all but the logs
     edge_learner: EdgeLearnerParams | None = None
     edge_trace: tuple[EdgeTraceRow, ...] = ()
 
@@ -298,43 +299,49 @@ def update_thresholds(state: Thresholds, cfg: RunConfig, iteration: int, pred_cl
 
 
 def run(
-    pretrained: ModelParams,
+    start: ModelParams | Checkpoint | SelfTrainResult,
     train: Dataset,
     val: Dataset | None,
     cfg: RunConfig,
     metric_ks: Sequence[int] = (2, 5, 10),
-    edge_learner: EdgeLearnerParams | None = None,
-    start_iteration: int = 0,
-    thresholds: Thresholds | None = None,
-    cumulative_counts: Sequence[int] | None = None,
     keep_edge_trace: bool = False,
 ) -> SelfTrainResult:
-    """Fine-tune a pretrained classifier with pseudo-labeled batches.
+    """Fine-tune a pretrained classifier, or resume a run state (a
+    ``Checkpoint`` or a ``SelfTrainResult``), with pseudo-labeled batches.
 
-    Deterministic given ``cfg.selftrain_seed``; the ``start_iteration`` /
-    ``thresholds`` / ``cumulative_counts`` triple resumes a checkpointed run
-    at iteration granularity and continues the exact same stream of batches;
-    resumed thresholds must belong to ``cfg.policy``.
+    Deterministic given ``cfg.selftrain_seed``; a resumed run continues the
+    exact same stream of batches.  Its state must hold thresholds of
+    ``cfg.policy``, an edge learner exactly when ``cfg.use_gsl`` is set, and
+    have stopped no later than ``cfg.max_iterations``.
     """
-    if thresholds is not None and thresholds.policy != cfg.policy:
-        raise ValidationError(
-            f"the thresholds to resume are policy {thresholds.policy!r}, not {cfg.policy!r}"
-        )
     catalog = train.catalog
     arrays = train.arrays
     n_scenes = len(arrays.scene_ids)
     if not n_scenes:
         raise ConfigError("training split is empty")
-    params = pretrained
+    if isinstance(start, ModelParams):
+        params, start_iteration = start, 0
+        state = build_thresholds(cfg, catalog, params, val)
+        counts = np.zeros(catalog.n_foreground, dtype=np.int64)
+        edge_learner = None
+        if cfg.use_gsl:
+            edge_learner = init_edge_learner(arrays.features.shape[1], cfg.gsl_hidden_dim,
+                                             cfg.selftrain_seed)
+    else:
+        params, state, edge_learner = start.params, start.thresholds, start.edge_learner
+        if state is None:
+            raise ValidationError("the state to resume holds no thresholds: it is a pretrained model")
+        if state.policy != cfg.policy:
+            raise ValidationError(f"the thresholds to resume are policy {state.policy!r}, "
+                                  f"not {cfg.policy!r}")
+        if (edge_learner is not None) != cfg.use_gsl:
+            raise ValidationError(f"the state to resume was saved {'without' if cfg.use_gsl else 'with'} "
+                                  f"an edge learner; use_gsl is {str(cfg.use_gsl).lower()}")
+        if start.iteration > cfg.max_iterations:
+            raise ValidationError(f"the state to resume stopped at iteration {start.iteration}, "
+                                  f"past max_iterations {cfg.max_iterations}")
+        start_iteration, counts = start.iteration, np.array(start.counts, dtype=np.int64)
     w = class_weights(catalog, cfg.reweight)
-    state = thresholds if thresholds is not None else build_thresholds(cfg, catalog, params, val)
-    counts = np.zeros(catalog.n_foreground, dtype=np.int64)
-    if cumulative_counts is not None:
-        counts[:] = np.asarray(cumulative_counts, dtype=np.int64)
-
-    if cfg.use_gsl and edge_learner is None:
-        edge_learner = init_edge_learner(arrays.features.shape[1], cfg.gsl_hidden_dim,
-                                         cfg.selftrain_seed, cfg.focal_gamma)
 
     keys = np.stack([arrays.pair_scene, arrays.pair_index], axis=1).astype(np.int64)
     batches_per_epoch = math.ceil(n_scenes / cfg.batch_size)
@@ -374,7 +381,8 @@ def run(
             if cfg.use_gsl:  # the edge learner reads the pair rows before message passing
                 noise = batch_gumbel_noise(gumbel_rngs, np.diff(arrays.scene_offsets)[positions])
                 samples = sample_edges(edge_scores(edge_learner, X), noise)
-                gsl_loss, gsl_grads = focal_loss_grad(edge_learner, X, observed != BG_INDEX)
+                gsl_loss, gsl_grads = focal_loss_grad(edge_learner, X, observed != BG_INDEX,
+                                                     cfg.focal_gamma)
                 if not math.isfinite(gsl_loss):
                     raise RuntimeAbort("non-finite edge-learner loss")
                 edge_net = sgd_step(edge_learner.net, gsl_grads, cfg.selftrain_learning_rate)
@@ -452,6 +460,7 @@ def run(
         assignments=AssignmentLog(*_log_columns(arrays, accepted_log, no_values)),
         thresholds=state,
         counts=counts,
+        iteration=it,
         edge_learner=edge_learner,
         edge_trace=tuple(map(EdgeTraceRow._make, zip(*(c.tolist() for c in edge_columns)))),
     )
@@ -510,46 +519,47 @@ def _layers(tensors: dict, arch, prefix: str = "") -> ModelParams:
     return ModelParams(arch, layers)
 
 
-def save_checkpoint(path, params: ModelParams, meta: dict | None = None, *,
-                    thresholds: Thresholds | None = None, iteration: int = 0, counts=None,
-                    seed: int = 0, edge_learner: EdgeLearnerParams | None = None) -> None:
-    """Write a pretrained model (``params`` only) or, with ``thresholds``,
-    a self-train run stopped at ``iteration``, as one ``tensorio`` archive:
+def save_checkpoint(path, state: ModelParams | Checkpoint | SelfTrainResult,
+                    meta: dict | None = None) -> None:
+    """Write a pretrained model (a ``ModelParams``) or a self-train run
+    state (a ``SelfTrainResult`` or ``Checkpoint``) as one ``tensorio`` archive:
 
     - ``layer{i}.w``, ``layer{i}.b`` and meta ``arch``: the classifier;
     - ``thresholds.tau``, ``thresholds.accept`` and, where the policy has
       them, ``thresholds.lambda_inc``, ``thresholds.lambda_dec`` and
       ``thresholds.base_tau``, one entry per foreground class, and meta
       ``thresholds.policy`` and ``thresholds.step``; the run's int64
-      pseudo-label ``counts`` and meta ``iteration`` and ``seed``;
-    - ``edge.layer{i}.w``, ``edge.layer{i}.b`` and meta ``edge.focal_gamma``:
-      the edge learner;
+      pseudo-label ``counts`` and meta ``iteration``;
+    - ``edge.layer{i}.w`` and ``edge.layer{i}.b``: the edge learner;
     - the keys of ``meta`` (the CLI's ``config`` is the run-config echo).
 
-    All randomness is drawn from counter-based streams, so the seed and the
-    iteration number fully determine the remaining RNG state.
+    Settings, the seed among them, are not state: a resumed run reads them
+    from its config.  All randomness is drawn from counter-based streams, so
+    the seed and the iteration number fully determine the remaining RNG state.
     """
+    run_state = not isinstance(state, ModelParams)
+    params = state.params if run_state else state
     tensors, full_meta = _layer_tensors(params), {"arch": params.arch}
-    if thresholds is not None:
+    if run_state:
+        thresholds = state.thresholds
         tensors.update({f"thresholds.{a}": v for a in _THRESHOLD_ARRAYS
                         if (v := getattr(thresholds, a)) is not None})
-        tensors["counts"] = np.asarray(counts, dtype=np.int64)
+        tensors["counts"] = np.asarray(state.counts, dtype=np.int64)
         full_meta.update({"thresholds.policy": thresholds.policy, "thresholds.step": thresholds.step,
-                          "iteration": int(iteration), "seed": int(seed)})
-    if edge_learner is not None:
-        tensors.update(_layer_tensors(edge_learner.net, "edge."))
-        full_meta["edge.focal_gamma"] = edge_learner.focal_gamma
+                          "iteration": int(state.iteration)})
+        if state.edge_learner is not None:
+            tensors.update(_layer_tensors(state.edge_learner.net, "edge."))
     tensorio.save_tensors(path, tensors, {**full_meta, **(meta or {})})
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of :func:`save_checkpoint`.  A checkpoint with meta
-    ``iteration`` is a self-train run, one with any ``edge.`` entry holds the
+    ``iteration`` is a self-train run, one with any ``edge.`` tensor holds the
     edge learner, and a missing entry of either, an unknown ``arch``, layers
     whose shapes do not chain, an edge net with more than one output or
     threshold arrays and ``counts`` of another length than the classifier's
-    foreground classes is a ValidationError.  A meta ``edge.temperature``
-    (written by earlier versions) is ignored."""
+    foreground classes is a ValidationError.  The settings earlier versions
+    wrote, meta ``seed``, ``edge.focal_gamma`` and ``edge.temperature``, are ignored."""
     tensors, meta = tensorio.load_tensors(path)
     try:
         params = _layers(tensors, meta["arch"])
@@ -563,9 +573,8 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"thresholds and counts have shapes {sorted(shapes)}, "
                                  f"not ({params.n_classes - 1},) for the classifier's classes")
             thresholds = Thresholds(meta["thresholds.policy"], *arrays, int(meta["thresholds.step"]))
-        if any(k.startswith("edge.") for k in [*tensors, *meta]):
-            edge_learner = EdgeLearnerParams(_layers(tensors, "mlp", "edge."),
-                                             float(meta["edge.focal_gamma"]))
+        if any(k.startswith("edge.") for k in tensors):
+            edge_learner = EdgeLearnerParams(_layers(tensors, "mlp", "edge."))
     except KeyError as exc:
         raise ValidationError(f"{path} is not a complete checkpoint: no {exc}") from exc
     except (TypeError, ValueError) as exc:  # an entry of the wrong type or value

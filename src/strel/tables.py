@@ -10,7 +10,9 @@ parses back to the same float, and every other cell with ``str``.  A NumPy
 column goes through ``tolist`` first, so its cells are Python ints and
 floats.  Rows are formatted and written ``CHUNK_ROWS`` at a time, so the
 text held in memory does not grow with the table.  :func:`write_table`
-takes rows and writes them through the same formatter.
+takes rows and writes them through the same formatter.  A table is written
+to ``<path>.tmp`` and renamed over ``path`` (``tensorio.write_atomic``), so
+a failed write leaves the earlier table.
 
 :func:`read_columns` parses a table body with one ``np.loadtxt`` call into
 typed columns (only when that call fails does it parse line by line, to
@@ -26,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .tensorio import write_atomic
 
 CHUNK_ROWS = 4096
 
@@ -48,7 +51,7 @@ def write_columns(
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     n_rows = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path, "w", encoding="utf-8") as fh:
         for key in sorted(echo or {}):
             fh.write(f"# {key}={echo[key]}\n")
         fh.write(",".join(header) + "\n")

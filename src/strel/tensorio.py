@@ -7,7 +7,8 @@ yields byte-identical files, and a load/save round trip is bit-exact.
 ``pack_tensors`` and ``unpack_tensors`` are the same format as bytes;
 ``labels`` reads and writes split files through them, so that a split file
 is one I/O call, not two nested ones, in ``perfbench``'s traced byte counts.
-Both write through ``write_atomic``: a failed write leaves the old file.
+Both write through ``write_atomic``, as do the CSV tables and the
+manifest: a failed write leaves the old file.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from typing import Mapping
 
 import numpy as np
@@ -39,14 +41,15 @@ def pack_tensors(tensors: Mapping[str, np.ndarray], meta: Mapping | None = None)
     return b"".join([MAGIC, struct.pack("<Q", len(header)), header, *(a.tobytes() for a in arrays)])
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a sibling ``<path>.tmp`` and rename it over
-    ``path``; on any failure the temp file goes and ``path`` keeps its old
-    contents."""
+@contextmanager
+def write_atomic(path, mode: str = "wb", **kwargs):
+    """A handle to a sibling ``<path>.tmp``, opened with ``mode`` and
+    ``kwargs``, that is renamed over ``path`` when the block ends; on any
+    failure the temp file goes and ``path`` keeps its old contents."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -55,7 +58,8 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_tensors(path, tensors: Mapping[str, np.ndarray], meta: Mapping | None = None) -> None:
-    write_atomic(path, pack_tensors(tensors, meta))
+    with write_atomic(path) as fh:
+        fh.write(pack_tensors(tensors, meta))
 
 
 def unpack_tensors(data: bytes, path) -> tuple[dict[str, np.ndarray], dict]:

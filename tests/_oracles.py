@@ -191,8 +191,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
     edge = None
     if cfg.use_gsl:
         edge = edges.init_edge_learner(
-            arrays.features.shape[1], hidden_dim=cfg.gsl_hidden_dim, seed=cfg.selftrain_seed,
-            focal_gamma=cfg.focal_gamma,
+            arrays.features.shape[1], hidden_dim=cfg.gsl_hidden_dim, seed=cfg.selftrain_seed
         )
 
     def term(X, rows, targets):
@@ -247,7 +246,8 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
             _, g_b = term(X, background, np.zeros(len(background), dtype=np.intp))
             _, g_p = term(X, pseudo, pred[accepted])
             if cfg.use_gsl:
-                _, g_e = edges.focal_loss_grad(edge, pairs, (observed != 0).astype(np.float64))
+                _, g_e = edges.focal_loss_grad(edge, pairs, (observed != 0).astype(np.float64),
+                                               cfg.focal_gamma)
                 edge = replace(edge, net=sgd_step(edge.net, g_e, cfg.selftrain_learning_rate))
             state = selftrain.update_thresholds(state, cfg, it, pred, conf, params, val)
             grads = add_grads(add_grads(g_a, g_b), g_p, scale=cfg.beta)

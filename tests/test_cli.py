@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import gc
 import hashlib
 import os
 import shutil
@@ -52,6 +54,12 @@ def gsl_selftrain(root, iterations, log, resume=None):
 
 def file_hash(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def tree_hashes(root, *names):
+    """The hash of every file in the directories ``root/<name>``."""
+    dirs = [os.path.join(root, name) for name in names]
+    return {os.path.join(d, f): file_hash(os.path.join(d, f)) for d in dirs for f in os.listdir(d)}
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +254,24 @@ class TestConfigFile:
             assert sorted(flags) == sorted(names), command
             assert all(flags[n] == ["--" + n.replace("_", "-")] for n in names), command
 
+    def test_main_leaves_no_parser_to_collect(self, tmp_path, capsys):
+        """``main`` builds its parser once: later calls leave no argparse
+        object, each a node of a reference cycle, for the cyclic collector."""
+        argv = ["audit", "--data-dir", str(tmp_path)]  # fails: no split there
+        assert cli.main(argv) == 1
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds in gc.garbage
+        try:
+            for _ in range(3):
+                assert cli.main(argv) == 1
+            gc.collect()
+            left = [o for o in gc.garbage if type(o).__module__ == "argparse"
+                    or isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
+
 
 class TestPipeline:
     def test_artifacts_exist(self, pipeline_dir):
@@ -433,6 +459,42 @@ class TestCorruptInputs:
         argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, policy="never")
         self._fails_with_one_line(argv, capsys)
 
+    # one changed flag each, and the field its error must name
+    OTHER_RUNS = [
+        ({"selftrain-seed": 9}, "selftrain_seed"),
+        ({"batch-size": 7}, "batch_size"),
+        ({"beta": 0.1}, "beta"),
+        ({"use-gsl": "true"}, "use_gsl"),
+        ({"policy": "never"}, "policy"),
+    ]
+
+    @pytest.mark.parametrize("flags, field", OTHER_RUNS, ids=[field for _, field in OTHER_RUNS])
+    def test_resume_under_another_config(self, run_dir, flags, field, capsys):
+        """A resume continues the checkpoint's run: it may run longer, but
+        under the config that run was saved with."""
+        ckpt = os.path.join(run_dir, "ckpt", "selftrain.ckpt")  # 10 catm iterations
+        before = tree_hashes(run_dir, "ckpt", "logs")
+        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"max-iterations": 20}, **flags)
+        assert f" {field} " in self._fails_with_one_line(argv, capsys)
+        assert tree_hashes(run_dir, "ckpt", "logs") == before
+
+    def test_resume_past_max_iterations(self, run_dir, capsys):
+        """A 10-iteration run does not resume under --max-iterations 5: its
+        counts and thresholds are 10 iterations' own."""
+        ckpt = os.path.join(run_dir, "ckpt", "selftrain.ckpt")
+        before = tree_hashes(run_dir, "ckpt", "logs")
+        argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"max-iterations": 5})
+        assert "stopped at iteration 10" in self._fails_with_one_line(argv, capsys)
+        assert tree_hashes(run_dir, "ckpt", "logs") == before
+
+    def test_resume_checkpoint_without_a_config_echo(self, run_dir, capsys):
+        path = os.path.join(run_dir, "ckpt", "selftrain.ckpt")
+        tensors, meta = tensorio.load_tensors(path)
+        del meta["config"]
+        tensorio.save_tensors(path, tensors, meta)
+        argv = ["selftrain", "--resume", path] + tiny_args(run_dir)
+        assert "echoes no config" in self._fails_with_one_line(argv, capsys)
+
     def test_resume_gsl_checkpoint_without_gsl(self, run_dir, tmp_path, capsys):
         ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
         self._fails_with_one_line(["selftrain", "--resume", ckpt] + tiny_args(run_dir), capsys)
@@ -460,7 +522,7 @@ class TestCorruptInputs:
         argv = ["selftrain", "--resume", ckpt] + tiny_args(run_dir, **{"use-gsl": "true"})
         assert "saved without an edge learner" in self._fails_with_one_line(argv, capsys)
 
-    @pytest.mark.parametrize("drop", ["edge.focal_gamma", "edge.layer0.w"])
+    @pytest.mark.parametrize("drop", ["edge.layer0.w"])
     def test_edge_learner_without_its_fields(self, run_dir, tmp_path, drop, capsys):
         ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
         tensors, meta = tensorio.load_tensors(ckpt)
@@ -471,10 +533,7 @@ class TestCorruptInputs:
         self._fails_with_one_line(argv, capsys)
         self._fails_with_one_line(["eval"] + tiny_args(run_dir, **{"use-gsl": "true"}), capsys)
 
-    @pytest.mark.parametrize("key, value", [
-        ("iteration", "abc"), ("thresholds.step", None), ("edge.focal_gamma", "x"),
-        ("edge.focal_gamma", -1.0),
-    ])
+    @pytest.mark.parametrize("key, value", [("iteration", "abc"), ("thresholds.step", None)])
     def test_checkpoint_meta_of_the_wrong_type(self, run_dir, tmp_path, key, value, capsys):
         ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
         tensors, meta = tensorio.load_tensors(ckpt)

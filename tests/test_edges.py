@@ -28,7 +28,7 @@ def edge_score(learner, x_subject, x_object):
     return float(edge_scores(learner, np.concatenate([x_subject, x_object]))[0])
 
 
-def bias_only_learner(logit, gamma=2.0, pair_dim=4):
+def bias_only_learner(logit, pair_dim=4):
     """Edge scorer that always outputs the given logit."""
     net = ModelParams(
         arch="mlp",
@@ -37,7 +37,7 @@ def bias_only_learner(logit, gamma=2.0, pair_dim=4):
             (np.zeros((3, 1)), np.array([float(logit)])),
         ),
     )
-    return EdgeLearnerParams(net=net, focal_gamma=gamma)
+    return EdgeLearnerParams(net=net)
 
 
 class TestEdgeScore:
@@ -134,22 +134,22 @@ class TestGate:
 class TestFocalLoss:
     def test_positive_term_hand_case(self):
         # y=1, s=0.5, gamma=2: -0.25 * log(0.5); the negative term vanishes at y=1
-        learner = bias_only_learner(0.0, gamma=2.0)
-        loss, _ = focal_loss_grad(learner, np.zeros((1, 4)), np.array([1.0]))
+        learner = bias_only_learner(0.0)
+        loss, _ = focal_loss_grad(learner, np.zeros((1, 4)), np.array([1.0]), 2.0)
         assert loss == pytest.approx(-0.25 * math.log(0.5), abs=1e-12)
         assert loss == pytest.approx(0.173287, abs=5e-7)
 
     def test_perfect_positive_vanishes(self):
-        learner = bias_only_learner(40.0, gamma=2.0)
-        loss, _ = focal_loss_grad(learner, np.zeros((1, 4)), np.array([1.0]))
+        learner = bias_only_learner(40.0)
+        loss, _ = focal_loss_grad(learner, np.zeros((1, 4)), np.array([1.0]), 2.0)
         assert loss < 1e-10
 
     def test_gamma_zero_symmetric_is_bce(self):
         rng = stream(8, "bce")
-        learner = init_edge_learner(pair_dim=6, seed=5, focal_gamma=0.0)
+        learner = init_edge_learner(pair_dim=6, seed=5)
         X = rng.standard_normal((6, 6))
         y = rng.integers(0, 2, size=6).astype(float)
-        loss, _ = focal_loss_grad(learner, X, y)
+        loss, _ = focal_loss_grad(learner, X, y, 0.0)
         s = edge_scores(learner, X)
         bce = -np.sum(y * np.log(s) + (1 - y) * np.log(1 - s))
         assert loss == pytest.approx(bce, rel=1e-12)
@@ -157,33 +157,31 @@ class TestFocalLoss:
     def test_binary_labels_enforced(self):
         learner = init_edge_learner(pair_dim=4, seed=0)
         with pytest.raises(ValidationError):
-            focal_loss_grad(learner, np.zeros((1, 4)), np.array([0.5]))
+            focal_loss_grad(learner, np.zeros((1, 4)), np.array([0.5]), 2.0)
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0])
     def test_gradient_matches_finite_differences(self, gamma):
         rng = stream(21, "focal-grad", gamma, 0)
-        learner = init_edge_learner(pair_dim=6, hidden_dim=4, seed=13, focal_gamma=gamma)
+        learner = init_edge_learner(pair_dim=6, hidden_dim=4, seed=13)
         X = rng.standard_normal((5, 6))
         y = rng.integers(0, 2, size=5).astype(float)
-        _, grads = focal_loss_grad(learner, X, y)
+        _, grads = focal_loss_grad(learner, X, y, gamma)
 
         def loss_fn(net):
-            return focal_loss_grad(EdgeLearnerParams(net=net, focal_gamma=gamma), X, y)[0]
+            return focal_loss_grad(EdgeLearnerParams(net=net), X, y, gamma)[0]
 
         assert gradient_relative_error(grads, loss_fn, learner.net) <= 1e-4
 
     def test_all_positive_training_drives_scores_up(self):
         rng = stream(31, "drive")
-        learner = init_edge_learner(pair_dim=4, hidden_dim=4, seed=17, focal_gamma=0.0)
+        learner = init_edge_learner(pair_dim=4, hidden_dim=4, seed=17)
         X = rng.standard_normal((8, 4))
         y = np.ones(8)
         losses = []
         for _ in range(60):
-            loss, grads = focal_loss_grad(learner, X, y)
+            loss, grads = focal_loss_grad(learner, X, y, 0.0)
             losses.append(loss)
-            learner = EdgeLearnerParams(
-                net=sgd_step(learner.net, grads, 0.1), focal_gamma=learner.focal_gamma
-            )
+            learner = EdgeLearnerParams(net=sgd_step(learner.net, grads, 0.1))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert np.all(edge_scores(learner, X) > 0.9)
 

@@ -33,7 +33,7 @@ CHECKPOINTS = ("pretrain.ckpt", "selftrain.ckpt")
 
 GOLDEN = {
     'pretrain.ckpt': '6b55f0b6c9cf32a5e6cedbb460862486e704c90a4b027ef3092eef4fe3ab9880',
-    'selftrain.ckpt': '79c244899eb21a8b17dd1e545a5cb09ea6864fc0a5ec308d33ced0e499de69b6',
+    'selftrain.ckpt': 'c46378f16be596ec973f55f65c20bb48619a783a7c32f60808d34be71211c1a0',
 }
 
 

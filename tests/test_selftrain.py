@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strel import tensorio
 from strel.classifier import (
     ModelParams,
     class_weights,
@@ -424,42 +425,59 @@ class TestRun:
             assert np.any(accepted_at < 5) and np.any(accepted_at >= 5)
 
         half = run(start, train, val, dataclasses.replace(cfg, max_iterations=k))
+        assert half.iteration == k
         path = tmp_path / "resume.ckpt"
-        save_checkpoint(
-            path, half.params, thresholds=half.thresholds, iteration=k,
-            counts=half.log.iterations[-1].cumulative_counts, seed=cfg.selftrain_seed,
-            edge_learner=half.edge_learner,
-        )
-        params, thresholds, iteration, counts, _, edge_learner = load_checkpoint(path)
-        assert (edge_learner is not None) == use_gsl
-        resumed = run(
-            params, train, val, cfg, edge_learner=edge_learner,
-            start_iteration=iteration, thresholds=thresholds, cumulative_counts=counts,
-        )
-        layers = [full.params.layers, resumed.params.layers]
-        if use_gsl:
-            layers = [ls + r.edge_learner.net.layers for ls, r in zip(layers, (full, resumed))]
-        for (w1, b1), (w2, b2) in zip(*layers, strict=True):
-            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
-        assert full.log.iterations[k:] == resumed.log.iterations
-        later = accepted_at >= k
-        for f in AssignmentRecord._fields:
-            assert np.array_equal(getattr(full.assignments, f)[later], getattr(resumed.assignments, f))
+        save_checkpoint(path, half)
+        loaded = load_checkpoint(path)
+        assert loaded.iteration == k and (loaded.edge_learner is not None) == use_gsl
+        for state in (half, loaded):  # the run state in memory, and as read back
+            resumed = run(state, train, val, cfg)
+            assert resumed.iteration == 10
+            layers = [full.params.layers, resumed.params.layers]
+            if use_gsl:
+                layers = [ls + r.edge_learner.net.layers for ls, r in zip(layers, (full, resumed))]
+            for (w1, b1), (w2, b2) in zip(*layers, strict=True):
+                assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+            assert full.log.iterations[k:] == resumed.log.iterations
+            assert np.array_equal(full.counts, resumed.counts)
+            later = accepted_at >= k
+            for f in AssignmentRecord._fields:
+                assert np.array_equal(getattr(full.assignments, f)[later],
+                                      getattr(resumed.assignments, f))
+        # resuming leaves its start as it was
+        assert np.array_equal(half.counts, loaded.counts)
+        assert np.array_equal(half.thresholds.tau, loaded.thresholds.tau)
 
     def test_resume_under_another_policy_is_rejected(self, tmp_path):
         train, val, _ = masked_dataset(n_scenes=15)
         start = init_params("linear", 8, 3, seed=4)
         half = run(start, train, val, small_selftrain_config(max_iterations=5))
         path = tmp_path / "catm.ckpt"
-        save_checkpoint(path, half.params, thresholds=half.thresholds, iteration=5,
-                        counts=np.zeros(2, dtype=np.int64), seed=5)
-        params, thresholds, iteration, counts, *_ = load_checkpoint(path)
-        assert thresholds.policy == "catm"
-        with pytest.raises(ValidationError, match="catm"):
-            run(
-                params, train, val, small_selftrain_config(policy="never"),
-                start_iteration=iteration, thresholds=thresholds, cumulative_counts=counts,
-            )
+        save_checkpoint(path, half)
+        ckpt = load_checkpoint(path)
+        assert ckpt.thresholds.policy == "catm"
+        for state in (half, ckpt):
+            with pytest.raises(ValidationError, match="catm"):
+                run(state, train, val, small_selftrain_config(policy="never"))
+
+    MISFITS = {  # a run state and a config it cannot resume under, and the error's words
+        "pretrained": (lambda r: r._replace(thresholds=None), {}, "holds no thresholds"),
+        "edge-learner": (lambda r: r, {"use_gsl": True}, "saved without an edge learner"),
+        "no-edge-learner": (lambda r: r, {}, "saved with an edge learner"),
+        "past-max": (lambda r: r, {"max_iterations": 4}, "stopped at iteration 5"),
+    }
+
+    @pytest.mark.parametrize("case", MISFITS)
+    def test_resume_of_a_state_that_does_not_fit_is_rejected(self, tmp_path, case):
+        edit, fields, words = self.MISFITS[case]
+        train, val, _ = masked_dataset(n_scenes=15)
+        start = init_params("linear", 8, 3, seed=4)
+        gsl = case == "no-edge-learner"
+        save_checkpoint(tmp_path / "run.ckpt",
+                        run(start, train, val, small_selftrain_config(max_iterations=5, use_gsl=gsl)))
+        ckpt = edit(load_checkpoint(tmp_path / "run.ckpt"))
+        with pytest.raises(ValidationError, match=words):
+            run(ckpt, train, val, small_selftrain_config(**fields))
 
 
 def same_array(a, b):
@@ -482,11 +500,7 @@ class TestCheckpoint:
             valid_recompute_interval=3, focal_gamma=1.5,
         )
         result = run(init_params("mlp", 8, 4, hidden_dim=5, seed=4), train, val, cfg)
-        save_checkpoint(
-            tmp_path / "run.ckpt", result.params, {"config": {"policy": policy}},
-            thresholds=result.thresholds, iteration=7, counts=result.counts, seed=5,
-            edge_learner=result.edge_learner,
-        )
+        save_checkpoint(tmp_path / "run.ckpt", result, {"config": {"policy": policy}})
         ckpt = load_checkpoint(tmp_path / "run.ckpt")
 
         assert same_layers(ckpt.params.layers, result.params.layers)
@@ -496,13 +510,28 @@ class TestCheckpoint:
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None and b is None) or same_array(a, b), name
         assert ckpt.iteration == 7 and same_array(ckpt.counts, result.counts)
-        meta = {"arch": "mlp", "iteration": 7, "seed": 5, "thresholds.policy": policy,
+        meta = {"arch": "mlp", "iteration": 7, "thresholds.policy": policy,
                 "thresholds.step": want.step, "config": {"policy": policy}}
         if use_gsl:
-            meta["edge.focal_gamma"] = 1.5
-            learner = ckpt.edge_learner
-            assert learner.focal_gamma == 1.5
-            assert same_layers(learner.net.layers, result.edge_learner.net.layers)
+            assert same_layers(ckpt.edge_learner.net.layers, result.edge_learner.net.layers)
         else:
             assert ckpt.edge_learner is None
         assert ckpt.meta == meta
+        save_checkpoint(tmp_path / "again.ckpt", ckpt, {"config": {"policy": policy}})
+        assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "run.ckpt").read_bytes()
+
+    def test_settings_that_earlier_versions_saved_are_ignored(self, tmp_path):
+        """A checkpoint with meta ``seed``, ``edge.focal_gamma`` or
+        ``edge.temperature`` loads as it does without them."""
+        train, val, _ = masked_dataset(n_scenes=15)
+        cfg = small_selftrain_config(max_iterations=5, use_gsl=True)
+        save_checkpoint(tmp_path / "run.ckpt", run(init_params("linear", 8, 3, seed=4), train, val, cfg))
+        tensors, meta = tensorio.load_tensors(tmp_path / "run.ckpt")
+        old = {"seed": 5, "edge.focal_gamma": 1.5, "edge.temperature": 0.5}
+        tensorio.save_tensors(tmp_path / "old.ckpt", tensors, {**meta, **old})
+        want, got = load_checkpoint(tmp_path / "run.ckpt"), load_checkpoint(tmp_path / "old.ckpt")
+        assert got.meta == {**want.meta, **old}
+        assert same_layers(got.params.layers + got.edge_learner.net.layers,
+                           want.params.layers + want.edge_learner.net.layers)
+        assert got.iteration == want.iteration and same_array(got.counts, want.counts)
+        assert same_array(got.thresholds.tau, want.thresholds.tau)

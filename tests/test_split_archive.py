@@ -29,6 +29,7 @@ import strel
 from strel import cli, synthgen, tensorio
 from strel.errors import ValidationError
 from strel.labels import SPLIT_COLUMNS, SplitArrays, write_scenes
+from strel.tables import write_columns
 
 from _oracles import read_jsonl, write_jsonl
 
@@ -125,8 +126,8 @@ class HalfWrite:
     """A file opened for writing whose ``write`` stores half its data, then
     fails as a full disk does."""
 
-    def __init__(self, path, mode):
-        self.fh = open(path, mode)
+    def __init__(self, path, mode, **kwargs):
+        self.fh = open(path, mode, **kwargs)
 
     def __enter__(self):
         return self
@@ -145,6 +146,8 @@ WRITERS = {  # each writes a file that grows with n
     "write_scenes": lambda path, n: write_scenes(
         path, generated_splits(cli.RunConfig(n_scenes=20 * n))["train"].arrays
     ),
+    "write_columns": lambda path, n: write_columns(path, ("x",), [np.arange(n * 100.0)], {"n": n}),
+    "manifest": lambda path, n: cli.write_manifest(path, {"counts": list(range(n * 100))}),
 }
 
 

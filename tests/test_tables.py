@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -108,6 +109,15 @@ def test_corrupt_table_is_a_one_line_validation_error(tmp_path_factory, columns,
         read_columns(path, NAMES, DTYPES)
     assert "\n" not in str(err.value) and str(path) in str(err.value)
     assert f": line {at + 1}: " in str(err.value) and " at row " not in str(err.value)
+
+
+def test_unequal_columns_keep_the_earlier_table(tmp_path):
+    path = tmp_path / "t.csv"
+    write_columns(path, NAMES, [[1], [2], [0.5]], ECHO)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_columns(path, NAMES, [[1, 2], [2], [0.5]], ECHO)
+    assert path.read_bytes() == before and os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_wrong_header_is_a_validation_error(tmp_path):
