@@ -59,14 +59,12 @@ def init_params(
     if arch == "linear":
         w = 0.01 * rng.standard_normal((feature_dim, n_classes))
         return ModelParams(arch="linear", layers=((w, np.zeros(n_classes)),))
-    if arch == "mlp":
-        w1 = rng.standard_normal((feature_dim, hidden_dim)) / math.sqrt(feature_dim)
-        w2 = rng.standard_normal((hidden_dim, n_classes)) / math.sqrt(hidden_dim)
-        return ModelParams(
-            arch="mlp",
-            layers=((w1, np.zeros(hidden_dim)), (w2, np.zeros(n_classes))),
-        )
-    raise ConfigError(f"unknown architecture {arch!r}")
+    w1 = rng.standard_normal((feature_dim, hidden_dim)) / math.sqrt(feature_dim)
+    w2 = rng.standard_normal((hidden_dim, n_classes)) / math.sqrt(hidden_dim)
+    return ModelParams(
+        arch=arch,
+        layers=((w1, np.zeros(hidden_dim)), (w2, np.zeros(n_classes))),
+    )
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -211,8 +209,6 @@ def class_weights(catalog: PredicateCatalog, scheme: str) -> np.ndarray:
     w = np.ones(catalog.n_classes)
     if scheme == "none":
         return w
-    if scheme != "inverse-frequency":
-        raise ConfigError(f"unknown reweight scheme {scheme!r}")
     counts = np.asarray(catalog.counts, dtype=np.float64)
     positive = counts > 0
     fg = np.full(len(counts), MAX_CLASS_WEIGHT)

@@ -1,8 +1,12 @@
 """Pipeline driver: gen, pretrain, selftrain, eval, audit, and sweep.
 
-Configuration is a flat ``key = value`` text file; every field can also be
-overridden by a ``--kebab-case`` flag.  Exit codes: 0 success, 1 validation
-or configuration error, 2 runtime abort.
+Every ``RunConfig`` field is a setting, read from a flat ``key = value`` file
+(``--config``) and from its ``--kebab-case`` flag; a flag wins over the file.
+Both texts are parsed one way, as the type of the field's default: a switch
+takes true/false, yes/no, on/off or 1/0, and ``metric_ks`` a comma list.
+Exit codes: 0 success; 1 a bad setting or input file, or an ``OSError``
+such as a directory given for a file; 2 runtime abort.  A failure prints one
+line.
 
 ``strel gen`` writes each split's columns as one archive, ``<data_dir>/train.tns``
 (see ``labels``), beside ``manifest.json``; ``load_split`` reads one and checks it
@@ -33,7 +37,7 @@ import sys
 import numpy as np
 
 from . import synthgen, tables, tensorio
-from .classifier import pretrain
+from .classifier import ModelParams, pretrain
 from .config import RunConfig
 from .errors import ConfigError, RuntimeAbort, ValidationError
 from .labels import Dataset, PredicateCatalog, annotated_counts, read_scenes, write_scenes
@@ -53,55 +57,50 @@ generator_config = train_config = selftrain_config = _same
 # --- configuration parsing ---------------------------------------------------
 
 
-def _coerce(name: str, text: str, target_type) -> object:
-    text = text.strip()
+_DEFAULTS = dataclasses.asdict(RunConfig())
+_SWITCH = {"true": True, "1": True, "yes": True, "on": True,
+           "false": False, "0": False, "no": False, "off": False}
+
+
+def _coerce(name: str, text: str) -> object:
+    """``text`` as a value of field ``name``, of its default's type."""
+    kind, text = type(_DEFAULTS[name]), text.strip()
     try:
-        if target_type is bool:
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        if target_type is str:
-            return text
-        if target_type is tuple or name == "metric_ks":
+        if kind is bool:
+            return _SWITCH[text.lower()]
+        if kind is tuple:
             return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
-    except ValueError as exc:
+        return kind(text)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {name!r}: {text!r}") from exc
-    raise ConfigError(f"cannot parse field {name!r}")
-
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_TYPE_MAP = {"int": int, "float": float, "str": str, "bool": bool, "tuple[int, ...]": tuple}
 
 
 def parse_config_file(path) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from exc
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
-            values[key] = _coerce(key, text, _TYPE_MAP[_FIELD_TYPES[key]])
+            values[key] = _coerce(key, text)
     return values
 
 
-def build_run_config(file_values: dict, overrides: dict) -> RunConfig:
-    merged = dict(file_values)
-    merged.update(overrides)
-    return RunConfig(**merged)
+def run_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's settings, if ``args`` names one, under the flags."""
+    values = parse_config_file(args.config) if args.config else {}
+    for name in _DEFAULTS:
+        if getattr(args, name) is not None:
+            values[name] = _coerce(name, getattr(args, name))
+    return RunConfig(**values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,40 +108,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="key = value configuration file")
-    for f in dataclasses.fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, default=None, metavar="V")
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        raw = getattr(args, f.name, None)
-        if raw is None:
-            continue
-        overrides[f.name] = _coerce(f.name, str(raw), _TYPE_MAP[_FIELD_TYPES[f.name]])
-    return overrides
-
-
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else {}
-    return build_run_config(file_values, _collect_overrides(args))
-
-
 # --- dataset and artifact plumbing -------------------------------------------
 
 
-def _data_path(rc: RunConfig, name: str) -> str:
-    return os.path.join(rc.data_dir, name)
-
-
 def load_split(rc: RunConfig, split: str) -> Dataset:
-    path = _data_path(rc, f"{split}.tns")
+    path = os.path.join(rc.data_dir, f"{split}.tns")
     if not os.path.exists(path):
         raise ConfigError(f"missing dataset file: {path} (run `strel gen` first)")
-    manifest = _data_path(rc, "manifest.json")
+    manifest = os.path.join(rc.data_dir, "manifest.json")
     if not os.path.exists(manifest):
         raise ConfigError(f"missing manifest: {manifest}")
     with open(manifest, "r", encoding="utf-8") as fh:
@@ -167,13 +140,6 @@ def write_manifest(path, manifest: dict) -> None:
     with tensorio.write_atomic(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-_PRETRAIN_HINT = " (run `strel pretrain`)"
-
-
-def _checkpoint_path(rc: RunConfig, name: str) -> str:
-    return os.path.join(rc.checkpoint_dir, name)
 
 
 def _checkpoint(path: str, dataset: Dataset, use_gsl: bool | None = None,
@@ -201,18 +167,37 @@ def _checkpoint(path: str, dataset: Dataset, use_gsl: bool | None = None,
 
 # the fields a resumed run may change: how far it runs, what it reports and where
 _RESUMABLE = ("max_iterations", "metric_ks", "data_dir", "checkpoint_dir", "log_dir")
+# the fields only pretraining reads, which self-training from its model must share
+_PRETRAIN_ONLY = ("arch", "hidden_dim", "pretrain_seed", "pretrain_epochs",
+                  "pretrain_learning_rate", "oversample")
 
 
-def _check_same_run(path: str, ckpt: Checkpoint, rc: RunConfig) -> None:
-    """A ConfigError naming the first field outside ``_RESUMABLE`` in which
-    ``rc`` differs from the config ``ckpt`` echoes."""
-    saved = ckpt.meta.get("config")
+def _check_same_run(path: str, ckpt: Checkpoint, rc: RunConfig, names) -> None:
+    """A ConfigError naming the first of ``names`` in which ``rc`` differs
+    from the config ``ckpt`` echoes."""
+    saved, echo = ckpt.meta.get("config"), rc.echo()
     if not isinstance(saved, dict):
-        raise ConfigError(f"{path} echoes no config to resume under")
-    for name, value in rc.echo().items():
-        if name not in _RESUMABLE and saved.get(name) != value:
+        raise ConfigError(f"{path} echoes no config")
+    for name in names:
+        if saved.get(name) != echo[name]:
             raise ConfigError(f"{path} was saved with {name} {saved.get(name)!r}, "
-                              f"this run has {value!r}")
+                              f"this run has {echo[name]!r}")
+
+
+def _pretrained(rc: RunConfig, train: Dataset) -> ModelParams:
+    """``pretrain.ckpt``'s model, which must have been pretrained under
+    ``rc``'s ``_PRETRAIN_ONLY`` fields."""
+    path = os.path.join(rc.checkpoint_dir, "pretrain.ckpt")
+    ckpt = _checkpoint(path, train, hint=" (run `strel pretrain`)")
+    _check_same_run(path, ckpt, rc, _PRETRAIN_ONLY)
+    return ckpt.params
+
+
+def _write_log(rc: RunConfig, name: str, write, header, body) -> None:
+    """Write the table ``<log_dir>/<name>`` under ``rc``'s echo with ``write``:
+    ``tables.write_table`` for rows or ``tables.write_columns`` for columns."""
+    os.makedirs(rc.log_dir, exist_ok=True)
+    write(os.path.join(rc.log_dir, name), header, body, echo=rc.echo())
 
 
 # --- commands -----------------------------------------------------------------
@@ -227,7 +212,7 @@ def cmd_gen(rc: RunConfig) -> int:
     )
     splits = {"train": train.arrays, "val": val.arrays, "test": test.arrays}
     for split, arrays in splits.items():
-        write_scenes(_data_path(rc, f"{split}.tns"), arrays)
+        write_scenes(os.path.join(rc.data_dir, f"{split}.tns"), arrays)
     n_fg = train.catalog.n_foreground
     manifest = {
         "config": rc.echo(),
@@ -238,7 +223,7 @@ def cmd_gen(rc: RunConfig) -> int:
             s: int(annotated_counts(a.observed, n_fg).sum()) for s, a in splits.items()
         },
     }
-    write_manifest(_data_path(rc, "manifest.json"), manifest)
+    write_manifest(os.path.join(rc.data_dir, "manifest.json"), manifest)
     print("class,train_count")
     for name, count in zip(train.catalog.class_names[1:], train.catalog.counts):
         print(f"{name},{count}")
@@ -249,15 +234,10 @@ def cmd_pretrain(rc: RunConfig) -> int:
     train = load_split(rc, "train")
     val = load_split(rc, "val")
     params, log = pretrain(train, rc, val, metric_k=rc.metric_ks[-1])
+    _write_log(rc, "pretrain_log.csv", tables.write_table, ("epoch", "mean_loss", "val_mean_recall"),
+               [(e.epoch, e.mean_loss, e.val_mean_recall) for e in log])
     os.makedirs(rc.checkpoint_dir, exist_ok=True)
-    os.makedirs(rc.log_dir, exist_ok=True)
-    save_checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), params, {"config": rc.echo()})
-    tables.write_table(
-        os.path.join(rc.log_dir, "pretrain_log.csv"),
-        ("epoch", "mean_loss", "val_mean_recall"),
-        [(e.epoch, e.mean_loss, e.val_mean_recall) for e in log],
-        echo=rc.echo(),
-    )
+    save_checkpoint(os.path.join(rc.checkpoint_dir, "pretrain.ckpt"), params, {"config": rc.echo()})
     if log:
         print(f"pretrained {rc.pretrain_epochs} epochs, final val mR@{rc.metric_ks[-1]} = "
               f"{log[-1].val_mean_recall:.2f}")
@@ -269,34 +249,22 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     val = load_split(rc, "val")
     if resume:  # the run's checkpoint holds all it needs; pretrain.ckpt is not read
         start = _checkpoint(resume, train)
-        _check_same_run(resume, start, rc)
+        _check_same_run(resume, start, rc, [n for n in _DEFAULTS if n not in _RESUMABLE])
     else:
-        start = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), train,
-                            hint=_PRETRAIN_HINT).params
+        start = _pretrained(rc, train)
 
     result = run(start, train, val, rc, metric_ks=rc.metric_ks, keep_edge_trace=edge_trace)
 
     log = result.log.iterations
-    os.makedirs(rc.checkpoint_dir, exist_ok=True)
-    os.makedirs(rc.log_dir, exist_ok=True)
-    save_checkpoint(_checkpoint_path(rc, "selftrain.ckpt"), result, {"config": rc.echo()})
-
     n_fg = train.catalog.n_foreground
-    echo = rc.echo()
     scalars = ("iteration", "loss_annotated", "loss_background", "loss_pseudo", "loss_total",
                "n_pseudo")
-    tables.write_columns(
-        os.path.join(rc.log_dir, "selftrain_iterations.csv"),
-        scalars + tuple(f"count_{c}" for c in range(1, n_fg + 1)),
-        [getattr(log, f) for f in scalars] + list(log.cumulative_counts.T),
-        echo=echo,
-    )
-    tables.write_columns(
-        os.path.join(rc.log_dir, "thresholds.csv"),
-        ("iteration",) + tuple(f"tau_{c}" for c in range(1, n_fg + 1)),
-        [log.iteration, *log.tau.T],
-        echo=echo,
-    )
+    _write_log(rc, "selftrain_iterations.csv", tables.write_columns,
+               scalars + tuple(f"count_{c}" for c in range(1, n_fg + 1)),
+               [getattr(log, f) for f in scalars] + list(log.cumulative_counts.T))
+    _write_log(rc, "thresholds.csv", tables.write_columns,
+               ("iteration",) + tuple(f"tau_{c}" for c in range(1, n_fg + 1)),
+               [log.iteration, *log.tau.T])
     epoch_rows = []
     for e in result.log.epochs:
         row = [e.epoch, e.iterations_done]
@@ -307,20 +275,14 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     header = ["epoch", "iterations"]
     for k in rc.metric_ks:
         header.extend([f"recall_at_{k}", f"mean_recall_at_{k}", f"f_at_{k}"])
-    tables.write_table(os.path.join(rc.log_dir, "selftrain_epochs.csv"), header, epoch_rows, echo=echo)
-    tables.write_columns(
-        os.path.join(rc.log_dir, "assignments.csv"),
-        AssignmentRecord._fields,
-        [getattr(result.assignments, f) for f in AssignmentRecord._fields],
-        echo=echo,
-    )
+    _write_log(rc, "selftrain_epochs.csv", tables.write_table, header, epoch_rows)
+    _write_log(rc, "assignments.csv", tables.write_columns, AssignmentRecord._fields,
+               [getattr(result.assignments, f) for f in AssignmentRecord._fields])
     if edge_trace:
-        tables.write_table(
-            os.path.join(rc.log_dir, "edge_trace.csv"),
-            EdgeTraceRow._fields,
-            result.edge_trace,
-            echo=echo,
-        )
+        _write_log(rc, "edge_trace.csv", tables.write_table, EdgeTraceRow._fields,
+                   result.edge_trace)
+    os.makedirs(rc.checkpoint_dir, exist_ok=True)
+    save_checkpoint(os.path.join(rc.checkpoint_dir, "selftrain.ckpt"), result, {"config": rc.echo()})
     print(f"self-trained {len(log)} iterations with policy {rc.policy}; "
           f"{len(result.assignments)} pseudo-labels assigned")
     return 0
@@ -328,30 +290,27 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
 
 def cmd_eval(rc: RunConfig, checkpoint: str | None, split: str) -> int:
     dataset = load_split(rc, split)
-    ckpt = _checkpoint(checkpoint or _checkpoint_path(rc, "selftrain.ckpt"), dataset, rc.use_gsl)
+    path = checkpoint or os.path.join(rc.checkpoint_dir, "selftrain.ckpt")
+    ckpt = _checkpoint(path, dataset, rc.use_gsl)
     report = evaluate(ckpt.params, dataset, rc.metric_ks, ckpt.edge_learner)
 
-    os.makedirs(rc.log_dir, exist_ok=True)
-    echo = rc.echo()
-    tables.write_table(
-        os.path.join(rc.log_dir, f"eval_{split}.csv"),
+    _write_log(
+        rc, f"eval_{split}.csv", tables.write_table,
         ("k", "recall", "mean_recall", "f_score", "head", "body", "tail"),
         [
             (row.k, row.recall, row.mean_recall, row.f_score,
              row.group_recall["head"], row.group_recall["body"], row.group_recall["tail"])
             for row in report.rows
         ],
-        echo=echo,
     )
-    tables.write_table(
-        os.path.join(rc.log_dir, f"eval_{split}_per_class.csv"),
+    _write_log(
+        rc, f"eval_{split}_per_class.csv", tables.write_table,
         ("class",) + tuple(f"recall_at_{row.k}" for row in report.rows),
         [
             (dataset.catalog.class_names[c],)
             + tuple(float(row.per_class[c - 1]) for row in report.rows)
             for c in range(1, dataset.catalog.n_foreground + 1)
         ],
-        echo=echo,
     )
     ks = "/".join(str(row.k) for row in report.rows)
     print(f"split={split}  R@{ks}  mR@{ks}  F@{ks}")
@@ -372,9 +331,8 @@ def cmd_audit(rc: RunConfig, assignments_path: str | None, split: str) -> int:
         path, AssignmentRecord._fields, [np.int64] * 4 + [np.float64]  # confidence is last
     )
     audit = audit_pseudo_labels(AssignmentLog(*columns), dataset)
-    os.makedirs(rc.log_dir, exist_ok=True)
-    tables.write_table(
-        os.path.join(rc.log_dir, "audit.csv"),
+    _write_log(
+        rc, "audit.csv", tables.write_table,
         ("class", "assigned", "correct", "precision", "recall", "recoverable"),
         [
             (
@@ -387,7 +345,6 @@ def cmd_audit(rc: RunConfig, assignments_path: str | None, split: str) -> int:
             )
             for c in range(1, dataset.catalog.n_foreground + 1)
         ],
-        echo=rc.echo(),
     )
     print(
         f"assignments={int(audit.assigned.sum())} overall_precision={audit.overall_precision!r} "
@@ -399,27 +356,23 @@ def cmd_audit(rc: RunConfig, assignments_path: str | None, split: str) -> int:
 def cmd_sweep(rc: RunConfig, grid: str) -> int:
     if rc.policy != "catm":
         raise ConfigError(f"policy must be catm for a sweep of its momentum, not {rc.policy!r}")
-    values = [float(v) for v in grid.replace(" ", "").split(",") if v]
-    if any(not 0.0 <= v <= 1.0 for v in values):
-        raise ConfigError("sweep grid values must lie in [0, 1]")
+    try:  # every cell's config is checked before the first run
+        values = [_coerce("alpha_inc", v) for v in grid.split(",") if v.strip()]
+        cells = [dataclasses.replace(rc, alpha_inc=a, alpha_dec=d) for a in values for d in values]
+    except ConfigError as exc:
+        raise ConfigError(f"--grid {grid!r}: {exc}") from exc
+    if not cells:
+        raise ConfigError(f"--grid {grid!r} lists no value")
     train = load_split(rc, "train")
     val = load_split(rc, "val")
-    params = _checkpoint(_checkpoint_path(rc, "pretrain.ckpt"), train, hint=_PRETRAIN_HINT).params
+    params = _pretrained(rc, train)
     k = rc.metric_ks[-1]
     rows = []
-    for a_inc in values:
-        for a_dec in values:
-            cfg = dataclasses.replace(rc, alpha_inc=a_inc, alpha_dec=a_dec)
-            result = run(params, train, val, cfg, metric_ks=(k,))
-            r, mr, f = result.log.epochs[-1].metrics[k]
-            rows.append((a_inc, a_dec, r, mr, f))
-    os.makedirs(rc.log_dir, exist_ok=True)
-    tables.write_table(
-        os.path.join(rc.log_dir, "sweep.csv"),
-        ("alpha_inc", "alpha_dec", f"recall_at_{k}", f"mean_recall_at_{k}", f"f_at_{k}"),
-        rows,
-        echo=rc.echo(),
-    )
+    for cfg in cells:
+        r, mr, f = run(params, train, val, cfg, metric_ks=(k,)).log.epochs[-1].metrics[k]
+        rows.append((cfg.alpha_inc, cfg.alpha_dec, r, mr, f))
+    _write_log(rc, "sweep.csv", tables.write_table,
+               ("alpha_inc", "alpha_dec", f"recall_at_{k}", f"mean_recall_at_{k}", f"f_at_{k}"), rows)
     print(f"swept {len(rows)} cells; wrote {os.path.join(rc.log_dir, 'sweep.csv')}")
     return 0
 
@@ -431,8 +384,10 @@ def cmd_sweep(rc: RunConfig, grid: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="strel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)  # the config flags every command takes
-    _add_config_flags(common)
+    common = argparse.ArgumentParser(add_help=False)  # the settings every command takes
+    common.add_argument("--config", default=None, help="key = value configuration file")
+    for name in _DEFAULTS:
+        common.add_argument("--" + name.replace("_", "-"), dest=name, default=None, metavar="V")
     for name in ("gen", "pretrain", "selftrain", "eval", "audit", "sweep"):
         p = sub.add_parser(name, parents=[common])
         if name == "selftrain":
@@ -454,7 +409,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        rc = _load_run_config(args)
+        rc = run_config(args)
         if args.command == "gen":
             return cmd_gen(rc)
         if args.command == "pretrain":
@@ -468,7 +423,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(rc, args.grid)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeAbort as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -33,7 +34,8 @@ _RANGES = (
 class RunConfig:
     """The one run config; ``synthgen.generate``, ``classifier.pretrain`` and
     ``selftrain.run`` take it.  Defaults are the desk benchmark, and every
-    field is checked on construction (``validate``)."""
+    field is checked on construction (``validate``), the one place that
+    states a setting's range: a library function taking a field trusts it."""
 
     # generator
     n_scenes: int = 2000
@@ -99,6 +101,9 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise a ``ConfigError`` that names the first unusable field."""
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, not {value!r}")
         for names, usable, rule in _RANGES:
             for name in names:
                 if not usable(getattr(self, name)):

@@ -54,8 +54,6 @@ def split_predictions(pred_classes, scores, hidden, scene_offsets) -> SplitPredi
 
 
 def _top_k_hits(preds: SplitPredictions, k: int) -> np.ndarray:
-    if k <= 0:
-        raise ValidationError("k must be positive")
     return (preds.rank < k) & (preds.hidden != BG_INDEX) & (preds.pred_classes == preds.hidden)
 
 

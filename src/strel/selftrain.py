@@ -175,8 +175,6 @@ def assign_pseudo_labels(
     keep the lowest pair index.  Returns the positions of the survivors in
     increasing order.
     """
-    if cap < 1:
-        raise ConfigError("cap must be >= 1")
     classes = np.asarray(pred_classes, dtype=np.intp)
     conf = np.asarray(confidences, dtype=np.float64)
     eligible = conf >= thresholds.bar[classes]

@@ -16,8 +16,9 @@ The dataset is built as columns (``labels.SplitArrays``) from the first
 draw on: the generator fills the pair, label and entity columns straight
 from its per-scene streams, masking is one row mask over the label column,
 a split is one gather of scene rows, and relabelling to frequency rank is a
-lookup table over the label columns.  ``Scene`` records exist only as the
-scene file format.
+lookup table over the label columns.  A split is saved as one ``tensorio``
+archive of those columns (``labels.write_scenes``); ``Scene`` records are
+only the view that ``Dataset.scenes`` builds from them.
 """
 
 from __future__ import annotations
@@ -159,8 +160,6 @@ def mask_annotations(dataset: Dataset, annotated_fraction: float, seed: int) -> 
     other pairs get the background observation.  Hidden labels are untouched
     and pairs with no true relation always observe background.
     """
-    if not 0.0 < annotated_fraction <= 1.0:
-        raise ConfigError("annotated_fraction must lie in (0, 1]")
     arrays = dataset.arrays
     refs = np.flatnonzero(arrays.hidden != BG_INDEX)
     keep = math.ceil(annotated_fraction * len(refs))
@@ -195,10 +194,6 @@ def split(
     keeps matching frequency rank under the new counts.
     """
     f = np.asarray(fractions, dtype=np.float64)
-    if f.shape != (3,) or np.any(f <= 0.0):
-        raise ConfigError("need three positive split fractions")
-    if abs(float(f.sum()) - 1.0) > 1e-9:
-        raise ConfigError("split fractions must sum to 1")
     n = len(dataset.arrays.scene_ids)
     sizes = _allocate(n, f)
     if any(s == 0 for s in sizes):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from contextlib import contextmanager
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -71,6 +72,17 @@ def write_table(
     write_columns(path, header, columns, echo)
 
 
+@contextmanager
+def _text(path):
+    """``path`` open as UTF-8 text; a byte that is not UTF-8 is a
+    ``ValidationError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text") from exc
+
+
 def _skip_to_body(fh) -> list[str]:
     """Advance ``fh`` past the config echo and the header; return the header."""
     for line in fh:
@@ -117,7 +129,7 @@ def read_columns(path, names: Sequence[str], dtypes: Sequence) -> tuple[np.ndarr
     that names the file line of the first bad row.
     """
     dtype = np.dtype(list(zip(names, dtypes)))
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text(path) as fh:
         header = _skip_to_body(fh)
         if header != list(names):
             raise ValidationError(f"{path}: header {','.join(header)!r} is not {','.join(names)!r}")
@@ -131,7 +143,7 @@ def read_columns(path, names: Sequence[str], dtypes: Sequence) -> tuple[np.ndarr
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
     """Read a table back as its header and rows of cell strings."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text(path) as fh:
         header = _skip_to_body(fh)
         lines = (line.rstrip("\n") for line in fh)
         return header, [line.split(",") for line in lines if line and not line.startswith("#")]

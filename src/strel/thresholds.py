@@ -80,8 +80,6 @@ def momentum_coefficients(
     descending-count ranking, so lambda_inc is non-increasing and lambda_dec
     non-decreasing along the ranking.
     """
-    if not 0.0 <= alpha_inc <= 1.0 or not 0.0 <= alpha_dec <= 1.0:
-        raise ConfigError("momentum exponents must lie in [0, 1]")
     counts = np.asarray(catalog.counts, dtype=np.float64)
     if counts[0] <= 0:
         raise ConfigError("the most frequent class must have a positive count")
@@ -144,8 +142,6 @@ def top_quantile(values, quantile: float) -> float:
     arr = np.sort(np.asarray(values, dtype=np.float64))[::-1]
     if arr.size == 0:
         raise ValidationError("empty confidence pool")
-    if not 0.0 < quantile <= 1.0:
-        raise ConfigError("quantile must lie in (0, 1]")
     k = min(arr.size, max(1, math.ceil(quantile * arr.size)))
     return float(arr[k - 1])
 
@@ -176,8 +172,6 @@ def freq_weighted_threshold(fixed, catalog: PredicateCatalog, mix: float) -> np.
     tau_c = (1 - mix) * tau_c_fixed + mix * count_c / count_1, clipped to
     [0, 1]; penalizes accepting the frequent classes.
     """
-    if not 0.0 <= mix <= 1.0:
-        raise ConfigError("mix weight must lie in [0, 1]")
     counts = np.asarray(catalog.counts, dtype=np.float64)
     freq = counts / counts[0]
     return np.clip((1.0 - mix) * np.asarray(fixed) + mix * freq, 0.0, 1.0)

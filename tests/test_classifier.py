@@ -20,7 +20,7 @@ from strel.classifier import (
     zero_grads,
 )
 from strel.config import RunConfig
-from strel.errors import ConfigError, RuntimeAbort, ValidationError
+from strel.errors import RuntimeAbort, ValidationError
 from strel.labels import Dataset
 from strel.rngs import stream
 from strel.selftrain import load_checkpoint, save_checkpoint
@@ -166,10 +166,6 @@ class TestClassWeights:
         cat = PredicateCatalog(("bg", "a", "b"), (10, 0))
         w = class_weights(cat, "inverse-frequency")
         assert w[2] == 100.0
-
-    def test_unknown_scheme(self, tiny_catalog):
-        with pytest.raises(ConfigError):
-            class_weights(tiny_catalog, "sqrt")
 
 
 def separable_dataset(n_scenes=30):

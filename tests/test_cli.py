@@ -105,6 +105,12 @@ REJECTED = [
     ({"focal-gamma": -1}, "focal_gamma"),
     ({"train-fraction": 0, "val-fraction": 0.3, "test-fraction": 0.7}, "train_fraction"),
     ({"val-fraction": 0.2}, "val_fraction"),
+    ({"reweight": "sqrt"}, "reweight"),
+]
+# values that are not finite, which the range tests of these fields let through
+NOT_FINITE = [
+    ({"policy": "dash-adaptive", "dash-interval": 5, "dash-growth": "nan"}, "dash_growth"),
+    ({"class-separation": "inf"}, "class_separation"),
 ]
 
 
@@ -145,7 +151,8 @@ class TestGen:
         assert field in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("flags, field", REJECTED, ids=[field for _, field in REJECTED])
+    @pytest.mark.parametrize("flags, field", REJECTED + NOT_FINITE, ids=[
+        field for _, field in REJECTED] + [f"{field}-not-finite" for _, field in NOT_FINITE])
     def test_each_rejected_field_is_named(self, tmp_path, flags, field, capsys):
         capsys.readouterr()
         assert cli.main(["gen"] + tiny_args(str(tmp_path), **flags)) == 1
@@ -172,8 +179,8 @@ class TestConfigFile:
     def test_file_values_and_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_scenes = 33\nnoise_sigma = 0.9  # trailing comment\n")
-        values = cli.parse_config_file(str(cfg))
-        rc = cli.build_run_config(values, {"noise_sigma": 1.1})
+        args = cli.build_parser().parse_args(["gen", "--config", str(cfg), "--noise-sigma", "1.1"])
+        rc = cli.run_config(args)
         assert rc.n_scenes == 33
         assert rc.noise_sigma == 1.1
 
@@ -201,8 +208,8 @@ class TestConfigFile:
         assert "n_scenes" in capsys.readouterr().err
 
     def test_metric_ks_parsing(self):
-        rc = cli.build_run_config({}, {"metric_ks": (1, 3)})
-        assert rc.metric_ks == (1, 3)
+        args = cli.build_parser().parse_args(["gen", "--metric-ks", " 1, 3,"])
+        assert cli.run_config(args).metric_ks == (1, 3)
 
     @pytest.mark.parametrize("command", ["pretrain", "sweep", "eval", "selftrain", "config-file"])
     def test_empty_metric_ks_rejected(self, run_dir, tmp_path, command, capsys):
@@ -241,7 +248,9 @@ class TestConfigFile:
             assert getattr(rc, f.name) != f.default, f.name
         path = tmp_path / "run.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in rc.echo().items()))
-        assert cli.build_run_config(cli.parse_config_file(str(path)), {}) == rc
+        assert RunConfig(**cli.parse_config_file(str(path))) == rc
+        flags = [a for k, v in rc.echo().items() for a in ("--" + k.replace("_", "-"), str(v))]
+        assert cli.run_config(cli.build_parser().parse_args(["gen"] + flags)) == rc
 
     def test_one_flag_per_field_on_every_command(self):
         names = [f.name for f in dataclasses.fields(RunConfig)]
@@ -323,7 +332,7 @@ class TestPipeline:
         """``strel selftrain`` logs and saves what ``selftrain.run`` returns for
         the splits ``load_split`` reads and ``strel pretrain``'s checkpoint."""
         args = cli.build_parser().parse_args(["selftrain"] + tiny_args(pipeline_dir))
-        rc = cli._load_run_config(args)
+        rc = cli.run_config(args)
         params = load_checkpoint(os.path.join(pipeline_dir, "ckpt", "pretrain.ckpt")).params
         result = run(params, cli.load_split(rc, "train"), cli.load_split(rc, "val"),
                      rc, metric_ks=rc.metric_ks)
@@ -453,6 +462,50 @@ class TestCorruptInputs:
     def test_resume_from_pretrain_checkpoint(self, run_dir, capsys):
         ckpt = os.path.join(run_dir, "ckpt", "pretrain.ckpt")
         self._fails_with_one_line(["selftrain", "--resume", ckpt] + tiny_args(run_dir), capsys)
+
+    # a command, the flag naming its input, and what is at that path instead:
+    # a directory, a file where a directory belongs, bytes that are not
+    # UTF-8, or nothing
+    UNUSABLE = [
+        ("gen", "config", "dir"), ("eval", "checkpoint", "dir"), ("selftrain", "resume", "dir"),
+        ("audit", "assignments", "dir"), ("pretrain", "log-dir", "file"),
+        ("gen", "config", "not-utf8"), ("audit", "assignments", "not-utf8"),
+        ("gen", "config", "missing"),
+    ]
+    NOT_UTF8 = {
+        "config": b"noise_sigma = 0.\xff9\n",
+        "assignments": b"iteration,scene_id,triplet_index,assigned_class,confidence\n0,1,2,1,0.\xff5\n",
+    }
+
+    @pytest.mark.parametrize("command, flag, kind", UNUSABLE,
+                             ids=[f"{flag}-{kind}" for _, flag, kind in UNUSABLE])
+    def test_unusable_path_is_named(self, run_dir, tmp_path, command, flag, kind, capsys):
+        """A directory given for a file, a file for a directory, a file that
+        is not UTF-8 text or none at all exits 1 with one line and changes no
+        file."""
+        bad = tmp_path / "bad"
+        if kind == "dir":
+            bad.mkdir()
+        elif kind != "missing":
+            bad.write_bytes(self.NOT_UTF8.get(flag, b"a file\n"))
+        before = {p: file_hash(p) for p in _files(run_dir)}
+        argv = [command] + tiny_args(run_dir, **{flag: str(bad)})
+        assert str(bad) in self._fails_with_one_line(argv, capsys)
+        assert {p: file_hash(p) for p in _files(run_dir)} == before
+
+    @pytest.mark.parametrize("command", ["selftrain", "sweep"])
+    def test_pretrained_under_other_pretraining_settings(self, run_dir, command, capsys):
+        """Self-training continues a pretrained model only under the settings
+        that only pretraining reads: an mlp does not go on as a linear model.
+        A setting both stages read may differ, as in the runs that reweight
+        during self-training only."""
+        mlp = {"arch": "mlp", "hidden-dim": 5}
+        assert cli.main(["pretrain"] + tiny_args(run_dir, **mlp)) == 0
+        before = tree_hashes(run_dir, "ckpt", "logs")
+        argv = [command, *(["--grid", "0.4"] if command == "sweep" else [])]
+        assert " arch 'mlp'" in self._fails_with_one_line(argv + tiny_args(run_dir), capsys)
+        assert tree_hashes(run_dir, "ckpt", "logs") == before
+        assert cli.main(argv + tiny_args(run_dir, reweight="inverse-frequency", **mlp)) == 0
 
     def test_resume_under_another_policy(self, run_dir, capsys):
         ckpt = os.path.join(run_dir, "ckpt", "selftrain.ckpt")  # a catm run
@@ -719,6 +772,16 @@ class TestSweep:
     def test_grid_values_validated(self, pipeline_dir, capsys):
         assert cli.main(["sweep", "--grid", "0.2,1.4"] + tiny_args(pipeline_dir)) == 1
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0.2,abc", "0.2,nan", "", " , "],
+                             ids=["not-a-number", "nan", "empty", "blank"])
+    def test_bad_or_empty_grid_runs_nothing(self, pipeline_dir, tmp_path, grid, capsys):
+        log = tmp_path / "sweep"
+        capsys.readouterr()
+        assert cli.main(["sweep", "--grid", grid] + tiny_args(pipeline_dir, **{"log-dir": str(log)})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid ") and err.count("\n") == 1, err
+        assert not log.exists()
 
 
 class TestExitCodes:

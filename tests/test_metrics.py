@@ -63,10 +63,6 @@ class TestRecallAtK:
         scene = sp(pred=[1, 2], scores=[0.5, 0.4], hidden=[1, 2])
         assert recall_at_k(split_of([scene]), 5) == 100.0
 
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            recall_at_k(split_of([sp([1], [0.5], [1])]), 0)
-
     def test_scene_without_truth_is_skipped(self):
         with_truth = sp([1], [0.9], [1])
         no_truth = sp([1, 2], [0.9, 0.8], [0, 0])

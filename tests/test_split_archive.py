@@ -208,8 +208,7 @@ def test_pair_features_are_their_endpoints_concatenated(seed, n_scenes, data):
                 "--gen-seed", str(seed), "--data-dir", root]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        rc = cli.build_run_config({}, {"n_scenes": n_scenes, "entities_min": 4, "entities_max": 7,
-                                       "gen_seed": seed, "data_dir": root})
+        rc = cli.run_config(cli.build_parser().parse_args(argv))
         loaded = {split: cli.load_split(rc, split).arrays for split in SPLITS}
     for split, dataset in generated_splits(rc).items():
         n = len(dataset.arrays.scene_ids)

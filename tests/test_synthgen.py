@@ -157,13 +157,6 @@ class TestMaskAnnotations:
         obs_b = [t.observed_label for t in iter_triplets(b)]
         assert obs_a == obs_b
 
-    def test_fraction_bounds(self):
-        ds = hand_dataset()
-        with pytest.raises(ConfigError):
-            mask_annotations(ds, 0.0, seed=0)
-        with pytest.raises(ConfigError):
-            mask_annotations(ds, 1.5, seed=0)
-
 
 class TestSplit:
     def test_scene_allocation(self):
@@ -171,13 +164,6 @@ class TestSplit:
         train, val, test = split(ds, (0.7, 0.1, 0.2), seed=5)
         assert (len(train.scenes), len(val.scenes), len(test.scenes)) == (70, 10, 20)
         assert (train.split, val.split, test.split) == ("train", "val", "test")
-
-    def test_degenerate_fractions_error(self):
-        ds = hand_dataset()
-        with pytest.raises(ConfigError):
-            split(ds, (1.0, 0.0, 0.0), seed=0)
-        with pytest.raises(ConfigError):
-            split(ds, (0.5, 0.4, 0.3), seed=0)
 
     def test_scene_level_disjoint_partition(self):
         ds = hand_dataset(n_scenes=25)

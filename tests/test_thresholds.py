@@ -72,10 +72,6 @@ class TestMomentumCoefficients:
         with pytest.raises(ConfigError):
             momentum_coefficients(cat, 0.4, 0.4)
 
-    def test_alpha_out_of_range(self, tiny_catalog):
-        with pytest.raises(ConfigError):
-            momentum_coefficients(tiny_catalog, 1.2, 0.4)
-
     @given(descending_counts, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_monotonicity_along_ranking(self, counts, a_inc, a_dec):
         cat = build_catalog({f"c{i}": c for i, c in enumerate(counts)})
