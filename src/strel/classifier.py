@@ -285,12 +285,11 @@ def pretrain(
     log: list[PretrainEpoch] = []
     for epoch in range(cfg.pretrain_epochs):
         order = stream(cfg.pretrain_seed, "epoch-order", epoch).permutation(n_scenes)
-        starts = range(0, len(order), cfg.batch_size)
-        batch_rngs = streams(cfg.pretrain_seed, "batch", epoch, keys=range(len(starts)))
+        plan = arrays.batches(order, cfg.batch_size)
+        batch_rngs = streams(cfg.pretrain_seed, "batch", epoch, keys=range(len(plan)))
         losses = []
-        for b, (start, rng) in enumerate(zip(starts, batch_rngs)):
-            rows = arrays.rows_of(order[start : start + cfg.batch_size])
-            observed = arrays.observed[rows]
+        for b, (batch, rng) in enumerate(zip(plan, batch_rngs)):
+            rows, observed = batch.rows, batch.observed
             annotated, background = rows[observed != BG_INDEX], rows[observed == BG_INDEX]
             if cfg.oversample and len(annotated):
                 annotated = balanced_resample(annotated, arrays.observed[annotated], rng)

@@ -23,6 +23,8 @@ true``, and only with a split whose pairs have the width its networks were
 trained on.  ``selftrain --resume`` continues a run only under the config its
 checkpoint echoes, except ``metric_ks``, the three directories and
 ``max_iterations``, which may not fall below the checkpoint's ``iteration``.
+``eval`` reads a self-train checkpoint under the fields a resume compares, and
+a pretrained one under the fields only pretraining reads.
 """
 
 from __future__ import annotations
@@ -167,6 +169,7 @@ def _checkpoint(path: str, dataset: Dataset, use_gsl: bool | None = None,
 
 # the fields a resumed run may change: how far it runs, what it reports and where
 _RESUMABLE = ("max_iterations", "metric_ks", "data_dir", "checkpoint_dir", "log_dir")
+_RESUMED = tuple(name for name in _DEFAULTS if name not in _RESUMABLE)
 # the fields only pretraining reads, which self-training from its model must share
 _PRETRAIN_ONLY = ("arch", "hidden_dim", "pretrain_seed", "pretrain_epochs",
                   "pretrain_learning_rate", "oversample")
@@ -249,7 +252,7 @@ def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = F
     val = load_split(rc, "val")
     if resume:  # the run's checkpoint holds all it needs; pretrain.ckpt is not read
         start = _checkpoint(resume, train)
-        _check_same_run(resume, start, rc, [n for n in _DEFAULTS if n not in _RESUMABLE])
+        _check_same_run(resume, start, rc, _RESUMED)
     else:
         start = _pretrained(rc, train)
 
@@ -292,6 +295,8 @@ def cmd_eval(rc: RunConfig, checkpoint: str | None, split: str) -> int:
     dataset = load_split(rc, split)
     path = checkpoint or os.path.join(rc.checkpoint_dir, "selftrain.ckpt")
     ckpt = _checkpoint(path, dataset, rc.use_gsl)
+    # a pretrained model shares its pretraining fields, a run what a resume shares
+    _check_same_run(path, ckpt, rc, _PRETRAIN_ONLY if ckpt.iteration is None else _RESUMED)
     report = evaluate(ckpt.params, dataset, rc.metric_ks, ckpt.edge_learner)
 
     _write_log(

@@ -121,11 +121,13 @@ def focal_loss_grad(params: EdgeLearnerParams, X, labels, gamma: float) -> tuple
         raise ValidationError("edge labels must be binary")
     logits, cache = _forward_cache(params.net, X)
     sc = np.clip(_sigmoid(logits[:, 0]), SCORE_FLOOR, 1.0 - SCORE_FLOOR)
-    log_s, log_1ms = np.log(sc), np.log(1.0 - sc)
-    loss = -y * (1.0 - sc) ** gamma * log_s - (1.0 - y) * sc**gamma * log_1ms
+    oms = 1.0 - sc
+    log_s, log_1ms = np.log(sc), np.log(oms)
+    s_g, oms_g = sc**gamma, oms**gamma
+    loss = -y * oms_g * log_s - (1.0 - y) * s_g * log_1ms
     # d/dz of each term, with s' = s * (1 - s)
-    pos = gamma * sc * (1.0 - sc) ** gamma * log_s - (1.0 - sc) ** (gamma + 1.0)
-    neg = -gamma * sc**gamma * (1.0 - sc) * log_1ms + sc ** (gamma + 1.0)
+    pos = gamma * sc * oms_g * log_s - oms ** (gamma + 1.0)
+    neg = -gamma * s_g * oms * log_1ms + sc ** (gamma + 1.0)
     dz = y * pos + (1.0 - y) * neg
     return float(loss.sum()), _backprop(params.net, cache, dz[:, None])
 

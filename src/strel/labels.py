@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,6 +151,17 @@ def make_scene(
     return Scene(scene_id=scene_id, entities=tuple(entities), triplets=tuple(triplets))
 
 
+class Batch(NamedTuple):
+    """One batch of a ``SplitArrays.batches`` plan: views of its index arrays."""
+
+    rows: np.ndarray  # pair rows, scene by scene
+    observed: np.ndarray  # their observed labels
+    sizes: np.ndarray  # each scene's pair count
+    entities: np.ndarray | None = None  # entity rows of its scenes, when planned
+    subject: np.ndarray | None = None  # each pair's subject and object among ``entities``
+    object: np.ndarray | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class SplitArrays:
     """A split as flat arrays: the dataset itself, one row per pair and one
@@ -199,33 +210,53 @@ class SplitArrays:
         """Pair rows of the given scene positions, scene by scene in order."""
         return _ranges(self.scene_offsets, scene_positions)
 
-    def entity_table(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Features of the entities the given pairs name, one row each, and
-        every pair's subject and object row in that table."""
-        ids, local = np.unique(
-            np.concatenate([self.subject_row[rows], self.object_row[rows]]), return_inverse=True
-        )
-        return self.entity_features[ids], local[: len(rows)], local[len(rows) :]
+    def entity_table(self, scene_positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Features of every entity of the given scene positions, scene by
+        scene as ``entity_offsets`` lays them out, whether or not a pair
+        names it, and the subject and object row in that table of each of
+        their pairs, in ``rows_of`` order."""
+        batch = self.batches(scene_positions, max(len(scene_positions), 1), entities=True)[0]
+        return self.entity_features[batch.entities], batch.subject, batch.object
+
+    def batches(self, scene_positions: np.ndarray, batch_size: int,
+                entities: bool = False) -> list[Batch]:
+        """The batches of ``batch_size`` consecutive scenes of the given
+        positions (the last may be short), planned at once: one gather of
+        their pair rows and observed labels and, with ``entities``, of their
+        entity rows and every pair's endpoints among its batch's entity rows,
+        which each batch slices.  Only index arrays are gathered."""
+        rows = self.rows_of(scene_positions)
+        sizes = np.diff(self.scene_offsets)[scene_positions]
+        cuts = list(range(batch_size, len(sizes), batch_size))  # where batches 1, 2, ... start
+        pair_cuts = np.concatenate(([0], np.cumsum(sizes)))[cuts]
+        parts = [np.split(rows, pair_cuts), np.split(self.observed[rows], pair_cuts),
+                 np.split(sizes, cuts)]
+        if entities:
+            counts = np.diff(self.entity_offsets)[scene_positions]
+            first = np.cumsum(counts) - counts  # each scene's first row among the entity rows
+            batch_first = first[np.arange(len(first)) // batch_size * batch_size]
+            # every endpoint moves with its scene's first entity row in its batch
+            shift = np.repeat(first - batch_first - self.entity_offsets[scene_positions], sizes)
+            parts += [np.split(_ranges(self.entity_offsets, scene_positions), first[cuts]),
+                      np.split(self.subject_row[rows] + shift, pair_cuts),
+                      np.split(self.object_row[rows] + shift, pair_cuts)]
+        return [Batch(*batch) for batch in zip(*parts)]
 
     def take(self, scene_positions: np.ndarray) -> SplitArrays:
         """The split of the given scene positions, in that order."""
-        rows = self.rows_of(scene_positions)
-        entities = _ranges(self.entity_offsets, scene_positions)
-        n_pairs = np.diff(self.scene_offsets)[scene_positions]
+        rows, observed, sizes, entities, subject, obj = self.batches(
+            scene_positions, max(len(scene_positions), 1), entities=True)[0]
         n_entities = np.diff(self.entity_offsets)[scene_positions]
-        entity_offsets = np.concatenate(([0], np.cumsum(n_entities)))
-        # every endpoint moves with its scene's first entity row
-        shift = np.repeat(entity_offsets[:-1] - self.entity_offsets[scene_positions], n_pairs)
         return SplitArrays(
             scene_ids=self.scene_ids[scene_positions],
-            scene_offsets=np.concatenate(([0], np.cumsum(n_pairs))),
-            entity_offsets=entity_offsets,
+            scene_offsets=np.concatenate(([0], np.cumsum(sizes))),
+            entity_offsets=np.concatenate(([0], np.cumsum(n_entities))),
             entity_ids=self.entity_ids[entities],
             entity_classes=self.entity_classes[entities],
             entity_features=self.entity_features[entities],
-            subject_row=(self.subject_row[rows] + shift).astype(np.int32),
-            object_row=(self.object_row[rows] + shift).astype(np.int32),
-            observed=self.observed[rows],
+            subject_row=subject.astype(np.int32),
+            object_row=obj.astype(np.int32),
+            observed=observed,
             hidden=self.hidden[rows],
         )
 

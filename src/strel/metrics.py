@@ -40,13 +40,19 @@ class SplitPredictions:
 
 def split_predictions(pred_classes, scores, hidden, scene_offsets) -> SplitPredictions:
     """Rank the pairs of every scene; scene s owns rows
-    ``scene_offsets[s]:scene_offsets[s + 1]``."""
+    ``scene_offsets[s]:scene_offsets[s + 1]``.  The scores are laid out as a
+    grid of one row per scene, padded with +inf after a scene's pairs, and
+    ranked by one stable sort along the rows, so ties keep pair order and
+    padding ranks after every score."""
     scores = np.asarray(scores, dtype=np.float64)
     offsets = np.asarray(scene_offsets, dtype=np.intp)
-    pair_scene = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    order = np.lexsort((-scores, pair_scene))  # stable: ties keep row order
-    rank = np.empty(len(scores), dtype=np.intp)
-    rank[order] = np.arange(len(scores)) - offsets[pair_scene[order]]
+    sizes = np.diff(offsets)
+    pair_scene = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.arange(len(scores)) - offsets[pair_scene]
+    grid = np.full((len(sizes), sizes.max(initial=0)), np.inf)
+    grid[pair_scene, index] = -scores
+    # the inverse of each row's stable order is the rank of each of its cells
+    rank = np.argsort(np.argsort(grid, axis=1, kind="stable"), axis=1)[pair_scene, index]
     return SplitPredictions(
         np.asarray(pred_classes, dtype=np.intp), scores,
         np.asarray(hidden, dtype=np.intp), pair_scene, rank,
@@ -137,10 +143,11 @@ def evaluate(
     offsets = arrays.scene_offsets
     # blocks of whole scenes bound the temporaries
     for first in range(0, len(offsets) - 1, EVAL_BLOCK_SCENES):
-        rows = np.arange(offsets[first], offsets[min(first + EVAL_BLOCK_SCENES, len(offsets) - 1)])
+        block = np.arange(first, min(first + EVAL_BLOCK_SCENES, len(offsets) - 1))
+        rows = np.arange(offsets[first], offsets[block[-1] + 1])
         X = arrays.features[rows]
         if edge_learner is not None:
-            X = message_pass(*arrays.entity_table(rows), edge_scores(edge_learner, X) > 0.5)
+            X = message_pass(*arrays.entity_table(block), edge_scores(edge_learner, X) > 0.5)
         fg = predict_probs(params, X)[:, 1:]
         pred[rows] = 1 + np.argmax(fg, axis=1)
         scores[rows] = fg.max(axis=1)

@@ -16,12 +16,16 @@ they are recomputed whenever a scene is revisited and never written back
 into the dataset.
 
 The loop reads the training split in its columnar form
-(``Dataset.arrays``): a batch is a gather of the pair rows of its scenes,
-annotated and unannotated pairs are masks over the batch's observed labels,
-pseudo-label selection is one sort of the candidates, the loss terms are
-per-row coefficients and the cumulative counts a ``bincount``.  Accepted
-labels and the per-iteration record stay arrays, in an ``AssignmentLog`` and
-an ``IterationLog`` that build their records only when read.
+(``Dataset.arrays``).  Each epoch's remaining batches are planned at once
+(``SplitArrays.batches``, as pretraining plans its epochs): one gather of
+their scenes' pair rows and observed labels, and with the edge learner of
+their entity rows, which every batch slices.  A batch's features are a
+gather of its pair rows, annotated and unannotated pairs are masks over its
+observed labels, pseudo-label selection is one sort of the candidates, the
+loss terms are per-row coefficients and the cumulative counts a
+``bincount``.  Accepted labels and the per-iteration record stay arrays, in
+an ``AssignmentLog`` and an ``IterationLog`` that build their records only
+when read.
 
 With the edge learner enabled, pair features are refreshed by one
 message-passing round over the sampled edges, pseudo-label candidates are
@@ -363,21 +367,21 @@ def run(
         order = stream(cfg.selftrain_seed, "epoch-order", epoch).permutation(n_scenes)
         batch_in_epoch = it % batches_per_epoch
         batch_end = min(batches_per_epoch, batch_in_epoch + cfg.max_iterations - it)
+        # the epoch's remaining batches, planned at once
+        positions = order[batch_in_epoch * cfg.batch_size : batch_end * cfg.batch_size]
+        plan = arrays.batches(positions, cfg.batch_size, entities=cfg.use_gsl)
         if cfg.use_gsl:  # one Gumbel stream per (iteration, scene id), the epoch's at once
-            positions = order[batch_in_epoch * cfg.batch_size : batch_end * cfg.batch_size]
             its = it + np.arange(len(positions)) // cfg.batch_size
             gumbel_keys = np.stack([its, arrays.scene_ids[positions]], axis=1)
             gumbel_rngs = streams(cfg.selftrain_seed, "gumbel", keys=gumbel_keys)
-        for b in range(batch_in_epoch, batch_end):
-            positions = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            rows = arrays.rows_of(positions)
-            observed = arrays.observed[rows]
+        for batch in plan:
+            rows, observed = batch.rows, batch.observed
             ann, un = (np.asarray(side, dtype=np.intp) for side in partition_batch(observed))
 
             X = arrays.features[rows]
             gates = None
             if cfg.use_gsl:  # the edge learner reads the pair rows before message passing
-                noise = batch_gumbel_noise(gumbel_rngs, np.diff(arrays.scene_offsets)[positions])
+                noise = batch_gumbel_noise(gumbel_rngs, batch.sizes)
                 samples = sample_edges(edge_scores(edge_learner, X), noise)
                 gsl_loss, gsl_grads = focal_loss_grad(edge_learner, X, observed != BG_INDEX,
                                                      cfg.focal_gamma)
@@ -385,7 +389,8 @@ def run(
                     raise RuntimeAbort("non-finite edge-learner loss")
                 edge_net = sgd_step(edge_learner.net, gsl_grads, cfg.selftrain_learning_rate)
                 edge_learner = replace(edge_learner, net=edge_net)
-                X = message_pass(*arrays.entity_table(rows), samples.hard)
+                X = message_pass(arrays.entity_features[batch.entities], batch.subject,
+                                 batch.object, samples.hard)
                 gates = samples.hard[un] == 1
                 if keep_edge_trace:
                     edge_log.append((it, rows, samples.score, samples.noise, samples.hard))

@@ -109,6 +109,10 @@ def ema_update(
     runs over every class-c prediction in both branches;
     ``strict_eligible_mean`` restricts the increase-branch mean to the
     predictions that cleared the threshold.
+
+    Every class's maximum is one ``maximum.reduceat`` over the predictions
+    sorted by class, and the momentum step one vector expression over the
+    predicted classes.
     """
     classes = np.asarray(pred_classes, dtype=np.intp)
     conf = np.asarray(confidences, dtype=np.float64)
@@ -119,19 +123,23 @@ def ema_update(
     tau = state.tau.copy()
     # a stable sort by class keeps each class's confidences in batch order
     order = np.argsort(classes, kind="stable")
-    by_class = conf[order]
     bounds = np.searchsorted(classes[order], np.arange(1, tau.size + 2))
-    for c in np.flatnonzero(np.diff(bounds)) + 1:
-        sel = by_class[bounds[c - 1] : bounds[c]]
-        prev = tau[c - 1]
-        if sel.max() >= prev:  # some prediction clears the previous threshold
-            lam = state.lambda_inc[c - 1]
-            if strict_eligible_mean:
-                sel = sel[sel >= prev]
-        else:
-            lam = state.lambda_dec[c - 1]
-        mean = float(np.add.reduce(sel) / sel.size)  # exactly ndarray.mean
-        tau[c - 1] = (1.0 - lam) * prev + lam * mean
+    fg = conf[order[bounds[0] : bounds[-1]]]  # foreground predictions, class by class
+    sizes = np.diff(bounds)
+    present = np.flatnonzero(sizes)  # label index - 1 of every predicted class
+    if present.size:
+        sizes, prev = sizes[present], tau[present]
+        starts = np.cumsum(sizes) - sizes
+        # some prediction clears the previous threshold: the increase branch
+        rise = np.maximum.reduceat(fg, starts) >= prev
+        by_class = [fg[a : a + n] for a, n in zip(starts.tolist(), sizes.tolist())]
+        if strict_eligible_mean:
+            by_class = [sel[sel >= p] if r else sel for sel, p, r in zip(by_class, prev, rise)]
+        # one add.reduce per class, pairwise like ndarray.mean; reduceat and
+        # bincount sum in sequence and round differently
+        means = np.array([np.add.reduce(sel) / sel.size for sel in by_class])
+        lam = np.where(rise, state.lambda_inc[present], state.lambda_dec[present])
+        tau[present] = (1.0 - lam) * prev + lam * means
     # the constructor, not ``replace``: this runs every iteration
     return Thresholds(state.policy, tau, state.accept, state.lambda_inc, state.lambda_dec,
                       state.base_tau, state.step + 1)

@@ -3,7 +3,9 @@
 Everything here recomputes expected values through a different path than the
 library: central finite differences for gradients, and plain per-item loops,
 dicts and sets for pseudo-label selection, the ranking metrics and message
-passing, where the library works on whole arrays; the dataset pipeline
+passing, where the library works on whole arrays; the catm threshold step
+as a per-class loop, and the entity table of a batch by sorting its
+endpoints; the dataset pipeline
 in object form, one scene record per scene; and the JSONL scene file that
 ``strel gen`` wrote before the split archives, with the record path from
 scene records to columns.  ``build_catalog`` makes a catalog from raw
@@ -87,6 +89,29 @@ def gradient_relative_error(analytic, loss_fn, params, eps: float = 1e-6) -> flo
     return float(np.linalg.norm(ana - num) / max(np.linalg.norm(num), 1e-8))
 
 
+def loop_ema_update(state, pred_classes, confidences, strict_eligible_mean=False) -> np.ndarray:
+    """The tau of one catm step, class by class: ``thresholds.ema_update``
+    as a loop over the predicted classes."""
+    classes = np.asarray(pred_classes, dtype=np.intp)
+    conf = np.asarray(confidences, dtype=np.float64)
+    tau = state.tau.copy()
+    order = np.argsort(classes, kind="stable")
+    by_class = conf[order]
+    bounds = np.searchsorted(classes[order], np.arange(1, tau.size + 2))
+    for c in np.flatnonzero(np.diff(bounds)) + 1:
+        sel = by_class[bounds[c - 1] : bounds[c]]
+        prev = tau[c - 1]
+        if sel.max() >= prev:  # some prediction clears the previous threshold
+            lam = state.lambda_inc[c - 1]
+            if strict_eligible_mean:
+                sel = sel[sel >= prev]
+        else:
+            lam = state.lambda_dec[c - 1]
+        mean = float(np.add.reduce(sel) / sel.size)  # exactly ndarray.mean
+        tau[c - 1] = (1.0 - lam) * prev + lam * mean
+    return tau
+
+
 def brute_force_selection(keys, pred_classes, confidences, tau, cap, gates=None, never=False):
     """Positions accepted by per-(scene, class) candidate lists.
 
@@ -163,6 +188,16 @@ def dict_message_pass(scene, hard_flags) -> np.ndarray:
     )
 
 
+def unique_entity_table(arrays: SplitArrays, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entity table of a set of pair rows by sorting: one row per
+    distinct entity the pairs name, in split order (``np.unique``), and every
+    pair's subject and object row in that table."""
+    ids, local = np.unique(
+        np.concatenate([arrays.subject_row[rows], arrays.object_row[rows]]), return_inverse=True
+    )
+    return arrays.entity_features[ids], local[: len(rows)], local[len(rows) :]
+
+
 def per_term_run(pretrained, train, val, cfg, metric_ks):
     """Self-training with one forward and backward per loss term.
 
@@ -215,7 +250,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
             ann, un = np.flatnonzero(observed != 0), np.flatnonzero(observed == 0)
             X, gates = arrays.features[rows], None
             if cfg.use_gsl:
-                ents, subj, obj = arrays.entity_table(rows)
+                ents, subj, obj = unique_entity_table(arrays, rows)
                 pairs = np.concatenate([ents[subj], ents[obj]], axis=1)
                 sizes = np.diff(arrays.scene_offsets)[positions]
                 noise = [

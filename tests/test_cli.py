@@ -531,6 +531,30 @@ class TestCorruptInputs:
         assert f" {field} " in self._fails_with_one_line(argv, capsys)
         assert tree_hashes(run_dir, "ckpt", "logs") == before
 
+    # the checkpoint, one changed flag each, and the field its error must name
+    OTHER_EVALS = [
+        ("pretrain.ckpt", {"arch": "mlp", "hidden-dim": 5}, "arch"),
+        ("pretrain.ckpt", {"pretrain-seed": 9}, "pretrain_seed"),
+        ("selftrain.ckpt", {"beta": 0.1}, "beta"),
+        ("selftrain.ckpt", {"pretrain-epochs": 2}, "pretrain_epochs"),
+    ]
+
+    @pytest.mark.parametrize("name, flags, field", OTHER_EVALS,
+                             ids=[f"{name}-{field}" for name, _, field in OTHER_EVALS])
+    def test_eval_under_another_config(self, run_dir, tmp_path, name, flags, field, capsys):
+        """``eval`` reads a pretrained model under the fields only
+        pretraining reads and a self-train checkpoint under every field a
+        resume compares, so its tables echo the config that built the model."""
+        ckpt = os.path.join(run_dir, "ckpt", name)
+        before = tree_hashes(run_dir, "ckpt", "logs")
+        argv = ["eval", "--checkpoint", ckpt] + tiny_args(run_dir, **flags)
+        assert f" {field} " in self._fails_with_one_line(argv, capsys)
+        assert tree_hashes(run_dir, "ckpt", "logs") == before
+        # what the checkpoint's stage does not read may differ
+        free = {"policy": "never"} if name == "pretrain.ckpt" else {"max-iterations": 20}
+        argv = ["eval", "--checkpoint", ckpt] + tiny_args(run_dir, **free, **{"log-dir": tmp_path})
+        assert cli.main(argv) == 0
+
     def test_resume_past_max_iterations(self, run_dir, capsys):
         """A 10-iteration run does not resume under --max-iterations 5: its
         counts and thresholds are 10 iterations' own."""
@@ -629,11 +653,12 @@ class TestCorruptInputs:
 
     def test_eval_gsl_checkpoint_without_gsl(self, run_dir, tmp_path, capsys):
         ckpt = gsl_selftrain(run_dir, 5, log=tmp_path / "l")
-        self._fails_with_one_line(["eval", "--checkpoint", ckpt] + tiny_args(run_dir), capsys)
+        argv = ["eval", "--checkpoint", ckpt] + tiny_args(run_dir)
+        assert "saved with an edge learner" in self._fails_with_one_line(argv, capsys)
 
     def test_eval_plain_checkpoint_with_gsl(self, run_dir, capsys):
         argv = ["eval"] + tiny_args(run_dir, **{"use-gsl": "true"})  # catm without the learner
-        self._fails_with_one_line(argv, capsys)
+        assert "saved without an edge learner" in self._fails_with_one_line(argv, capsys)
 
     @pytest.mark.parametrize("drop", ["iteration", "thresholds.tau", "counts"])
     def test_resume_checkpoint_without_its_run_state(self, run_dir, drop, capsys):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strel import synthgen
 from strel.classifier import ModelParams, sgd_step
+from strel.config import RunConfig
 from strel.edges import (
     SCORE_FLOOR,
     EdgeLearnerParams,
@@ -20,7 +22,7 @@ from strel.errors import ValidationError
 from strel.labels import Entity, make_scene
 from strel.rngs import stream
 
-from _oracles import compile_split, dict_message_pass, gradient_relative_error
+from _oracles import compile_split, dict_message_pass, gradient_relative_error, unique_entity_table
 from conftest import build_shared_scene
 
 
@@ -188,7 +190,7 @@ class TestFocalLoss:
 
 def split_message_pass(scenes, flags):
     arrays = compile_split(scenes)
-    ents, subj, obj = arrays.entity_table(np.arange(len(arrays.features)))
+    ents, subj, obj = arrays.entity_table(np.arange(len(arrays.scene_ids)))
     return message_pass(ents, subj, obj, np.asarray(flags))
 
 
@@ -241,3 +243,27 @@ class TestMessagePass:
             ]
         )
         np.testing.assert_array_equal(out, expected)
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**31 - 1), batch_size=st.integers(1, 6), data=st.data())
+    def test_scene_tables_equal_the_sorted_table_on_generated_splits(self, seed, batch_size, data):
+        """Message passing over a batch's entity table read from the entity
+        offsets (every entity of its scenes, in batch order) gives bit for
+        bit what it gives over the table of the entities its pairs name,
+        sorted: the planned batches of training and a block of evaluation."""
+        rc = RunConfig(n_scenes=16, entities_min=2, entities_max=6, gen_seed=seed)
+        arrays = synthgen.generate(rc).arrays
+        n, rng = len(arrays.scene_ids), np.random.default_rng(seed)
+        order = np.array(data.draw(st.permutations(range(n))))
+        first = data.draw(st.integers(0, (n - 1) // batch_size))  # the batch a resume starts at
+        for batch in arrays.batches(order[first * batch_size :], batch_size, entities=True):
+            hard = rng.integers(0, 2, size=len(batch.rows))
+            want = message_pass(*unique_entity_table(arrays, batch.rows), hard)
+            got = message_pass(arrays.entity_features[batch.entities], batch.subject,
+                               batch.object, hard)
+            assert got.tobytes() == want.tobytes()
+        block = np.arange(data.draw(st.integers(0, n - 1)), n)  # evaluation's scene blocks
+        rows = arrays.rows_of(block)
+        hard = rng.integers(0, 2, size=len(rows))
+        want = message_pass(*unique_entity_table(arrays, rows), hard)
+        assert message_pass(*arrays.entity_table(block), hard).tobytes() == want.tobytes()

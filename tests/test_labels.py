@@ -23,6 +23,35 @@ from _oracles import build_catalog, compile_split
 from conftest import assert_records_equal, build_shared_scene
 
 
+@given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 4), data=st.data())
+def test_planned_batches_equal_gathering_each_batch(seed, batch_size, data):
+    """Each batch of an epoch plan holds what gathering its scenes alone
+    gives: ``rows_of`` their positions, those rows' observed labels, their
+    pair counts and their ``entity_table``, through a short last batch, a
+    plan that starts mid-epoch (a resume) and scenes with no pairs."""
+    rng = np.random.default_rng(seed)
+    scenes = [build_shared_scene(i, rng, int(rng.integers(2, 5)), int(rng.integers(0, 4)))
+              for i in range(int(rng.integers(1, 10)))]
+    arrays = compile_split(scenes)
+    order = rng.permutation(len(scenes))
+    first = data.draw(st.integers(0, (len(order) - 1) // batch_size))  # the batch a resume starts at
+    positions = order[first * batch_size :]
+    plan = arrays.batches(positions, batch_size, entities=True)
+    assert len(plan) == -(-len(positions) // batch_size)
+    for b, (batch, plain) in enumerate(zip(plan, arrays.batches(positions, batch_size),
+                                           strict=True)):
+        mine = positions[b * batch_size : (b + 1) * batch_size]
+        rows = arrays.rows_of(mine)
+        assert batch.rows.tolist() == plain.rows.tolist() == rows.tolist()
+        assert batch.observed.tolist() == plain.observed.tolist() == arrays.observed[rows].tolist()
+        assert batch.sizes.tolist() == np.diff(arrays.scene_offsets)[mine].tolist()
+        assert plain.entities is plain.subject is plain.object is None
+        table, subject, obj = arrays.entity_table(mine)
+        assert arrays.entity_features[batch.entities].tobytes() == table.tobytes()
+        assert batch.subject.tolist() == subject.tolist()
+        assert batch.object.tolist() == obj.tolist()
+
+
 class TestBuildCatalog:
     def test_sorts_descending_with_bg_at_zero(self):
         cat = build_catalog({"a": 50, "b": 40, "c": 10})
@@ -214,15 +243,16 @@ class TestSplitArrays:
         assert arrays.rows_of(np.array([], dtype=np.intp)).tolist() == []
 
     def test_entity_table_reads_endpoint_features(self):
-        scenes = self._scenes()
-        arrays = compile_split(scenes)
-        rows = np.array([4, 0, 5, 10])
-        table, subj, obj = arrays.entity_table(rows)
+        arrays = compile_split(self._scenes())
+        positions = np.array([2, 1, 3])  # scene 1 has no pairs
+        table, subj, obj = arrays.entity_table(positions)
+        rows = arrays.rows_of(positions)
         half = arrays.features.shape[1] // 2
         np.testing.assert_array_equal(table[subj], arrays.features[rows, :half])
         np.testing.assert_array_equal(table[obj], arrays.features[rows, half:])
-        # one table row per distinct entity of the split
-        assert len(table) == len(set(arrays.subject_row[rows]) | set(arrays.object_row[rows]))
+        # every entity of those scenes, scene by scene as given
+        np.testing.assert_array_equal(table, arrays.entity_features[[8, 9, 10, 11, 4, 5, 6, 7,
+                                                                     12, 13, 14, 15]])
 
     def test_pair_features_of_one_length(self):
         short = make_scene(9, [Entity(0, 0, np.zeros(1)), Entity(1, 0, np.zeros(1))], [(0, 1, 0, 0)])

@@ -53,6 +53,24 @@ def random_scene_predictions(rng, n_fg=4, max_pairs=6):
     )
 
 
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                         max_size=7), max_size=8))
+def test_ranks_equal_the_lexsort_ranks(scenes):
+    """Ranking every scene on one padded grid gives the ranks of one stable
+    lexsort by scene, then by descending score: ties keep pair order, and
+    scenes with zero or one pair rank as any other."""
+    offsets = np.cumsum([0] + [len(s) for s in scenes])
+    scores = np.array([x for s in scenes for x in s], dtype=np.float64)
+    pair_scene = np.repeat(np.arange(len(scenes)), np.diff(offsets))
+    order = np.lexsort((-scores, pair_scene))
+    want = np.empty(len(scores), dtype=np.intp)
+    want[order] = np.arange(len(scores)) - offsets[pair_scene[order]]
+    zeros = np.zeros(len(scores), dtype=np.intp)
+    preds = split_predictions(zeros, scores, zeros, offsets)
+    assert preds.rank.tolist() == want.tolist()
+    assert preds.pair_scene.tolist() == pair_scene.tolist()
+
+
 class TestRecallAtK:
     def test_half_recovered(self):
         # truth on pairs 0 and 1; top-2 hits only pair 0

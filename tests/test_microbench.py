@@ -139,11 +139,10 @@ def test_scene_streams(benchmark):
 
 
 def test_message_pass(benchmark, split, batch):
-    rows = batch[0]
-    ents, subj, obj = split.arrays.entity_table(rows)
-    hard = stream(0, "hard").integers(0, 2, size=len(rows))
+    ents, subj, obj = split.arrays.entity_table(np.arange(20))  # the scenes of ``batch``
+    hard = stream(0, "hard").integers(0, 2, size=len(batch[0]))
     out = _run(benchmark, message_pass, ents, subj, obj, hard)
-    assert out.shape == (len(rows), 2 * ents.shape[1])
+    assert out.shape == (len(batch[0]), 2 * ents.shape[1])
 
 
 def test_selftrain_step(benchmark, split):

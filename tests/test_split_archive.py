@@ -190,19 +190,20 @@ def test_loading_a_split_does_not_import_numpy_ma(tmp_path):
     assert out.stdout == "False\n"
 
 
-def endpoint_rows(arrays, rows):
-    """The pair-feature rows of ``rows`` rebuilt from their endpoints'
-    entity features, as message passing reads them."""
-    ents, subj, obj = arrays.entity_table(rows)
+def endpoint_rows(arrays, positions):
+    """The pair-feature rows of the given scene positions rebuilt from their
+    endpoints' entity features, as message passing reads them."""
+    ents, subj, obj = arrays.entity_table(positions)
     return np.concatenate([ents[subj], ents[obj]], axis=1)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n_scenes=st.integers(10, 30), data=st.data())
 def test_pair_features_are_their_endpoints_concatenated(seed, n_scenes, data):
-    """The edge learner scores a batch's ``features[rows]``; those rows equal
-    the concatenation of the endpoints ``entity_table(rows)`` gives, bit for
-    bit, in generated splits, in ``take``n splits and in loaded splits."""
+    """The edge learner scores a batch's ``features[rows_of(positions)]``;
+    those rows equal the concatenation of the endpoints
+    ``entity_table(positions)`` gives, bit for bit, in generated splits, in
+    ``take``n splits and in loaded splits."""
     with tempfile.TemporaryDirectory() as root:
         argv = ["gen", "--n-scenes", str(n_scenes), "--entities-min", "4", "--entities-max", "7",
                 "--gen-seed", str(seed), "--data-dir", root]
@@ -214,8 +215,8 @@ def test_pair_features_are_their_endpoints_concatenated(seed, n_scenes, data):
         n = len(dataset.arrays.scene_ids)
         positions = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
         for arrays in (dataset.arrays, dataset.arrays.take(positions), loaded[split]):
-            rows = arrays.rows_of(np.arange(len(arrays.scene_ids))[::-1])
-            for batch in (np.arange(len(arrays.features)), rows):
-                got, want = arrays.features[batch], endpoint_rows(arrays, batch)
+            every = np.arange(len(arrays.scene_ids))
+            for batch in (every, every[::-1]):
+                got, want = arrays.features[arrays.rows_of(batch)], endpoint_rows(arrays, batch)
                 assert got.dtype == want.dtype and got.shape == want.shape, split
                 assert got.tobytes() == want.tobytes(), split

@@ -20,7 +20,7 @@ from strel.thresholds import (
 from strel.config import RunConfig
 from strel.selftrain import assign_pseudo_labels, build_thresholds
 
-from _oracles import build_catalog
+from _oracles import build_catalog, loop_ema_update
 
 
 def state_with(tau, lambda_inc, lambda_dec, iteration=0):
@@ -148,6 +148,22 @@ class TestEmaUpdate:
         lo, hi = min(tau0, mean), max(tau0, mean)
         assert lo - 1e-12 <= out.tau[0] <= hi + 1e-12
         assert 0.0 <= out.tau[0] <= 1.0
+
+    @given(st.integers(1, 6), st.data(), st.booleans())
+    def test_bit_equal_to_the_per_class_loop(self, n_fg, data, strict):
+        """Every class in one vector step gives the per-class loop's tau bit
+        for bit: absent classes, background argmaxes, ties with tau."""
+        unit = st.floats(0.0, 1.0)
+        tau = data.draw(st.lists(unit, min_size=n_fg, max_size=n_fg))
+        lam_inc, lam_dec = (data.draw(st.lists(unit, min_size=n_fg, max_size=n_fg)) for _ in "id")
+        state = state_with(tau, lam_inc, lam_dec)
+        n = data.draw(st.integers(0, 40))
+        classes = data.draw(st.lists(st.integers(0, n_fg), min_size=n, max_size=n))
+        # confidences drawn from tau itself too, so some equal their class's threshold
+        confs = data.draw(st.lists(st.one_of(unit, st.sampled_from(tau)), min_size=n, max_size=n))
+        got = ema_update(state, classes, confs, strict)
+        want = loop_ema_update(state, classes, confs, strict)
+        assert got.tau.tobytes() == want.tobytes()
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10), st.floats(0.0, 1.0))
     def test_unit_momentum_tracks_batch_mean(self, confs, tau0):
