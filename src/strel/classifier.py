@@ -123,33 +123,13 @@ def add_grads(a: Grads, b: Grads, scale: float = 1.0) -> Grads:
     )
 
 
-def weighted_ce_loss_grad(
-    params: ModelParams, X: np.ndarray, targets: np.ndarray, coeffs: np.ndarray
-) -> tuple[float, Grads]:
-    """Cross-entropy with one multiplier per instance.
-
-    loss = sum_i coeffs[i] * -log(probs[i, targets[i]]), with the probability
-    floored at 1e-12 inside the log; the gradient is the matching exact
-    softmax backward pass of the unfloored loss.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] == 0:
-        return 0.0, zero_grads(params)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    nll, grads = weighted_ce_grads(
-        params, forward_probs(params, X), np.asarray(targets, dtype=np.intp), coeffs
-    )
-    return float(np.sum(coeffs * nll)), grads
-
-
 def weighted_ce_grads(
     params: ModelParams, forward, targets: np.ndarray, coeffs: np.ndarray
 ) -> tuple[np.ndarray, Grads]:
-    """The probs-to-gradient half of :func:`weighted_ce_loss_grad`.
-
-    From ``forward = forward_probs(params, X)``, returns each row's
-    cross-entropy ``-log(probs[i, targets[i]])`` (probability floored at
-    1e-12) and the gradient of ``sum_i coeffs[i] * cross-entropy[i]``.
+    """Cross-entropy with one multiplier per row, the loss of both training
+    loops: from ``forward = forward_probs(params, X)``, each row's
+    ``-log(probs[i, targets[i]])`` (probability floored at 1e-12) and the
+    exact gradient of the unfloored ``sum_i coeffs[i] * cross-entropy[i]``.
     """
     probs, cache = forward
     rows = np.arange(len(targets))
@@ -172,7 +152,9 @@ def supervised_loss_grad(
     w = np.asarray(class_weights, dtype=np.float64)
     if w.shape != (params.n_classes,):
         raise ValidationError("class_weights length must match the class count")
-    return weighted_ce_loss_grad(params, X, y, w[y] / len(y))
+    coeffs = w[y] / len(y)
+    nll, grads = weighted_ce_grads(params, forward_probs(params, X), y, coeffs)
+    return float(np.sum(coeffs * nll)), grads
 
 
 def background_loss_grad(
@@ -183,7 +165,9 @@ def background_loss_grad(
     if not n:
         return 0.0, zero_grads(params)
     w = np.asarray(class_weights, dtype=np.float64)
-    return weighted_ce_loss_grad(params, X, np.full(n, BG_INDEX), np.full(n, w[BG_INDEX] / n))
+    coeffs = np.full(n, w[BG_INDEX] / n)
+    nll, grads = weighted_ce_grads(params, forward_probs(params, X), np.full(n, BG_INDEX), coeffs)
+    return float(np.sum(coeffs * nll)), grads
 
 
 def sgd_step(params: ModelParams, grads: Grads, lr: float) -> ModelParams:
@@ -286,7 +270,7 @@ def pretrain(
     for epoch in range(cfg.pretrain_epochs):
         order = stream(cfg.pretrain_seed, "epoch-order", epoch).permutation(n_scenes)
         plan = arrays.batches(order, cfg.batch_size)
-        batch_rngs = streams(cfg.pretrain_seed, "batch", epoch, keys=range(len(plan)))
+        batch_rngs = streams(cfg.pretrain_seed, "batch", epoch, keys=np.arange(len(plan)))
         losses = []
         for b, (batch, rng) in enumerate(zip(plan, batch_rngs)):
             rows, observed = batch.rows, batch.observed

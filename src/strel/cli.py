@@ -248,6 +248,8 @@ def cmd_pretrain(rc: RunConfig) -> int:
 
 
 def cmd_selftrain(rc: RunConfig, resume: str | None = None, edge_trace: bool = False) -> int:
+    if edge_trace and not rc.use_gsl:
+        raise ConfigError("--edge-trace logs the edge learner's samples; it needs --use-gsl true")
     train = load_split(rc, "train")
     val = load_split(rc, "val")
     if resume:  # the run's checkpoint holds all it needs; pretrain.ckpt is not read
@@ -368,6 +370,8 @@ def cmd_sweep(rc: RunConfig, grid: str) -> int:
         raise ConfigError(f"--grid {grid!r}: {exc}") from exc
     if not cells:
         raise ConfigError(f"--grid {grid!r} lists no value")
+    if rc.max_iterations < 1:  # a cell's result is its last epoch's metrics
+        raise ConfigError("a sweep needs --max-iterations of at least 1 to finish an epoch")
     train = load_split(rc, "train")
     val = load_split(rc, "val")
     params = _pretrained(rc, train)

@@ -210,14 +210,6 @@ class SplitArrays:
         """Pair rows of the given scene positions, scene by scene in order."""
         return _ranges(self.scene_offsets, scene_positions)
 
-    def entity_table(self, scene_positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Features of every entity of the given scene positions, scene by
-        scene as ``entity_offsets`` lays them out, whether or not a pair
-        names it, and the subject and object row in that table of each of
-        their pairs, in ``rows_of`` order."""
-        batch = self.batches(scene_positions, max(len(scene_positions), 1), entities=True)[0]
-        return self.entity_features[batch.entities], batch.subject, batch.object
-
     def batches(self, scene_positions: np.ndarray, batch_size: int,
                 entities: bool = False) -> list[Batch]:
         """The batches of ``batch_size`` consecutive scenes of the given

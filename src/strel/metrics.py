@@ -129,29 +129,29 @@ def evaluate(
     ks: Sequence[int] = (2, 5, 10),
     edge_learner=None,
 ) -> EvalReport:
-    """Score a dataset split.
+    """Score a dataset split in blocks of ``EVAL_BLOCK_SCENES`` whole scenes,
+    which bound the temporaries: the batches ``SplitArrays.batches`` plans.
 
-    With ``edge_learner`` given, pair features are first refreshed by one
-    message-passing round over the deterministically gated edges
-    (score > 0.5); no sampling noise enters evaluation.
+    With ``edge_learner`` given, each block's pair features are first
+    refreshed by one message-passing round over the deterministically gated
+    edges (score > 0.5); no sampling noise enters evaluation.
     """
     arrays = dataset.arrays
     n = len(arrays.features)
     if n == 0:
         raise ValidationError("no ground-truth relations in any scene")
     pred, scores = np.empty(n, dtype=np.intp), np.empty(n)
-    offsets = arrays.scene_offsets
-    # blocks of whole scenes bound the temporaries
-    for first in range(0, len(offsets) - 1, EVAL_BLOCK_SCENES):
-        block = np.arange(first, min(first + EVAL_BLOCK_SCENES, len(offsets) - 1))
-        rows = np.arange(offsets[first], offsets[block[-1] + 1])
-        X = arrays.features[rows]
+    plan = arrays.batches(np.arange(len(arrays.scene_ids)), EVAL_BLOCK_SCENES,
+                          entities=edge_learner is not None)
+    for block in plan:
+        X = arrays.features[block.rows]
         if edge_learner is not None:
-            X = message_pass(*arrays.entity_table(block), edge_scores(edge_learner, X) > 0.5)
+            X = message_pass(arrays.entity_features[block.entities], block.subject, block.object,
+                             edge_scores(edge_learner, X) > 0.5)
         fg = predict_probs(params, X)[:, 1:]
-        pred[rows] = 1 + np.argmax(fg, axis=1)
-        scores[rows] = fg.max(axis=1)
-    preds = split_predictions(pred, scores, arrays.hidden, offsets)
+        pred[block.rows] = 1 + np.argmax(fg, axis=1)
+        scores[block.rows] = fg.max(axis=1)
+    preds = split_predictions(pred, scores, arrays.hidden, arrays.scene_offsets)
 
     n_fg = dataset.catalog.n_foreground
     groups = tercile_groups(n_fg)

@@ -7,20 +7,19 @@ and the iteration counters are the state.
 
 ``stream(seed, *tags)`` seeds one generator through numpy's ``SeedSequence``:
 an entropy mix into a 4-word pool, then ``generate_state``'s output hash.
-``streams`` (many keys of one stream family) and ``children`` (numpy's
-spawned children) yield generators in the same states, but run the mix
-(``_mix``, mirroring ``mix_entropy`` in numpy/random/bit_generator.pyx) and
-the hash (``_state``) as ``uint32`` ufuncs over a block of keys, and build
-each ``PCG64`` from its key's words when the generator is consumed.  The
-ufunc calls cost nearly as much for 20 keys as for 2,000, so a single key
-stays on numpy.  ``tests/test_rngs.py`` pins both mirrors against numpy.
+``streams`` (one stream family's keys, an integer array) and ``children``
+(numpy's spawned children) yield generators in the same states, but run the
+mix (``_mix``, mirroring ``mix_entropy`` in numpy/random/bit_generator.pyx)
+and the hash (``_state``) as ``uint32`` ufuncs over a block of keys, and
+build each ``PCG64`` from its key's words when the generator is consumed.
+The ufunc calls cost nearly as much for 20 keys as for 2,000, so a single
+key stays on numpy.  ``tests/test_rngs.py`` pins both mirrors against numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import zlib
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -141,29 +140,15 @@ def _generators(prefix: list[int], values: np.ndarray) -> Iterator[np.random.Gen
             yield np.random.Generator(np.random.PCG64(_StateWords(state_words)))
 
 
-def _key_values(keys: Iterable) -> np.ndarray:
-    """Integer keys or key tuples as rows of ``uint64``, reduced as ``_tag_int`` does."""
-    rows = [[int(v) & _MASK64 for v in (k if isinstance(k, tuple) else (k,))] for k in keys]
-    return np.array(rows, dtype=np.uint64)
-
-
-def streams(seed: int, *tags, keys: Iterable) -> Iterator[np.random.Generator]:
-    """The generators of ``stream(seed, *tags, *k)`` for each ``k`` in
-    ``keys``, in order, each a new and independent generator.
-
-    A key is an integer or a tuple of integers, all of one length; an
-    integer array's rows are keys.  Keys are derived ``_BLOCK`` at a time as
-    the iterator is advanced.  A generator's ``bit_generator.seed_seq`` holds
-    only its state words, so it cannot ``spawn``.
-    """
-    prefix = _words(seed, tags)
-    if isinstance(keys, np.ndarray):  # the cast wraps negatives mod 2**64 as _tag_int does
-        keys = keys.astype(np.uint64)
-        yield from _generators(prefix, keys[:, None] if keys.ndim == 1 else keys)
-        return
-    keys = iter(keys)
-    while len(values := _key_values(itertools.islice(keys, _BLOCK))):
-        yield from _generators(prefix, values)
+def streams(seed: int, *tags, keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """The generators of ``stream(seed, *tags, *k)`` for each key ``k`` of
+    the integer array ``keys`` (one integer per key when 1-D, one row per
+    key when 2-D), in order, each a new and independent generator.  Keys are
+    derived ``_BLOCK`` at a time as the iterator is advanced.  A generator's
+    ``bit_generator.seed_seq`` holds only its state words, so it cannot
+    ``spawn``."""
+    keys = keys.astype(np.uint64)  # wraps negatives mod 2**64 as _tag_int does
+    return _generators(_words(seed, tags), keys[:, None] if keys.ndim == 1 else keys)
 
 
 def children(seed: int, spawn_key: tuple, n: int) -> Iterator[np.random.Generator]:

@@ -250,10 +250,7 @@ def _quantile_policy_from_val(
         # predicted with far higher confidence and would set an unreachable bar
         tau = constant_threshold(confs[classes != BG_INDEX], n_fg, cfg.policy_quantile)
     else:
-        pools = {
-            c: confs[classes == c] for c in range(1, n_fg + 1) if np.any(classes == c)
-        }
-        tau = fixed_class_threshold(pools, n_fg, cfg.policy_quantile)
+        tau = fixed_class_threshold(classes, confs, n_fg, cfg.policy_quantile)
     if cfg.policy == "freq-weighted":
         tau = freq_weighted_threshold(tau, val.catalog, cfg.policy_mix)
     base_tau = tau if cfg.policy == "dash-adaptive" else None
@@ -359,7 +356,7 @@ def run(
 
     # one stream per iteration, taken in step with ``it``
     bg_rngs = streams(
-        cfg.selftrain_seed, "bg-downsample", keys=range(start_iteration, cfg.max_iterations)
+        cfg.selftrain_seed, "bg-downsample", keys=np.arange(start_iteration, cfg.max_iterations)
     )
     it = start_iteration
     epoch = start_iteration // batches_per_epoch
@@ -436,7 +433,7 @@ def run(
             tau_log[i], count_log[i], n_pseudo[i] = state.tau, counts, len(pseudo)
             it += 1
         if val is not None:
-            report = evaluate(params, val, metric_ks, edge_learner if cfg.use_gsl else None)
+            report = evaluate(params, val, metric_ks, edge_learner)
             epoch_records.append(
                 EpochRecord(
                     epoch=epoch,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -121,8 +120,8 @@ def ema_update(
     if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
         raise ValidationError("confidences must lie in [0, 1]")
     tau = state.tau.copy()
-    # a stable sort by class keeps each class's confidences in batch order
-    order = np.argsort(classes, kind="stable")
+    # a stable (radix) sort by class keeps each class's confidences in batch order
+    order = np.argsort(classes.astype(np.min_scalar_type(tau.size)), kind="stable")
     bounds = np.searchsorted(classes[order], np.arange(1, tau.size + 2))
     fg = conf[order[bounds[0] : bounds[-1]]]  # foreground predictions, class by class
     sizes = np.diff(bounds)
@@ -159,18 +158,18 @@ def constant_threshold(confidences, n_foreground: int, quantile: float = 0.01) -
     return np.full(n_foreground, top_quantile(confidences, quantile))
 
 
-def fixed_class_threshold(
-    confidences_by_class: Mapping[int, Sequence[float]],
-    n_foreground: int,
-    quantile: float = 0.01,
-) -> np.ndarray:
-    """Per-class upper-quantile thresholds; an absent class gets 1.0."""
+def fixed_class_threshold(classes, confidences, n_foreground: int,
+                          quantile: float = 0.01) -> np.ndarray:
+    """Per-class upper-quantile thresholds of argmax predictions, given as
+    parallel ``classes`` and ``confidences``; background argmaxes are
+    ignored and a class with no prediction gets 1.0."""
+    classes = np.asarray(classes, dtype=np.intp)
+    confidences = np.asarray(confidences, dtype=np.float64)
+    if classes.size and not 0 <= classes.min() <= classes.max() <= n_foreground:
+        raise ValidationError(f"argmax classes must lie in 0..{n_foreground}")
     tau = np.ones(n_foreground)
-    for c, pool in confidences_by_class.items():
-        if not 1 <= c <= n_foreground:
-            raise ValidationError(f"not a foreground class index: {c}")
-        if len(pool):
-            tau[c - 1] = top_quantile(pool, quantile)
+    for c in np.flatnonzero(np.bincount(classes, minlength=n_foreground + 1)[1:]):
+        tau[c] = top_quantile(confidences[classes == c + 1], quantile)
     return tau
 
 

@@ -214,8 +214,8 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
 
     from strel import edges, selftrain
     from strel.classifier import (
-        add_grads, class_weights, downsample_background, predict_probs, sgd_step,
-        weighted_ce_loss_grad, zero_grads,
+        add_grads, class_weights, downsample_background, forward_probs, predict_probs, sgd_step,
+        weighted_ce_grads, zero_grads,
     )
     from strel.metrics import evaluate
     from strel.rngs import stream
@@ -233,7 +233,7 @@ def per_term_run(pretrained, train, val, cfg, metric_ks):
         if len(rows) == 0:
             return 0.0, zero_grads(params)
         t = np.asarray(targets, dtype=np.intp)
-        return weighted_ce_loss_grad(params, X[rows], t, w[t] / len(rows))
+        return weighted_ce_grads(params, forward_probs(params, X[rows]), t, w[t] / len(rows))
 
     n_scenes = len(arrays.scene_ids)
     per_epoch = math.ceil(n_scenes / cfg.batch_size)

@@ -10,13 +10,14 @@ from strel.classifier import (
     balanced_resample,
     class_weights,
     downsample_background,
+    forward_probs,
     init_params,
     pretrain,
     predict_probs,
     sgd_step,
     softmax,
     supervised_loss_grad,
-    weighted_ce_loss_grad,
+    weighted_ce_grads,
     zero_grads,
 )
 from strel.config import RunConfig
@@ -103,9 +104,11 @@ class TestSupervisedLoss:
             y = rng.integers(0, 3, size=5)
             w = rng.uniform(0.5, 2.0, size=3)
             coeffs = w[y] / len(y)
-            _, grads = weighted_ce_loss_grad(params, X, y, coeffs)
+            _, grads = weighted_ce_grads(params, forward_probs(params, X), y, coeffs)
             err = gradient_relative_error(
-                grads, lambda p: weighted_ce_loss_grad(p, X, y, coeffs)[0], params
+                grads,
+                lambda p: np.sum(coeffs * weighted_ce_grads(p, forward_probs(p, X), y, coeffs)[0]),
+                params,
             )
             assert err <= 1e-4
 

@@ -680,6 +680,19 @@ class TestCorruptInputs:
         tensorio.save_tensors(path, tensors, meta)
         self._fails_with_one_line(["eval"] + tiny_args(run_dir), capsys)
 
+    def test_edge_trace_without_the_edge_learner(self, run_dir, tmp_path, monkeypatch, capsys):
+        """``--edge-trace`` logs the edge learner's samples; without ``--use-gsl
+        true`` there are none, and the command fails before any split is loaded."""
+        def no_split(*args):
+            raise AssertionError("a split was loaded")
+
+        monkeypatch.setattr(cli, "load_split", no_split)
+        log = tmp_path / "logs"
+        argv = ["selftrain", "--edge-trace"] + tiny_args(run_dir, **{"log-dir": str(log)})
+        err = self._fails_with_one_line(argv, capsys)
+        assert "--edge-trace" in err and "--use-gsl" in err, err
+        assert not log.exists()
+
     def test_checkpoint_metadata_not_an_object(self, run_dir, capsys):
         path = os.path.join(run_dir, "ckpt", "selftrain.ckpt")
         data = open(path, "rb").read()
@@ -792,6 +805,21 @@ class TestSweep:
         assert cli.main(["sweep", "--grid", "0.4"] + args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "policy" in err, err
+        assert not log.exists()
+
+    def test_zero_iterations_runs_nothing(self, pipeline_dir, tmp_path, monkeypatch, capsys):
+        """A run of no iteration finishes no epoch, so it has no result for a
+        cell; the sweep fails before its first run and writes no table."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell was run")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        log = tmp_path / "sweep"
+        capsys.readouterr()
+        args = tiny_args(pipeline_dir, **{"max-iterations": 0, "log-dir": str(log)})
+        assert cli.main(["sweep", "--grid", "0.4"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--max-iterations" in err, err
         assert not log.exists()
 
     def test_grid_values_validated(self, pipeline_dir, capsys):

@@ -190,8 +190,10 @@ class TestFocalLoss:
 
 def split_message_pass(scenes, flags):
     arrays = compile_split(scenes)
-    ents, subj, obj = arrays.entity_table(np.arange(len(arrays.scene_ids)))
-    return message_pass(ents, subj, obj, np.asarray(flags))
+    every = np.arange(len(arrays.scene_ids))
+    batch = arrays.batches(every, len(every), entities=True)[0]
+    return message_pass(arrays.entity_features[batch.entities], batch.subject, batch.object,
+                        np.asarray(flags))
 
 
 def scene_message_pass(scene, flags):
@@ -250,7 +252,7 @@ class TestMessagePass:
         """Message passing over a batch's entity table read from the entity
         offsets (every entity of its scenes, in batch order) gives bit for
         bit what it gives over the table of the entities its pairs name,
-        sorted: the planned batches of training and a block of evaluation."""
+        sorted: the planned batches of training and evaluation's blocks."""
         rc = RunConfig(n_scenes=16, entities_min=2, entities_max=6, gen_seed=seed)
         arrays = synthgen.generate(rc).arrays
         n, rng = len(arrays.scene_ids), np.random.default_rng(seed)
@@ -262,8 +264,11 @@ class TestMessagePass:
             got = message_pass(arrays.entity_features[batch.entities], batch.subject,
                                batch.object, hard)
             assert got.tobytes() == want.tobytes()
-        block = np.arange(data.draw(st.integers(0, n - 1)), n)  # evaluation's scene blocks
-        rows = arrays.rows_of(block)
-        hard = rng.integers(0, 2, size=len(rows))
-        want = message_pass(*unique_entity_table(arrays, rows), hard)
-        assert message_pass(*arrays.entity_table(block), hard).tobytes() == want.tobytes()
+        # evaluation's plan: blocks of consecutive scenes in split order
+        block_size = data.draw(st.integers(1, n))
+        for block in arrays.batches(np.arange(n), block_size, entities=True):
+            hard = rng.integers(0, 2, size=len(block.rows))
+            want = message_pass(*unique_entity_table(arrays, block.rows), hard)
+            got = message_pass(arrays.entity_features[block.entities], block.subject,
+                               block.object, hard)
+            assert got.tobytes() == want.tobytes()

@@ -27,8 +27,9 @@ from conftest import assert_records_equal, build_shared_scene
 def test_planned_batches_equal_gathering_each_batch(seed, batch_size, data):
     """Each batch of an epoch plan holds what gathering its scenes alone
     gives: ``rows_of`` their positions, those rows' observed labels, their
-    pair counts and their ``entity_table``, through a short last batch, a
-    plan that starts mid-epoch (a resume) and scenes with no pairs."""
+    pair counts and, with ``entities``, what planning them as one batch
+    gives, through a short last batch, a plan that starts mid-epoch (a
+    resume) and scenes with no pairs."""
     rng = np.random.default_rng(seed)
     scenes = [build_shared_scene(i, rng, int(rng.integers(2, 5)), int(rng.integers(0, 4)))
               for i in range(int(rng.integers(1, 10)))]
@@ -46,10 +47,11 @@ def test_planned_batches_equal_gathering_each_batch(seed, batch_size, data):
         assert batch.observed.tolist() == plain.observed.tolist() == arrays.observed[rows].tolist()
         assert batch.sizes.tolist() == np.diff(arrays.scene_offsets)[mine].tolist()
         assert plain.entities is plain.subject is plain.object is None
-        table, subject, obj = arrays.entity_table(mine)
-        assert arrays.entity_features[batch.entities].tobytes() == table.tobytes()
-        assert batch.subject.tolist() == subject.tolist()
-        assert batch.object.tolist() == obj.tolist()
+        alone = arrays.batches(mine, len(mine), entities=True)[0]
+        assert (arrays.entity_features[batch.entities].tobytes()
+                == arrays.entity_features[alone.entities].tobytes())
+        assert batch.subject.tolist() == alone.subject.tolist()
+        assert batch.object.tolist() == alone.object.tolist()
 
 
 class TestBuildCatalog:
@@ -245,7 +247,8 @@ class TestSplitArrays:
     def test_entity_table_reads_endpoint_features(self):
         arrays = compile_split(self._scenes())
         positions = np.array([2, 1, 3])  # scene 1 has no pairs
-        table, subj, obj = arrays.entity_table(positions)
+        batch = arrays.batches(positions, len(positions), entities=True)[0]
+        table, subj, obj = arrays.entity_features[batch.entities], batch.subject, batch.object
         rows = arrays.rows_of(positions)
         half = arrays.features.shape[1] // 2
         np.testing.assert_array_equal(table[subj], arrays.features[rows, :half])

@@ -139,9 +139,10 @@ def test_scene_streams(benchmark):
 
 
 def test_message_pass(benchmark, split, batch):
-    ents, subj, obj = split.arrays.entity_table(np.arange(20))  # the scenes of ``batch``
+    planned = split.arrays.batches(np.arange(20), 20, entities=True)[0]  # the scenes of ``batch``
+    ents = split.arrays.entity_features[planned.entities]
     hard = stream(0, "hard").integers(0, 2, size=len(batch[0]))
-    out = _run(benchmark, message_pass, ents, subj, obj, hard)
+    out = _run(benchmark, message_pass, ents, planned.subject, planned.object, hard)
     assert out.shape == (len(batch[0]), 2 * ents.shape[1])
 
 

@@ -3,6 +3,7 @@ import zlib
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from strel import rngs
 from strel.rngs import children, stream, streams
@@ -25,24 +26,31 @@ def test_stream_seeds_as_the_entropy_list(seed, tags):
     assert stream(seed, *tags).bit_generator.state == expected.bit_generator.state
 
 
-KEY = st.integers(-(2**64), MAX64)
+def key_arrays(*width):
+    """Arrays of up to 6 integer keys, each ``width`` wide (1-D without
+    one): ``int64``, negative keys included, or ``uint64``, keys of 2**63
+    and above included."""
+    shapes = st.integers(0, 6).map(lambda n: (n, *width))
+    return st.one_of(arrays(np.int64, shapes), arrays(np.uint64, shapes))
 
 
-@given(st.integers(0, MAX64), st.lists(TAG, max_size=3), st.lists(KEY, max_size=6))
-@example(0, [], [])
-@example(MAX64, ["gumbel", 2**33], [0, 2**32 - 1, 2**32, MAX64, -1, -(2**40)])
+@given(st.integers(0, MAX64), st.lists(TAG, max_size=3), key_arrays())
+@example(0, [], np.zeros(0, dtype=np.int64))
+@example(MAX64, ["gumbel", 2**33], np.array([0, 2**32 - 1, 2**32, -1, -(2**40), -(2**63)]))
+@example(MAX64, ["gumbel", 2**33], np.array([2**63, MAX64, 2**32, 0], dtype=np.uint64))
 def test_streams_equal_stream_key_by_key(seed, tags, keys):
     """``streams`` mirrors ``SeedSequence.generate_state``'s output hash; a
-    numpy that changes it fails here."""
+    numpy that changes it fails here.  A negative key is its value mod 2**64."""
     batched = [rng.bit_generator.state for rng in streams(seed, *tags, keys=keys)]
-    assert batched == [stream(seed, *tags, k).bit_generator.state for k in keys]
+    assert batched == [stream(seed, *tags, k).bit_generator.state for k in keys.tolist()]
 
 
-@given(st.integers(0, MAX64), st.lists(TAG, max_size=2), st.lists(st.tuples(KEY, KEY), max_size=5))
-@example(5, ["gumbel"], [(0, 0), (3, 2**32), (2**40, -1), (MAX64, 7)])
+@given(st.integers(0, MAX64), st.lists(TAG, max_size=2), key_arrays(2))
+@example(5, ["gumbel"], np.array([[0, 0], [3, 2**32], [2**40, -1], [-(2**63), 7]]))
+@example(5, ["gumbel"], np.array([[MAX64, 7], [2**63, 2**32]], dtype=np.uint64))
 def test_tuple_keys_equal_stream_with_the_key_spread(seed, tags, keys):
     batched = [rng.bit_generator.state for rng in streams(seed, *tags, keys=keys)]
-    assert batched == [stream(seed, *tags, *k).bit_generator.state for k in keys]
+    assert batched == [stream(seed, *tags, *k).bit_generator.state for k in keys.tolist()]
 
 
 def test_integer_array_rows_are_tuple_keys():
@@ -98,17 +106,17 @@ def test_scene_generators_equal_numpy_spawn():
 
 
 def test_streams_cross_derivation_blocks():
-    keys = range(-3, 2 * rngs._BLOCK + 5)  # more than two blocks of keys
+    keys = np.arange(-3, 2 * rngs._BLOCK + 5)  # more than two blocks of keys
     batched = list(streams(7, "bg-downsample", keys=keys))
     assert len(batched) == len(keys)
-    for rng, k in zip(batched, keys):
+    for rng, k in zip(batched, keys.tolist()):
         assert rng.random() == stream(7, "bg-downsample", k).random()
 
 
 def test_streams_share_no_state():
     """Drawing from one batched generator moves neither its siblings nor a
     generator built by ``stream``."""
-    first, second = streams(3, "gumbel", 1, keys=[10, 11])
+    first, second = streams(3, "gumbel", 1, keys=np.array([10, 11]))
     reference = stream(3, "gumbel", 1, 11)
     before = reference.bit_generator.state
     first.random(1000)

@@ -13,7 +13,7 @@ from strel.classifier import (
     forward_probs,
     init_params,
     sgd_step,
-    weighted_ce_loss_grad,
+    weighted_ce_grads,
 )
 from strel.config import RunConfig
 from strel.errors import ConfigError, ValidationError
@@ -362,7 +362,7 @@ class TestRun:
                     ann, w[y] / max(ann.sum(), 1), w[BG_INDEX] / max((~ann).sum(), 1)
                 )
                 X = np.stack([t.features for t in batch])
-                _, grads = weighted_ce_loss_grad(params, X, y, coeffs)
+                _, grads = weighted_ce_grads(params, forward_probs(params, X), y, coeffs)
                 params = sgd_step(params, grads, cfg.selftrain_learning_rate)
                 it += 1
             epoch += 1

@@ -193,16 +193,17 @@ def test_loading_a_split_does_not_import_numpy_ma(tmp_path):
 def endpoint_rows(arrays, positions):
     """The pair-feature rows of the given scene positions rebuilt from their
     endpoints' entity features, as message passing reads them."""
-    ents, subj, obj = arrays.entity_table(positions)
-    return np.concatenate([ents[subj], ents[obj]], axis=1)
+    batch = arrays.batches(positions, len(positions), entities=True)[0]
+    ents = arrays.entity_features[batch.entities]
+    return np.concatenate([ents[batch.subject], ents[batch.object]], axis=1)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n_scenes=st.integers(10, 30), data=st.data())
 def test_pair_features_are_their_endpoints_concatenated(seed, n_scenes, data):
     """The edge learner scores a batch's ``features[rows_of(positions)]``;
-    those rows equal the concatenation of the endpoints
-    ``entity_table(positions)`` gives, bit for bit, in generated splits, in
+    those rows equal the concatenation of the endpoints a one-batch plan of
+    ``positions`` gives, bit for bit, in generated splits, in
     ``take``n splits and in loaded splits."""
     with tempfile.TemporaryDirectory() as root:
         argv = ["gen", "--n-scenes", str(n_scenes), "--entities-min", "4", "--entities-max", "7",

@@ -149,10 +149,11 @@ class TestEmaUpdate:
         assert lo - 1e-12 <= out.tau[0] <= hi + 1e-12
         assert 0.0 <= out.tau[0] <= 1.0
 
-    @given(st.integers(1, 6), st.data(), st.booleans())
+    @given(st.one_of(st.integers(1, 6), st.integers(256, 300)), st.data(), st.booleans())
     def test_bit_equal_to_the_per_class_loop(self, n_fg, data, strict):
         """Every class in one vector step gives the per-class loop's tau bit
-        for bit: absent classes, background argmaxes, ties with tau."""
+        for bit: absent classes, background argmaxes, ties with tau, and
+        label spaces of 256 classes or more, whose classes sort as uint16."""
         unit = st.floats(0.0, 1.0)
         tau = data.draw(st.lists(unit, min_size=n_fg, max_size=n_fg))
         lam_inc, lam_dec = (data.draw(st.lists(unit, min_size=n_fg, max_size=n_fg)) for _ in "id")
@@ -217,35 +218,41 @@ class TestQuantilePolicies:
             constant_threshold([], n_foreground=2)
 
     def test_fixed_class_pools(self):
-        tau = fixed_class_threshold({1: [0.2, 0.9], 2: [0.4]}, n_foreground=3, quantile=0.5)
+        # the background argmax (class 0) would move either pool it joined
+        classes, confs = [1, 0, 1, 2], [0.2, 0.5, 0.9, 0.4]
+        tau = fixed_class_threshold(classes, confs, n_foreground=3, quantile=0.5)
         assert tau[0] == 0.9  # ceil(0.5*2) = 1st largest
         assert tau[1] == 0.4
         assert tau[2] == 1.0  # an absent class gets the top bar
 
+    def test_fixed_class_outside_the_label_space(self):
+        with pytest.raises(ValidationError):
+            fixed_class_threshold([1, 4], [0.5, 0.5], n_foreground=3)
+
     def test_identical_pools_give_identical_thresholds(self):
         pool = [0.3, 0.6, 0.9]
-        tau = fixed_class_threshold({1: pool, 2: pool}, n_foreground=2, quantile=0.34)
+        tau = fixed_class_threshold([1, 2] * 3, np.repeat(pool, 2), n_foreground=2, quantile=0.34)
         assert tau[0] == tau[1]
 
     def test_freq_weighted_identity_mix(self, tiny_catalog):
-        fixed = fixed_class_threshold({1: [0.6], 2: [0.5], 3: [0.4]}, 3, 0.5)
+        fixed = fixed_class_threshold([1, 2, 3], [0.6, 0.5, 0.4], 3, 0.5)
         blended = freq_weighted_threshold(fixed, tiny_catalog, mix=0.0)
         np.testing.assert_array_equal(blended, fixed)
 
     def test_freq_weighted_pure_frequency(self, tiny_catalog):
-        fixed = fixed_class_threshold({1: [0.6], 2: [0.5], 3: [0.4]}, 3, 0.5)
+        fixed = fixed_class_threshold([1, 2, 3], [0.6, 0.5, 0.4], 3, 0.5)
         blended = freq_weighted_threshold(fixed, tiny_catalog, mix=1.0)
         np.testing.assert_allclose(blended, [1.0, 0.8, 0.2], rtol=1e-12)
 
     def test_freq_weighted_hand_mix(self, tiny_catalog):
-        fixed = fixed_class_threshold({1: [0.6], 2: [0.5], 3: [0.4]}, 3, 0.5)
+        fixed = fixed_class_threshold([1, 2, 3], [0.6, 0.5, 0.4], 3, 0.5)
         blended = freq_weighted_threshold(fixed, tiny_catalog, mix=0.5)
         assert abs(blended[0] - 0.8) <= 1e-12  # 0.5*0.6 + 0.5*1.0
 
 
 class TestDashAdaptive:
     def _policy(self, base=0.5):
-        tau = fixed_class_threshold({1: [base]}, n_foreground=1, quantile=1.0)
+        tau = fixed_class_threshold([1], [base], n_foreground=1, quantile=1.0)
         return Thresholds("dash-adaptive", tau, np.ones(1, dtype=bool), base_tau=tau)
 
     def test_one_interval_growth(self):
